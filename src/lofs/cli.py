@@ -25,6 +25,7 @@ from .factorisation import factorise, fibrant_replacement
 from .kan import kan_injective, classify_injectives
 from .lifting import kz_orthogonal, lifting_structure
 from .order import (
+    DEFAULT_ENUM_BOUND,
     FinPreorder,
     MonotoneMap,
     _bits,
@@ -215,8 +216,11 @@ def _cmd_kan_injective(args):
 
 
 def _cmd_classify(args):
+    max_size = args.classify_max_size
+    if max_size is None:
+        max_size = 4 if args.max_size is None else args.max_size
     rows = classify_injectives(
-        args.max_size,
+        max_size,
         generator_size=args.generator_size,
         posets_only=args.posets_only,
     )
@@ -260,7 +264,7 @@ def _cmd_enumerate(args):
         args.size,
         up_to_iso=not args.labeled,
         posets_only=args.posets_only,
-        bound=args.max_size,
+        bound=DEFAULT_ENUM_BOUND if args.max_size is None else args.max_size,
     )
     if args.format == "dot":
         _emit("".join(formats.hasse_dot(P) for P in items))
@@ -289,8 +293,9 @@ def build_parser():
     )
     parser.add_argument("--max-carrier", type=int, default=4096, metavar="N",
                         help="bound on intermediate carriers (default 4096)")
-    parser.add_argument("--max-size", type=int, default=5, metavar="N",
-                        help="bound on enumerated object size (default 5)")
+    # default None so that a subcommand can tell an explicit bound apart
+    parser.add_argument("--max-size", type=int, default=None, metavar="N",
+                        help=f"bound on enumerated object size (default {DEFAULT_ENUM_BOUND})")
     parser.add_argument("--witness", action="store_true",
                         help="report a minimal counterexample on predicate failure")
     parser.add_argument("--format", choices=["json", "dot"], default="json",
@@ -330,7 +335,9 @@ def build_parser():
     p.set_defaults(fn=_cmd_kan_injective)
 
     p = sub.add_parser("classify", help="Kan injectives vs complete lattices")
-    p.add_argument("--max-size", dest="max_size", type=int, default=4)
+    p.add_argument("--max-size", dest="classify_max_size", type=int, default=None,
+                   metavar="N", help="largest object size (default: the global "
+                   "--max-size if given, else 4)")
     p.add_argument("--generator-size", type=int, default=None)
     p.add_argument("--posets-only", action="store_true")
     p.set_defaults(fn=_cmd_classify)

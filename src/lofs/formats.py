@@ -10,6 +10,7 @@ Families are either a bare JSON array of maps or an object with
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 
@@ -17,6 +18,11 @@ from .errors import FormatError
 from .lifting import GeneratorFamily
 from .order import FinPreorder, MonotoneMap, _bits, closure
 from .topology import FiniteSpace
+
+
+# real paths of the files whose documents are being built; an endpoint
+# naming one of them again would recurse without end
+_reading = contextvars.ContextVar("lofs_formats_reading", default=frozenset())
 
 
 def _expect(cond, message):
@@ -43,6 +49,9 @@ def preorder_from_obj(obj):
             "each le entry must be a two-element list",
         )
         a, b = entry
+        _expect(
+            isinstance(a, str) and isinstance(b, str), f"le pair {entry} names non-strings"
+        )
         _expect(a in index and b in index, f"unknown element in le pair {entry}")
         pairs.append((index[a], index[b]))
     closed = closure(len(elements), pairs)
@@ -60,10 +69,6 @@ def preorder_to_obj(P, type_name="preorder"):
 def space_from_obj(obj):
     _expect(obj.get("type") == "space", "expected a space object")
     return FiniteSpace(preorder_from_obj({**obj, "type": "preorder"}))
-
-
-def space_to_obj(X):
-    return preorder_to_obj(X.points, "space")
 
 
 def _resolve_endpoint(value, base_dir):
@@ -90,6 +95,7 @@ def map_from_obj(obj, base_dir="."):
     assign = [None] * src.n
     for a, b in assign_obj.items():
         _expect(a in src_index, f"unknown source element {a!r}")
+        _expect(isinstance(b, str), f"target element {b!r} is not a string")
         _expect(b in tgt_index, f"unknown target element {b!r}")
         assign[src_index[a]] = tgt_index[b]
     _expect(None not in assign, "assign must cover every source element")
@@ -110,9 +116,13 @@ def family_from_obj(obj, base_dir="."):
         return GeneratorFamily([map_from_obj(m, base_dir) for m in obj])
     _expect(isinstance(obj, dict), "family must be an array or object")
     _expect(obj.get("type") == "family", "expected a family object")
-    members = [map_from_obj(m, base_dir) for m in obj.get("members", [])]
+    members_obj = obj.get("members", [])
+    links_obj = obj.get("links", [])
+    _expect(isinstance(members_obj, list), "members must be a list of maps")
+    _expect(isinstance(links_obj, list), "links must be a list")
+    members = [map_from_obj(m, base_dir) for m in members_obj]
     links = []
-    for link in obj.get("links", []):
+    for link in links_obj:
         _expect(isinstance(link, dict), "each link must be an object")
         src = link.get("from")
         tgt = link.get("to")
@@ -132,6 +142,7 @@ def _named_assign(obj, src, tgt):
     tgt_index = {tgt.label(i): i for i in range(tgt.n)}
     assign = [None] * src.n
     for a, b in obj.items():
+        _expect(isinstance(b, str), f"link element {b!r} is not a string")
         _expect(a in src_index and b in tgt_index, f"unknown element in link {obj}")
         assign[src_index[a]] = tgt_index[b]
     _expect(None not in assign, "link leg must cover every element")
@@ -157,13 +168,20 @@ def factorisation_to_obj(fact):
 
 def load_document(path):
     """Read one JSON file into the value its ``type`` field names."""
+    real = os.path.realpath(path)
+    reading = _reading.get()
+    _expect(real not in reading, f"{path}: refers back to a file still being read")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
-    return document_from_obj(obj, base_dir)
+    token = _reading.set(reading | {real})
+    try:
+        return document_from_obj(obj, base_dir)
+    finally:
+        _reading.reset(token)
 
 
 def document_from_obj(obj, base_dir="."):

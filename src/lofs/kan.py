@@ -16,7 +16,8 @@ from .errors import ShapeMismatch
 from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
-    _pointwise_leq,
+    _bits,
+    _monotone_within,
     _sup_table,
     arrow_canonical_key,
     enumerate_preorders,
@@ -47,7 +48,13 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
     When the codomain is a complete lattice the minimum is computed
     directly as g(y) = sup {f(x) : j(x) <= y}, which is below every
     candidate by the upper-bound argument; otherwise (or when
-    ``brute_force`` is set) all monotone maps are scanned.
+    ``brute_force`` is set) the monotone maps are scanned.  The scan only
+    enumerates maps with g(y) an upper bound of f[{x : j(x) <= y}]: for a
+    monotone g that is the same condition as f <= g ∘ j, so the candidate
+    list and its lexicographic order are those of the full scan.  The
+    least candidate is the first one inside ``lower``, the pointwise
+    meet of the down-sets of all candidates, which is the first candidate
+    below all of them.
     """
     if j.src != f.src:
         raise ShapeMismatch("extension needs dom j = dom f")
@@ -65,13 +72,18 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
             assign.append(sups[mask])
         ext = MonotoneMap(j.tgt, A, assign)
     else:
-        cands = []
-        for g in monotone_assignments(j.tgt, A, max_carrier):
-            if all((A.up[f.assign[x]] >> g[j.assign[x]]) & 1 for x in range(j.src.n)):
-                cands.append(g)
+        bounds = [(1 << A.n) - 1] * j.tgt.n
+        for x in range(j.src.n):
+            for y in _bits(j.tgt.up[j.assign[x]]):
+                bounds[y] &= A.up[f.assign[x]]
+        cands = _monotone_within(j.tgt, A, bounds, max_carrier)
+        lower = [(1 << A.n) - 1] * j.tgt.n
+        for g in cands:
+            for y, v in enumerate(g):
+                lower[y] &= A.down[v]
         best = None
         for g in cands:
-            if all(_pointwise_leq(A, g, g2) for g2 in cands):
+            if all((lower[y] >> v) & 1 for y, v in enumerate(g)):
                 best = g
                 break
         if best is None:
@@ -96,14 +108,23 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     ``generators`` is a GeneratorFamily or any iterable of maps; only the
     members matter.  Equivalent to the comparison map of each generator
     against A -> point carrying a RALI witness.
+
+    Completeness of A is decided once per call.  Over a complete A a
+    member's check reads only its source X and the masks
+    jb[x] = {x' : j(x') <= j(x)}, so each distinct (X, jb) is checked
+    once and later members with that key are skipped: the verdict is the
+    conjunction over members, and skipped members would repeat a check
+    that passed.  Over any other A every extension takes the scan of
+    ``lan_extension``, which is what its own completeness test would pick.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
     sups = _sup_table(A) if complete else None
+    passed = set()
     for j in members:
         if not complete:
             for f in hom_maps(j.src, A, max_carrier):
-                if lan_extension(j, f, max_carrier) is None:
+                if lan_extension(j, f, max_carrier, brute_force=True) is None:
                     return False
             continue
         # complete codomain: the sup formula is monotone, minimal and an
@@ -117,7 +138,9 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
                 if (Y.up[j.assign[x]] >> y) & 1:
                     m |= 1 << x
             below.append(m)
-        jb = [below[j.assign[x]] for x in range(X.n)]
+        jb = tuple(below[j.assign[x]] for x in range(X.n))
+        if (X, jb) in passed:
+            continue
         for f in _hom_assignments(X, A):
             for x in range(X.n):
                 mask = 0
@@ -128,6 +151,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
                     m ^= low
                 if not A.equiv(sups[mask], f[x]):
                     return False
+        passed.add((X, jb))
     return True
 
 

@@ -15,11 +15,12 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     Square,
+    _hom_preorder,
     _pointwise_leq,
+    _square_preorder,
     compose,
     monotone_assignments,
     squares,
-    sq_hom_poset,
 )
 
 
@@ -78,21 +79,22 @@ def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     """The comparison d ↦ (d ∘ j, g ∘ d) into the square preorder.
 
     Its source is ``hom_poset(cod j, dom g)`` and its target
-    ``sq_hom_poset(j, g)``, both in canonical element order.
+    ``sq_hom_poset(j, g)``, both in canonical element order.  The hom
+    assignments and the squares are enumerated once here and shared by
+    both preorders and the square index; they are the very lists those
+    two functions would enumerate, so the map is unchanged.
     """
-    from .order import hom_poset
-
-    hom = hom_poset(j.tgt, g.src, max_carrier)
-    sqp = sq_hom_poset(j, g, max_carrier)
+    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
     sqs = squares(j, g, max_carrier)
     index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
-    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
     out = []
     for d in assigns:
         h = tuple(d[v] for v in j.assign)
         k = tuple(g.assign[v] for v in d)
         out.append(index[(h, k)])
-    return MonotoneMap(hom, sqp, out)
+    return MonotoneMap(
+        _hom_preorder(j.tgt, g.src, assigns), _square_preorder(j, g, sqs), out
+    )
 
 
 def square_fillers(sq, max_carrier=DEFAULT_MAX_CARRIER, up_to_equiv=False):

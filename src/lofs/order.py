@@ -368,17 +368,10 @@ def is_full(f):
 def is_order_embedding(f):
     """Full and injective on equivalence classes.
 
-    Class-injectivity is already forced by fullness; it is checked anyway
-    so the predicate reads as its definition.
+    Fullness alone decides it: f(a) ~ f(b) gives a <= b and b <= a by
+    reflection, so a full map is already injective on classes.
     """
-    if not is_full(f):
-        return False
-    X, Y = f.src, f.tgt
-    for a in range(X.n):
-        for b in range(X.n):
-            if Y.equiv(f.assign[a], f.assign[b]) and not X.equiv(a, b):
-                return False
-    return True
+    return is_full(f)
 
 
 def sup_mask(X, mask):
@@ -494,6 +487,16 @@ def monotone_assignments(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
     The raw candidate space |Y|^|X| is bounded by ``max_carrier`` before
     enumeration starts.
     """
+    return _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n, max_carrier)
+
+
+def _monotone_within(X, Y, allowed, max_carrier):
+    """The monotone assignments a with a[i] in ``allowed[i]`` for each i.
+
+    The same recursion, order and size guard as ``monotone_assignments``,
+    which is the case where every mask is full: the masks only prune
+    branches, so the survivors keep their lexicographic order.
+    """
     if X.n == 0:
         return [()]
     if Y.n == 0:
@@ -503,7 +506,6 @@ def monotone_assignments(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
             f"{Y.n}^{X.n} candidate maps exceed the bound {max_carrier}"
         )
     n = X.n
-    full = (1 << Y.n) - 1
     out = []
     assign = [0] * n
 
@@ -511,15 +513,15 @@ def monotone_assignments(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
         if i == n:
             out.append(tuple(assign))
             return
-        allowed = full
+        mask = allowed[i]
         for j in range(i):
             if (X.up[j] >> i) & 1:
-                allowed &= Y.up[assign[j]]
+                mask &= Y.up[assign[j]]
             if (X.up[i] >> j) & 1:
-                allowed &= Y.down[assign[j]]
-            if not allowed:
+                mask &= Y.down[assign[j]]
+            if not mask:
                 return
-        for v in _bits(allowed):
+        for v in _bits(mask):
             assign[i] = v
             rec(i + 1)
 
@@ -535,22 +537,54 @@ def _pointwise_leq(Y, a, b):
     return all((Y.up[x] >> y) & 1 for x, y in zip(a, b))
 
 
+def _pointwise_rows(vectors, ups):
+    """Up-rows of the pointwise order on equal-length ``vectors``.
+
+    ``ups[c]`` is the ``up`` table of the preorder coordinate c lives in.
+    Row i is the mask of the vectors lying above vectors[i] in every
+    coordinate, built as an AND of one precomputed column mask per
+    coordinate instead of comparing all pairs.
+    """
+    m = len(vectors)
+    rows = [(1 << m) - 1] * m
+    for c, up in enumerate(ups):
+        at = [0] * len(up)  # value -> mask of vectors with that value at c
+        for i, v in enumerate(vectors):
+            at[v[c]] |= 1 << i
+        above = []
+        for u in up:
+            mask = 0
+            for w in _bits(u):
+                mask |= at[w]
+            above.append(mask)
+        for i, v in enumerate(vectors):
+            rows[i] &= above[v[c]]
+    return rows
+
+
+def _hom_preorder(X, Y, assigns):
+    """``hom_poset`` on its assignment list, already enumerated."""
+    return FinPreorder(len(assigns), _pointwise_rows(assigns, (Y.up,) * X.n))
+
+
+def _square_preorder(j, g, sqs):
+    """``sq_hom_poset`` on its square list, already enumerated."""
+    vectors = [s.h.assign + s.k.assign for s in sqs]
+    ups = (g.src.up,) * j.src.n + (g.tgt.up,) * j.tgt.n
+    return FinPreorder(len(sqs), _pointwise_rows(vectors, ups))
+
+
 def hom_poset(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
     """The preorder of all monotone maps X -> Y under the pointwise order.
 
     Element i is ``monotone_assignments(X, Y)[i]``; the enumeration order
-    (lexicographic on assignment vectors) is the canonical one.
+    (lexicographic on assignment vectors) is the canonical one.  The rows
+    come from ``_pointwise_rows``, which gives the relation of the
+    pairwise comparison in one pass per coordinate; callers that already
+    hold the assignments (``lifting.canonical_map``) share them through
+    ``_hom_preorder``.
     """
-    assigns = monotone_assignments(X, Y, max_carrier)
-    m = len(assigns)
-    rows = []
-    for a in assigns:
-        r = 0
-        for jdx, b in enumerate(assigns):
-            if _pointwise_leq(Y, a, b):
-                r |= 1 << jdx
-        rows.append(r)
-    return FinPreorder(m, rows)
+    return _hom_preorder(X, Y, monotone_assignments(X, Y, max_carrier))
 
 
 def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
@@ -578,18 +612,16 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
 
 
 def sq_hom_poset(j, g, max_carrier=DEFAULT_MAX_CARRIER):
-    """The preorder of commuting squares j -> g, ordered componentwise."""
-    sqs = squares(j, g, max_carrier)
-    rows = []
-    for s in sqs:
-        r = 0
-        for idx, t in enumerate(sqs):
-            if _pointwise_leq(g.src, s.h.assign, t.h.assign) and _pointwise_leq(
-                g.tgt, s.k.assign, t.k.assign
-            ):
-                r |= 1 << idx
-        rows.append(r)
-    return FinPreorder(len(sqs), rows)
+    """The preorder of commuting squares j -> g, ordered componentwise.
+
+    Element i is ``squares(j, g)[i]``; a square lies below another when
+    both its h and its k do, pointwise.  The rows come from
+    ``_pointwise_rows`` over the concatenated (h, k) vectors, which is the
+    same relation as comparing every pair; callers that already hold the
+    squares (``lifting.canonical_map``) share them through
+    ``_square_preorder``.
+    """
+    return _square_preorder(j, g, squares(j, g, max_carrier))
 
 
 # ---------------------------------------------------------------------------

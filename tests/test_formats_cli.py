@@ -224,3 +224,63 @@ class TestCli:
         assert cli.main(["suite", "--criteria", "11"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS  11 enumeration-counts")
+
+
+class TestCliContract:
+    """Malformed documents end in exit 3 with nothing on stdout."""
+
+    POINT = {"type": "preorder", "elements": ["a"], "le": []}
+
+    def assert_invalid(self, path, capsys):
+        assert cli.main(["validate", path]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_map_whose_source_is_itself(self, tmp_path, capsys):
+        obj = {"type": "map", "source": "m.json", "target": self.POINT, "assign": {"a": "a"}}
+        self.assert_invalid(write(tmp_path, "m.json", obj), capsys)
+
+    def test_reference_cycle_through_two_files(self, tmp_path, capsys):
+        for name, other in (("a.json", "b.json"), ("b.json", "a.json")):
+            obj = {"type": "map", "source": other, "target": self.POINT, "assign": {"a": "a"}}
+            write(tmp_path, name, obj)
+        self.assert_invalid(str(tmp_path / "a.json"), capsys)
+
+    def test_file_named_twice_is_not_a_cycle(self, tmp_path, capsys):
+        write(tmp_path, "p.json", self.POINT)
+        obj = {"type": "map", "source": "p.json", "target": "p.json", "assign": {"a": "a"}}
+        path = write(tmp_path, "m.json", obj)
+        assert cli.main(["validate", path]) == 0
+        capsys.readouterr()
+
+    def test_non_string_le_entry(self, tmp_path, capsys):
+        obj = {"type": "preorder", "elements": ["a", "b"], "le": [[["a"], "b"]]}
+        self.assert_invalid(write(tmp_path, "p.json", obj), capsys)
+
+    def test_non_string_assign_value(self, tmp_path, capsys):
+        obj = {
+            "type": "map",
+            "source": self.POINT,
+            "target": {"type": "preorder", "elements": ["b"], "le": []},
+            "assign": {"a": ["b"]},
+        }
+        self.assert_invalid(write(tmp_path, "m.json", obj), capsys)
+
+    def test_family_members_not_a_list(self, tmp_path, capsys):
+        obj = {"type": "family", "members": 5}
+        self.assert_invalid(write(tmp_path, "fam.json", obj), capsys)
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'\xff\xfe{"type": "preorder"}')
+        self.assert_invalid(str(path), capsys)
+
+    def test_classify_honours_global_max_size(self, capsys):
+        counts = []
+        for argv in (
+            ["--max-size", "3", "classify"],
+            ["classify"],
+            ["classify", "--max-size", "3"],
+        ):
+            assert cli.main(argv) == 0
+            counts.append(len(json.loads(capsys.readouterr().out)))
+        assert counts == [14, 47, 14]  # preorder classes of size <= 3, <= 4, <= 3

@@ -1,6 +1,6 @@
 import pytest
 
-from lofs.errors import ShapeMismatch
+from lofs.errors import ShapeMismatch, SizeLimitExceeded
 from lofs.kan import (
     all_embeddings,
     chain_stage_report,
@@ -12,6 +12,7 @@ from lofs.lifting import GeneratorFamily, kz_orthogonal
 from lofs.order import (
     MonotoneMap,
     antichain,
+    arrow_canonical_key,
     chain,
     diamond,
     enumerate_preorders,
@@ -25,6 +26,46 @@ from lofs.order import (
 ONE = chain(1)
 DIA = diamond()
 J_EMB = MonotoneMap(antichain(2), DIA, [1, 2])
+
+
+def reps(max_size):
+    return [p for n in range(max_size + 1) for p in enumerate_preorders(n)]
+
+
+def arrow_classes(max_size):
+    seen = {}
+    for X in reps(max_size):
+        for Y in reps(max_size):
+            for f in hom_maps(X, Y):
+                seen.setdefault(arrow_canonical_key(f), f)
+    return [seen[k] for k in sorted(seen)]
+
+
+def naive_extension(j, f, maps):
+    """The least g in ``maps`` with f <= g ∘ j, by comparing all pairs,
+    if it restricts to f up to equivalence; else None."""
+    A = f.tgt
+    leq = A.leq
+    cands = [
+        g
+        for g in maps
+        if all(leq(f.assign[x], g[j.assign[x]]) for x in range(j.src.n))
+    ]
+    for g in cands:
+        if all(all(leq(a, b) for a, b in zip(g, g2)) for g2 in cands):
+            if all(A.equiv(g[j.assign[x]], f.assign[x]) for x in range(j.src.n)):
+                return g
+            return None
+    return None
+
+
+def naive_kan_injective(A, members):
+    """Kan injectivity member by member, every map checked by the naive scan."""
+    return all(
+        naive_extension(j, f, monotone_assignments(j.tgt, A)) is not None
+        for j in members
+        for f in hom_maps(j.src, A)
+    )
 
 
 class TestLanExtension:
@@ -82,6 +123,54 @@ class TestLanExtension:
             ]
             for m in minima:
                 assert all(DIA.equiv(a, b) for a, b in zip(m.assign, w.ext.assign))
+
+
+class TestPrunedScan:
+    def test_matches_naive_scan(self):
+        # every arrow class j and every f, all carriers of size <= 3
+        objects = reps(3)
+        for j in arrow_classes(3):
+            for A in objects:
+                maps = monotone_assignments(j.tgt, A)
+                for fa in monotone_assignments(j.src, A):
+                    f = MonotoneMap(j.src, A, fa)
+                    w = lan_extension(j, f, brute_force=True)
+                    expected = naive_extension(j, f, maps)
+                    assert (None if w is None else w.ext.assign) == expected
+
+    def test_size_guard_unchanged(self):
+        j = identity(antichain(3))
+        f = MonotoneMap(antichain(3), DIA, [0, 0, 0])
+        with pytest.raises(SizeLimitExceeded):
+            lan_extension(j, f, max_carrier=63, brute_force=True)
+        assert lan_extension(j, f, max_carrier=64, brute_force=True) is not None
+
+
+class TestGroupedKanInjectivity:
+    # every map between preorders of size <= 2 and <= 3: most share a source
+    # with another member whose masks jb differ, full or not
+    POOL = [f for X in reps(2) for Y in reps(3) for f in hom_maps(X, Y)]
+
+    def test_single_members(self):
+        for A in reps(3):
+            for j in self.POOL:
+                assert kan_injective(A, [j]) == naive_kan_injective(A, [j])
+
+    def test_pairs_sharing_a_source(self):
+        # grouping applies over complete objects only
+        seen_key_split = False
+        for A in [A for A in reps(3) if is_complete_lattice(A)] + [DIA]:
+            verdict = {j: naive_kan_injective(A, [j]) for j in self.POOL}
+            for j1 in self.POOL:
+                for j2 in self.POOL:
+                    if j1.src != j2.src:
+                        continue
+                    expected = verdict[j1] and verdict[j2]
+                    assert kan_injective(A, [j1, j2]) == expected
+                    seen_key_split |= verdict[j1] and not verdict[j2]
+            assert kan_injective(A, self.POOL) == all(verdict.values())
+        # a passing member must not excuse a failing one with the same source
+        assert seen_key_split
 
 
 class TestKanInjectivity:

@@ -13,6 +13,7 @@ from lofs.order import (
     FinPreorder,
     MonotoneMap,
     antichain,
+    arrow_canonical_key,
     canonical_form,
     chain,
     closure,
@@ -45,6 +46,28 @@ def reps(max_size, posets_only=False):
         for n in range(max_size + 1)
         for p in enumerate_preorders(n, posets_only=posets_only)
     ]
+
+
+def arrow_classes(max_size):
+    """One map per arrow-isomorphism class between preorders of size <= max_size."""
+    seen = {}
+    for X in reps(max_size):
+        for Y in reps(max_size):
+            for f in hom_maps(X, Y):
+                seen.setdefault(arrow_canonical_key(f), f)
+    return [seen[k] for k in sorted(seen)]
+
+
+def pairwise_rows(vectors, leqs):
+    """The pointwise order by comparing every pair, coordinate by coordinate."""
+    rows = []
+    for a in vectors:
+        r = 0
+        for idx, b in enumerate(vectors):
+            if all(leq(x, y) for leq, x, y in zip(leqs, a, b)):
+                r |= 1 << idx
+        rows.append(r)
+    return rows
 
 
 class TestClosure:
@@ -170,6 +193,28 @@ class TestSquares:
     def test_terminal_g(self):
         j = MonotoneMap(antichain(2), diamond(), [1, 2])
         assert sq_hom_poset(j, identity(chain(1))).n == 1
+
+
+class TestPointwiseRows:
+    def test_hom_poset_matches_pairwise(self):
+        for X in reps(3):
+            for Y in reps(3):
+                assigns = monotone_assignments(X, Y)
+                expected = pairwise_rows(assigns, [Y.leq] * X.n)
+                assert list(hom_poset(X, Y).up) == expected
+
+    def test_sq_hom_poset_matches_pairwise(self):
+        # every class of size <= 3 meets a quarter of the classes of size
+        # <= 2 on each side, and every 29th class of size <= 3 meets every 29th
+        small, large = arrow_classes(2), arrow_classes(3)
+        mixed = [(a, b) for a in large for b in small]
+        pairs = mixed[::4] + [(b, a) for a, b in mixed[2::4]]
+        pairs += [(j, g) for j in large[::29] for g in large[::29]]
+        for j, g in pairs:
+            sqs = squares(j, g)
+            vectors = [s.h.assign + s.k.assign for s in sqs]
+            leqs = [g.src.leq] * j.src.n + [g.tgt.leq] * j.tgt.n
+            assert list(sq_hom_poset(j, g).up) == pairwise_rows(vectors, leqs)
 
 
 class TestPredicates:
