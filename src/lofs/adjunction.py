@@ -8,15 +8,14 @@ element with no minimum.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, SizeLimitExceeded
+from .errors import InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
-    compose,
-    identity,
-    two_cell,
+    _pointwise_rows,
+    _preimage_masks,
 )
 
 
@@ -32,15 +31,20 @@ class RaliWitness:
     __slots__ = ("f", "left_adjoint", "exact")
 
     def __init__(self, f, left_adjoint):
-        section = compose(left_adjoint, f)
-        ident = identity(f.tgt)
-        if not (two_cell(section, ident) and two_cell(ident, section)):
+        A, B = f.src, f.tgt
+        # the errors, in order, of the composites and 2-cells that define the check
+        if left_adjoint.tgt != A:
+            raise ShapeMismatch("compose: f.tgt differs from g.src")
+        if left_adjoint.src != B:
+            raise ShapeMismatch("two_cell: maps are not parallel")
+        section = tuple(f.assign[a] for a in left_adjoint.assign)
+        if not all(B.up[s] >> b & B.up[b] >> s & 1 for b, s in enumerate(section)):
             raise InvariantViolation("left adjoint is not a section of f")
-        if not two_cell(compose(f, left_adjoint), identity(f.src)):
+        if not all(A.up[left_adjoint.assign[b]] >> a & 1 for a, b in enumerate(f.assign)):
             raise InvariantViolation("counit inequality fails")
         self.f = f
         self.left_adjoint = left_adjoint
-        self.exact = section.assign == ident.assign
+        self.exact = section == tuple(range(B.n))
 
     def __repr__(self):
         return f"RaliWitness(section={list(self.left_adjoint.assign)})"
@@ -52,15 +56,20 @@ class LariWitness:
     __slots__ = ("f", "right_adjoint", "exact")
 
     def __init__(self, f, right_adjoint):
-        retraction = compose(f, right_adjoint)
-        ident = identity(f.src)
-        if not (two_cell(retraction, ident) and two_cell(ident, retraction)):
+        A, B = f.src, f.tgt
+        # the errors, in order, of the composites and 2-cells that define the check
+        if right_adjoint.src != B:
+            raise ShapeMismatch("compose: f.tgt differs from g.src")
+        if right_adjoint.tgt != A:
+            raise ShapeMismatch("two_cell: maps are not parallel")
+        retraction = tuple(right_adjoint.assign[b] for b in f.assign)
+        if not all(A.up[r] >> a & A.up[a] >> r & 1 for a, r in enumerate(retraction)):
             raise InvariantViolation("right adjoint is not a retraction of f")
-        if not two_cell(compose(right_adjoint, f), identity(f.tgt)):
+        if not all(B.up[f.assign[a]] >> b & 1 for b, a in enumerate(right_adjoint.assign)):
             raise InvariantViolation("counit inequality fails")
         self.f = f
         self.right_adjoint = right_adjoint
-        self.exact = retraction.assign == ident.assign
+        self.exact = retraction == tuple(range(A.n))
 
     def __repr__(self):
         return f"LariWitness(retraction={list(self.right_adjoint.assign)})"
@@ -99,11 +108,7 @@ def find_left_adjoint(f):
     """
     A, B = f.src, f.tgt
     assign = []
-    for b in range(B.n):
-        candidates = 0
-        for a in range(A.n):
-            if (B.up[b] >> f.assign[a]) & 1:
-                candidates |= 1 << a
+    for candidates in _preimage_masks(f.assign, B.up):
         best = None
         for a in _bits(candidates):
             if not (candidates & ~A.up[a]):
@@ -119,11 +124,7 @@ def find_right_adjoint(f):
     """Dual of :func:`find_left_adjoint`: g(b) a maximum of {a : f(a) <= b}."""
     A, B = f.src, f.tgt
     assign = []
-    for b in range(B.n):
-        candidates = 0
-        for a in range(A.n):
-            if (B.up[f.assign[a]] >> b) & 1:
-                candidates |= 1 << a
+    for candidates in _preimage_masks(f.assign, B.down):
         best = None
         for a in _bits(candidates):
             if not (candidates & ~A.down[a]):
@@ -144,23 +145,28 @@ def _section_choices(f, exact):
     one candidate set are pairwise equivalent, which is what makes RALI
     witnesses unique on posets and unique up to pointwise equivalence on
     preorders.
+
+    Mask form: the sets {a : b <= f(a)} for all b come from one
+    ``_preimage_masks`` call, and the pairwise-equivalence check is one
+    test per candidate x, fit & ~class_mask(x) == 0, with ``fit`` the
+    mask of all candidates: every candidate is equivalent to x exactly
+    when all of them lie in x's class.  Same candidates, same order, same
+    error.
     """
     A, B = f.src, f.tgt
     choices = []
-    for b in range(B.n):
-        above = 0
-        for a in range(A.n):
-            if (B.up[b] >> f.assign[a]) & 1:
-                above |= 1 << a
+    for b, above in enumerate(_preimage_masks(f.assign, B.up)):
         minima = [a for a in _bits(above) if not (above & ~A.up[a])]
         if exact:
             fitting = [a for a in minima if f.assign[a] == b]
         else:
             fitting = [a for a in minima if B.equiv(f.assign[a], b)]
+        fit = 0
         for x in fitting:
-            for y in fitting:
-                if not A.equiv(x, y):  # pragma: no cover - impossible for minima
-                    raise InvariantViolation("inequivalent minima found")
+            fit |= 1 << x
+        for x in fitting:
+            if fit & ~A.class_mask(x):  # pragma: no cover - impossible for minima
+                raise InvariantViolation("inequivalent minima found")
         choices.append(fitting)
     return choices
 
@@ -193,11 +199,7 @@ def find_lari(f):
         if forced.setdefault(b, a) != a:
             return None
     assign = []
-    for b in range(B.n):
-        below = 0
-        for a in range(A.n):
-            if (B.up[f.assign[a]] >> b) & 1:
-                below |= 1 << a
+    for b, below in enumerate(_preimage_masks(f.assign, B.down)):
         maxima = [a for a in _bits(below) if not (below & ~A.down[a])]
         if b in forced:
             if forced[b] not in maxima:
@@ -218,14 +220,7 @@ def comma(f, max_carrier=DEFAULT_MAX_CARRIER):
     pairs = [
         (a, b) for a in range(A.n) for b in range(B.n) if (B.up[f.assign[a]] >> b) & 1
     ]
-    rows = []
-    for a, b in pairs:
-        r = 0
-        for idx, (a2, b2) in enumerate(pairs):
-            if (A.up[a] >> a2) & (B.up[b] >> b2) & 1:
-                r |= 1 << idx
-        rows.append(r)
-    carrier = FinPreorder(len(pairs), rows)
+    carrier = FinPreorder(len(pairs), _pointwise_rows(pairs, (A.up, B.up)))
     proj_a = MonotoneMap(carrier, A, [a for a, _ in pairs])
     proj_b = MonotoneMap(carrier, B, [b for _, b in pairs])
     return CommaObject(f, carrier, proj_a, proj_b, tuple(pairs))

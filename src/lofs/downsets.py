@@ -13,6 +13,7 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _inclusion_rows,
     down_closure,
     down_set_masks,
     is_complete_lattice,
@@ -42,14 +43,7 @@ class DownSetLattice:
 
 def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
     masks = down_set_masks(X, max_carrier)
-    rows = []
-    for m in masks:
-        r = 0
-        for idx, m2 in enumerate(masks):
-            if not (m & ~m2):
-                r |= 1 << idx
-        rows.append(r)
-    return DownSetLattice(X, FinPreorder(len(masks), rows), masks)
+    return DownSetLattice(X, FinPreorder(len(masks), _inclusion_rows(masks)), masks)
 
 
 def unit(X, dl=None):

@@ -21,6 +21,9 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _inclusion_rows,
+    _pointwise_rows,
+    _preimage_masks,
     chain,
     compose,
     down_closure,
@@ -99,34 +102,30 @@ class AlgebraWitness:
 
 def _upper_bound_table(f):
     """pre[b] = mask of {a : f(a) <= b}; membership is mask ⊆ pre[b]."""
-    A, B = f.src, f.tgt
-    pre = []
-    for b in range(B.n):
-        m = 0
-        for a in range(A.n):
-            if (B.up[f.assign[a]] >> b) & 1:
-                m |= 1 << a
-        pre.append(m)
-    return pre
+    return _preimage_masks(f.assign, f.tgt.down)
 
 
 def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
-    """Factor f as (right part) ∘ (left part) through the pair preorder."""
+    """Factor f as (right part) ∘ (left part) through the pair preorder.
+
+    The carrier K is ordered componentwise: (φ, b) <= (φ2, b2) iff φ ⊆ φ2
+    and b <= b2.  Its rows come from ``_pointwise_rows`` over the vectors
+    (index of φ in ``down_set_masks(A)``, b), with the inclusion rows of
+    the down-sets as the first coordinate's order: one AND of column
+    masks per element instead of comparing all O(|K|²) pairs.  That is
+    the same relation on the same ascending pair list, so K, both parts
+    and every error are unchanged.
+    """
     A, B = f.src, f.tgt
     masks = down_set_masks(A, max_carrier)
     pre = _upper_bound_table(f)
-    pairs = [(m, b) for m in masks for b in range(B.n) if not (m & ~pre[b])]
-    if len(pairs) > max_carrier:
+    vectors = [
+        (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
+    ]
+    if len(vectors) > max_carrier:
         raise SizeLimitExceeded("factorisation carrier exceeds the bound")
-    rows = []
-    for m, b in pairs:
-        r = 0
-        up_b = B.up[b]
-        for idx, (m2, b2) in enumerate(pairs):
-            if not (m & ~m2) and (up_b >> b2) & 1:
-                r |= 1 << idx
-        rows.append(r)
-    K = FinPreorder(len(pairs), rows)
+    pairs = [(masks[i], b) for i, b in vectors]
+    K = FinPreorder(len(pairs), _pointwise_rows(vectors, (_inclusion_rows(masks), B.up)))
     index = {p: i for i, p in enumerate(pairs)}
     lam = MonotoneMap(A, K, [index[(A.down[a], f.assign[a])] for a in range(A.n)])
     rho = MonotoneMap(K, B, [b for _, b in pairs])

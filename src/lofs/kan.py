@@ -18,6 +18,7 @@ from .order import (
     MonotoneMap,
     _bits,
     _monotone_within,
+    _preimage_masks,
     _sup_table,
     arrow_canonical_key,
     enumerate_preorders,
@@ -97,11 +98,6 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
     return ExtensionWitness(j, f, ext)
 
 
-@lru_cache(maxsize=50000)
-def _hom_assignments(X, Y):
-    return tuple(monotone_assignments(X, Y))
-
-
 def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     """Whether every map into A extends minimally along every generator.
 
@@ -130,18 +126,12 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
         # complete codomain: the sup formula is monotone, minimal and an
         # extension candidate by construction, so only the restriction
         # condition needs evaluating per map
-        X, Y = j.src, j.tgt
-        below = []
-        for y in range(Y.n):
-            m = 0
-            for x in range(X.n):
-                if (Y.up[j.assign[x]] >> y) & 1:
-                    m |= 1 << x
-            below.append(m)
-        jb = tuple(below[j.assign[x]] for x in range(X.n))
+        X = j.src
+        below = _preimage_masks(j.assign, j.tgt.down)
+        jb = tuple(below[y] for y in j.assign)
         if (X, jb) in passed:
             continue
-        for f in _hom_assignments(X, A):
+        for f in monotone_assignments(X, A):
             for x in range(X.n):
                 mask = 0
                 m = jb[x]

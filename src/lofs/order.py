@@ -32,11 +32,41 @@ def _bits(mask):
         mask ^= low
 
 
+def _preimage_masks(assign, rows):
+    """For each mask r in ``rows``, the mask of {a : assign[a] in r}.
+
+    The one kernel for preimages along an assignment vector: the sources
+    are grouped by value once, and each row is the OR of the groups whose
+    value it contains, instead of one bit test per (row, source) pair.
+    """
+    at = {}
+    bit = 1
+    for v in assign:
+        at[v] = at.get(v, 0) | bit
+        bit <<= 1
+    groups = tuple(at.items())
+    out = []
+    for r in rows:
+        m = 0
+        for v, vm in groups:
+            if r >> v & 1:
+                m |= vm
+        out.append(m)
+    return out
+
+
 class FinPreorder:
     """A finite set with a reflexive-transitive relation.
 
     Doubles as a finite Alexandrov space: the opens are exactly the
     up-closed subsets of the relation.
+
+    Validation runs in two passes over the rows.  The first checks each
+    row's range and reflexivity.  The second walks the set bits of every
+    row once, inline: each j in up[i] is tested for transitivity
+    (up[j] must lie inside up[i]) and recorded in down[j] in the same
+    step.  Rows and bits are visited in the order of the separate checks
+    it replaces, so the first violation and its message are unchanged.
     """
 
     __slots__ = ("n", "up", "down", "labels", "_hash")
@@ -51,21 +81,24 @@ class FinPreorder:
                 raise InvariantViolation(f"row {i} mentions elements >= {n}")
             if not (row >> i) & 1:
                 raise InvariantViolation(f"relation is not reflexive at {i}")
-        for i in range(n):
-            row = up[i]
-            for j in _bits(row):
+        down = [0] * n
+        bit = 1
+        for i, row in enumerate(up):
+            m = row
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
                 if up[j] & ~row:
                     raise InvariantViolation(
                         f"relation is not transitive through ({i},{j})"
                     )
+                down[j] |= bit
+                m ^= low
+            bit <<= 1
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise InvariantViolation("labels must be n distinct strings")
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self.n = n
         self.up = up
         self.down = tuple(down)
@@ -150,7 +183,16 @@ class FinPreorder:
 
 
 class MonotoneMap:
-    """An order-preserving function between two finite preorders."""
+    """An order-preserving function between two finite preorders.
+
+    Monotonicity is checked in mask form: with pre[v] the mask of
+    {a : v <= assign[a]} (``_preimage_masks`` over the target's up-rows),
+    the map is monotone iff src.up[i] lies inside pre[assign[i]] for
+    every i, one word test per element instead of one bit test per
+    related pair.  On failure the offending j is the lowest bit of
+    src.up[i] & ~pre[assign[i]] for the first failing i, which is the
+    pair the pairwise scan met first, so the message is unchanged.
+    """
 
     __slots__ = ("src", "tgt", "assign", "_hash")
 
@@ -163,12 +205,14 @@ class MonotoneMap:
         for i, v in enumerate(assign):
             if not 0 <= v < tgt.n:
                 raise IndexOutOfRange(f"assign[{i}]={v} outside 0..{tgt.n - 1}")
-        for i in range(src.n):
-            for j in _bits(src.up[i]):
-                if not (tgt.up[assign[i]] >> assign[j]) & 1:
-                    raise InvariantViolation(
-                        f"not monotone: {i}<={j} but images are unrelated"
-                    )
+        pre = _preimage_masks(assign, tgt.up)
+        for i, row in enumerate(src.up):
+            bad = row & ~pre[assign[i]]
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                raise InvariantViolation(
+                    f"not monotone: {i}<={j} but images are unrelated"
+                )
         self.src = src
         self.tgt = tgt
         self.assign = assign
@@ -249,7 +293,9 @@ class Square:
     def __init__(self, j, g, h, k):
         if h.src != j.src or h.tgt != g.src or k.src != j.tgt or k.tgt != g.tgt:
             raise ShapeMismatch("square sides do not line up")
-        if compose(h, g).assign != compose(j, k).assign:
+        # g∘h against k∘j on assignment tuples: both composites exist once
+        # the sides line up, and composites of monotone maps are monotone
+        if tuple(g.assign[v] for v in h.assign) != tuple(k.assign[v] for v in j.assign):
             raise InvariantViolation("square does not commute")
         self.j = j
         self.g = g
@@ -448,11 +494,14 @@ def up_closure(X, mask):
     return out
 
 
+@lru_cache(maxsize=256)
 def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
     """All down-closed subsets of X as bitmasks, ascending.
 
     Enumerates order ideals of the poset reflection and expands classes,
-    so the cost is O(result * classes) rather than 2^n.
+    so the cost is O(result * classes) rather than 2^n.  The result is an
+    immutable tuple that depends only on X's relation, so it is cached
+    (bounded): a sweep over many maps asks again for few sources.
     """
     Q, cls = X.quotient()
     k = Q.n
@@ -542,23 +591,41 @@ def _pointwise_rows(vectors, ups):
 
     ``ups[c]`` is the ``up`` table of the preorder coordinate c lives in.
     Row i is the mask of the vectors lying above vectors[i] in every
-    coordinate, built as an AND of one precomputed column mask per
-    coordinate instead of comparing all pairs.
+    coordinate, built as an AND of one column mask per coordinate (the
+    preimage of an up-row along that coordinate) instead of comparing
+    all pairs.
     """
-    m = len(vectors)
-    rows = [(1 << m) - 1] * m
+    rows = [(1 << len(vectors)) - 1] * len(vectors)
     for c, up in enumerate(ups):
-        at = [0] * len(up)  # value -> mask of vectors with that value at c
-        for i, v in enumerate(vectors):
-            at[v[c]] |= 1 << i
-        above = []
-        for u in up:
-            mask = 0
-            for w in _bits(u):
-                mask |= at[w]
-            above.append(mask)
-        for i, v in enumerate(vectors):
-            rows[i] &= above[v[c]]
+        col = [v[c] for v in vectors]
+        above = _preimage_masks(col, up)
+        rows = [r & above[x] for r, x in zip(rows, col)]
+    return rows
+
+
+def _inclusion_rows(masks):
+    """Up-rows of the inclusion order on ``masks``.
+
+    Row i is the mask of {i2 : masks[i] ⊆ masks[i2]}: an AND, over the
+    members x of masks[i], of the column mask {i2 : x in masks[i2]}.
+    """
+    has = {}  # member bit -> mask of the masks containing it
+    bit = 1
+    for m in masks:
+        while m:
+            low = m & -m
+            has[low] = has.get(low, 0) | bit
+            m ^= low
+        bit <<= 1
+    rows = []
+    full = bit - 1
+    for m in masks:
+        r = full
+        while m:
+            low = m & -m
+            r &= has[low]
+            m ^= low
+        rows.append(r)
     return rows
 
 
@@ -588,24 +655,34 @@ def hom_poset(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
 
 
 def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
-    """All commuting squares (h, k) : j -> g, lexicographic on (h, k)."""
+    """All commuting squares (h, k) : j -> g, lexicographic on (h, k).
+
+    The k assignments are grouped by k∘j once, so each h meets only the
+    k with k∘j = g∘h instead of testing every (h, k) pair; each group
+    keeps the lexicographic order of the k, so the output order is the
+    one of the full scan.  Each h and each k map is built (and validated)
+    once, however many squares share it.  The size guards are those of
+    the full scan.
+    """
     hs = monotone_assignments(j.src, g.src, max_carrier)
     ks = monotone_assignments(j.tgt, g.tgt, max_carrier)
     if len(hs) * len(ks) > 64 * max_carrier:
         raise SizeLimitExceeded("square search space exceeds the bound")
+    by_kj = {}
+    for k in ks:
+        by_kj.setdefault(tuple(k[v] for v in j.assign), []).append(k)
+    kmaps = {}
     out = []
     for h in hs:
-        gh = tuple(g.assign[v] for v in h)
-        for k in ks:
-            if gh == tuple(k[v] for v in j.assign):
-                out.append(
-                    Square(
-                        j,
-                        g,
-                        MonotoneMap(j.src, g.src, h),
-                        MonotoneMap(j.tgt, g.tgt, k),
-                    )
-                )
+        group = by_kj.get(tuple(g.assign[v] for v in h))
+        if not group:
+            continue
+        hmap = MonotoneMap(j.src, g.src, h)
+        for k in group:
+            kmap = kmaps.get(k)
+            if kmap is None:
+                kmap = kmaps[k] = MonotoneMap(j.tgt, g.tgt, k)
+            out.append(Square(j, g, hmap, kmap))
     if len(out) > max_carrier:
         raise SizeLimitExceeded("more commuting squares than the bound allows")
     return out

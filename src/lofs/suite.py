@@ -251,9 +251,8 @@ def criterion_least_diagonal():
             w = kz_orthogonal(f, g)
             if w is None:
                 return False, f"KZ witness missing for full {f!r} vs algebra {g!r}"
-            homs = hom_maps(f.tgt, g.src)
             for i, sq in enumerate(sqs):
-                picked = homs[w.left_adjoint(i)]
+                picked = all_maps[w.left_adjoint(i)]
                 d = fillers_of[(sq.h.assign, sq.k.assign)]
                 if not maps_equivalent(picked, d):
                     return False, f"section disagrees with the diagonal on {sq!r}"

@@ -22,6 +22,8 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _inclusion_rows,
+    _preimage_masks,
     compose,
     down_set_masks,
     identity,
@@ -91,14 +93,7 @@ def open_masks(X):
 def open_set_poset(X):
     """The opens of X ordered by inclusion, elements aligned with open_masks."""
     masks = open_masks(X)
-    rows = []
-    for m in masks:
-        r = 0
-        for i, m2 in enumerate(masks):
-            if not (m & ~m2):
-                r |= 1 << i
-        rows.append(r)
-    return FinPreorder(len(masks), rows)
+    return FinPreorder(len(masks), _inclusion_rows(masks))
 
 
 def _directed_subsets(P):
@@ -200,21 +195,10 @@ def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
     m = len(opens)
     if m > max_carrier:
         raise SizeLimitExceeded("open-set lattice exceeds the bound")
-    sets = []
-    for u in range(m):
-        members = 0
-        for v in range(m):
-            if not (opens[u] & ~opens[v]):
-                members |= 1 << v
-        sets.append(members)
-    rows = []
-    for s in sets:
-        r = 0
-        for i, s2 in enumerate(sets):
-            if not (s & ~s2):
-                r |= 1 << i
-        rows.append(r)
-    filters = FinPreorder(m, rows)
+    # the filter generated by opens[u] is the set of opens above it: its
+    # inclusion row among the opens
+    sets = _inclusion_rows(opens)
+    filters = FinPreorder(m, _inclusion_rows(sets))
     return FilterSpace(
         FiniteSpace(P), opens, filters, tuple(sets), tuple(range(m))
     )
@@ -233,13 +217,7 @@ def filter_map(f, src_fs=None, tgt_fs=None):
     src_fs = src_fs or filter_space(f.src)
     tgt_fs = tgt_fs or filter_space(f.tgt)
     src_index = {u: i for i, u in enumerate(src_fs.opens)}
-    pre = []
-    for v in tgt_fs.opens:
-        mask = 0
-        for x in range(f.src.n):
-            if (v >> f.assign[x]) & 1:
-                mask |= 1 << x
-        pre.append(src_index[mask])
+    pre = [src_index[m] for m in _preimage_masks(f.assign, tgt_fs.opens)]
     assign = []
     for s in src_fs.sets:
         members = 0
@@ -304,14 +282,11 @@ def f_lower_star(f):
     src_poset = open_set_poset(f.src)
     tgt_poset = open_set_poset(f.tgt)
     tgt_index = {m: i for i, m in enumerate(tgt_masks)}
+    pres = list(zip(tgt_masks, _preimage_masks(f.assign, tgt_masks)))
     assign = []
     for u in src_masks:
         out = 0
-        for v in tgt_masks:
-            pre = 0
-            for x in range(f.src.n):
-                if (v >> f.assign[x]) & 1:
-                    pre |= 1 << x
+        for v, pre in pres:
             if not (pre & ~u):
                 out |= v
         assign.append(tgt_index[out])
