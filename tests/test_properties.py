@@ -14,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lofs.adjunction import LariWitness, RaliWitness, _section_choices  # noqa: E402
+from lofs.adjunction import LariWitness, RaliWitness, _section_choices, comma  # noqa: E402
+from lofs.downsets import downsets  # noqa: E402
 from lofs.errors import IndexOutOfRange, InvariantViolation, ShapeMismatch  # noqa: E402
 from lofs.factorisation import factorise  # noqa: E402
 from lofs.order import (  # noqa: E402
@@ -27,6 +28,7 @@ from lofs.order import (  # noqa: E402
     squares,
     two_cell,
 )
+from lofs.topology import filter_space, open_masks, open_set_poset  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -107,6 +109,13 @@ def naive_factor_rows(f):
                 r |= 1 << idx
         rows.append(r)
     return pairs, tuple(rows)
+
+
+def naive_inclusion_rows(masks):
+    """Row i: the masks containing masks[i], one pair at a time."""
+    return tuple(
+        sum(1 << i2 for i2, m2 in enumerate(masks) if not (m & ~m2)) for m in masks
+    )
 
 
 def naive_squares(j, g):
@@ -242,6 +251,29 @@ def test_factorise_carrier_matches_pairwise_rows(f):
     pairs, rows = naive_factor_rows(f)
     assert list(fact.pairs) == pairs
     assert fact.K.up == rows
+
+
+@PROPERTY
+@given(maps(max_n=4))
+def test_comma_and_inclusion_rows_match_pairwise(f):
+    if f is None:
+        return
+    A, B = f.src, f.tgt
+    cm = comma(f)
+    assert cm.carrier.up == tuple(
+        sum(
+            1 << idx
+            for idx, (a2, b2) in enumerate(cm.pairs)
+            if (A.up[a] >> a2) & (B.up[b] >> b2) & 1
+        )
+        for a, b in cm.pairs
+    )
+    dl = downsets(A)
+    assert dl.carrier.up == naive_inclusion_rows(dl.masks)
+    assert open_set_poset(B).up == naive_inclusion_rows(open_masks(B))
+    fs = filter_space(B)
+    assert fs.sets == naive_inclusion_rows(fs.opens)
+    assert fs.filters.up == naive_inclusion_rows(fs.sets)
 
 
 @PROPERTY
