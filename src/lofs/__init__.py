@@ -14,7 +14,6 @@ from .errors import (
     IndexOutOfRange,
     InvariantViolation,
     LofsError,
-    MissingDirectedSup,
     NotAPoset,
     ShapeMismatch,
     SizeLimitExceeded,

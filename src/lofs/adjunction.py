@@ -14,6 +14,7 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _least_member,
     _pointwise_rows,
     _preimage_masks,
 )
@@ -106,34 +107,20 @@ def find_left_adjoint(f):
     g(b) is a minimum of {a : b <= f(a)}, picked at the least index among
     equivalent minima; when src/tgt are posets the result is unique.
     """
-    A, B = f.src, f.tgt
-    assign = []
-    for candidates in _preimage_masks(f.assign, B.up):
-        best = None
-        for a in _bits(candidates):
-            if not (candidates & ~A.up[a]):
-                best = a
-                break
-        if best is None:
-            return None
-        assign.append(best)
-    return MonotoneMap(B, A, assign)
+    assign = [_least_member(c, f.src.up) for c in _preimage_masks(f.assign, f.tgt.up)]
+    if None in assign:
+        return None
+    return MonotoneMap(f.tgt, f.src, assign)
 
 
 def find_right_adjoint(f):
     """Dual of :func:`find_left_adjoint`: g(b) a maximum of {a : f(a) <= b}."""
-    A, B = f.src, f.tgt
-    assign = []
-    for candidates in _preimage_masks(f.assign, B.down):
-        best = None
-        for a in _bits(candidates):
-            if not (candidates & ~A.down[a]):
-                best = a
-                break
-        if best is None:
-            return None
-        assign.append(best)
-    return MonotoneMap(B, A, assign)
+    assign = [
+        _least_member(c, f.src.down) for c in _preimage_masks(f.assign, f.tgt.down)
+    ]
+    if None in assign:
+        return None
+    return MonotoneMap(f.tgt, f.src, assign)
 
 
 def _section_choices(f, exact):
@@ -147,26 +134,19 @@ def _section_choices(f, exact):
     preorders.
 
     Mask form: the sets {a : b <= f(a)} for all b come from one
-    ``_preimage_masks`` call, and the pairwise-equivalence check is one
-    test per candidate x, fit & ~class_mask(x) == 0, with ``fit`` the
-    mask of all candidates: every candidate is equivalent to x exactly
-    when all of them lie in x's class.  Same candidates, same order, same
-    error.
+    ``_preimage_masks`` call, and the minima of such a set are its
+    members in the class of its least member, so they are pairwise
+    equivalent by construction.
     """
     A, B = f.src, f.tgt
     choices = []
     for b, above in enumerate(_preimage_masks(f.assign, B.up)):
-        minima = [a for a in _bits(above) if not (above & ~A.up[a])]
+        least = _least_member(above, A.up)
+        minima = [] if least is None else _bits(above & A.class_mask(least))
         if exact:
             fitting = [a for a in minima if f.assign[a] == b]
         else:
             fitting = [a for a in minima if B.equiv(f.assign[a], b)]
-        fit = 0
-        for x in fitting:
-            fit |= 1 << x
-        for x in fitting:
-            if fit & ~A.class_mask(x):  # pragma: no cover - impossible for minima
-                raise InvariantViolation("inequivalent minima found")
         choices.append(fitting)
     return choices
 
@@ -200,15 +180,16 @@ def find_lari(f):
             return None
     assign = []
     for b, below in enumerate(_preimage_masks(f.assign, B.down)):
-        maxima = [a for a in _bits(below) if not (below & ~A.down[a])]
-        if b in forced:
-            if forced[b] not in maxima:
-                return None
-            assign.append(forced[b])
-        else:
-            if not maxima:
-                return None
-            assign.append(maxima[0])
+        # the maxima of {a : f(a) <= b} are its members equivalent to top;
+        # a forced value lies in the set, so it is one exactly when it is
+        # equivalent to top
+        top = _least_member(below, A.down)
+        if top is None:
+            return None
+        a = forced.get(b, top)
+        if not A.equiv(a, top):
+            return None
+        assign.append(a)
     return LariWitness(f, MonotoneMap(B, A, assign))
 
 
@@ -229,17 +210,11 @@ def comma(f, max_carrier=DEFAULT_MAX_CARRIER):
 def collage(f):
     """The lax colimit of f on A ⊔ B; A sits at indices 0..|A|-1."""
     A, B = f.src, f.tgt
-    n = A.n + B.n
-    rows = []
-    for a in range(A.n):
-        rows.append(A.up[a])  # no relations from A into B
-    for b in range(B.n):
-        row = B.up[b] << A.n
-        for a in range(A.n):
-            if (B.up[b] >> f.assign[a]) & 1:
-                row |= 1 << a
-        rows.append(row)
-    carrier = FinPreorder(n, rows)
+    # no relations from A into B; b lies below a exactly when b <= f(a)
+    rows = list(A.up) + [
+        B.up[b] << A.n | above for b, above in enumerate(_preimage_masks(f.assign, B.up))
+    ]
+    carrier = FinPreorder(A.n + B.n, rows)
     copr_a = MonotoneMap(A, carrier, range(A.n))
     copr_b = MonotoneMap(B, carrier, (A.n + b for b in range(B.n)))
     return Collage(f, carrier, copr_a, copr_b)

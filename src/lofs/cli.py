@@ -29,6 +29,7 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _preimage_masks,
     enumerate_preorders,
     is_complete_lattice,
     is_full,
@@ -83,13 +84,16 @@ def _complete_lattice_witness(P):
 
 
 def _fullness_witness(f):
-    for a in range(f.src.n):
-        for b in range(f.src.n):
-            if f.tgt.leq(f.assign[a], f.assign[b]) and not f.src.leq(a, b):
-                return {
-                    "images-related": [f.src.label(a), f.src.label(b)],
-                    "sources-unrelated": True,
-                }
+    """The first (a, b) with f(a) <= f(b) but not a <= b, as in ``is_full``."""
+    pre = _preimage_masks(f.assign, f.tgt.up)
+    for a, (v, row) in enumerate(zip(f.assign, f.src.up)):
+        bad = pre[v] & ~row
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            return {
+                "images-related": [f.src.label(a), f.src.label(b)],
+                "sources-unrelated": True,
+            }
     return None
 
 
@@ -126,15 +130,11 @@ def _cmd_check(args):
         elif args.predicate == "top-coalgebra":
             payload["witness"] = _fullness_witness(f_lower_star(value))
         elif args.predicate == "poset":
-            for i in range(value.n):
-                for j in range(i + 1, value.n):
-                    if value.equiv(i, j):
-                        payload["witness"] = {
-                            "equivalent-pair": [value.label(i), value.label(j)]
-                        }
-                        break
-                if "witness" in payload:
-                    break
+            # the first i with another member in its class has no smaller one
+            i = next(i for i in range(value.n) if value.class_mask(i) != 1 << i)
+            others = value.class_mask(i) & ~(1 << i)
+            j = (others & -others).bit_length() - 1
+            payload["witness"] = {"equivalent-pair": [value.label(i), value.label(j)]}
         elif args.predicate == "continuous-lattice":
             payload["witness"] = _complete_lattice_witness(value)
     _emit(formats.dumps(payload))

@@ -12,9 +12,8 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
-    _bits,
     _inclusion_rows,
-    down_closure,
+    _union,
     down_set_masks,
     is_complete_lattice,
     sup_mask,
@@ -56,9 +55,8 @@ def apply_to_map(f, src_dl=None, tgt_dl=None):
     """Functor action on a monotone map: φ ↦ down-closure of f[φ]."""
     src_dl = src_dl or downsets(f.src)
     tgt_dl = tgt_dl or downsets(f.tgt)
-    assign = [
-        tgt_dl.index(down_closure(f.tgt, f.image_mask(m))) for m in src_dl.masks
-    ]
+    down = [f.tgt.down[v] for v in f.assign]
+    assign = [tgt_dl.index(_union(down, m)) for m in src_dl.masks]
     return MonotoneMap(src_dl.carrier, tgt_dl.carrier, assign)
 
 
@@ -66,12 +64,7 @@ def mult(X, max_carrier=DEFAULT_MAX_CARRIER):
     """Union of a down-set of down-sets; the monad multiplication."""
     dl = downsets(X, max_carrier)
     dl2 = downsets(dl.carrier, max_carrier)
-    assign = []
-    for m2 in dl2.masks:
-        union = 0
-        for i in _bits(m2):
-            union |= dl.masks[i]
-        assign.append(dl.index(union))
+    assign = [dl.index(_union(dl.masks, m2)) for m2 in dl2.masks]
     return MonotoneMap(dl2.carrier, dl.carrier, assign)
 
 
@@ -92,21 +85,12 @@ def check_lax_idempotent_P(X, max_carrier=DEFAULT_MAX_CARRIER):
 
     True for every X; the check evaluates both maps on every down-set.
     Both sides land in the down-sets of ``downsets(X)``, where the order
-    is inclusion of index masks, so the second completion is not built.
+    is inclusion of index masks, so the second completion is not built:
+    the principal down-set of a carrier element is its ``down`` row, and
+    the left side on m is the union of those rows over the principal
+    down-sets of the members of m.
     """
     dl = downsets(X, max_carrier)
-    for m in dl.masks:
-        # image of m under the unit, then down-closed in the inclusion order
-        pointwise = 0
-        for x in _bits(m):
-            principal = X.down[x]
-            for idx, m2 in enumerate(dl.masks):
-                if not (m2 & ~principal):
-                    pointwise |= 1 << idx
-        principal_of_m = 0
-        for idx, m2 in enumerate(dl.masks):
-            if not (m2 & ~m):
-                principal_of_m |= 1 << idx
-        if pointwise & ~principal_of_m:
-            return False
-    return True
+    below = dl.carrier.down
+    principal = [below[dl.index(X.down[x])] for x in range(X.n)]
+    return not any(_union(principal, m) & ~below[i] for i, m in enumerate(dl.masks))

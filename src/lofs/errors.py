@@ -21,14 +21,6 @@ class NotAPoset(LofsError):
     """The operation requires an antisymmetric order."""
 
 
-class MissingDirectedSup(LofsError):
-    """A directed subset has no supremum.
-
-    Unreachable for finite posets, where every directed subset has a
-    maximum; kept so callers can guard the general contract.
-    """
-
-
 class AdjointMissing(LofsError):
     """An adjoint that provably exists could not be computed; this is a bug."""
 

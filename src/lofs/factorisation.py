@@ -20,13 +20,12 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
-    _bits,
     _inclusion_rows,
     _pointwise_rows,
     _preimage_masks,
+    _union,
     chain,
     compose,
-    down_closure,
     down_set_masks,
     identity,
     is_full,
@@ -136,11 +135,13 @@ def _k_action(source, target, h, k):
     """Carrier map (φ, b) ↦ (down-closure of h[φ], k(b)).
 
     Lands in the target carrier whenever the square commutes up to
-    pointwise equivalence.
+    pointwise equivalence.  The down-closure of h[φ] is one union of the
+    rows down[h(x)] over the members x of φ.
     """
+    down = [h.tgt.down[v] for v in h.assign]
     assign = []
     for m, b in source.pairs:
-        image = down_closure(h.tgt, h.image_mask(m))
+        image = _union(down, m)
         try:
             assign.append(target.index(image, k.assign[b]))
         except KeyError:
@@ -175,12 +176,10 @@ def mult(f, max_carrier=DEFAULT_MAX_CARRIER):
     adjoint = find_left_adjoint(Frho.lam)
     if adjoint is None:
         raise AdjointMissing("multiplication adjoint missing: this is a bug")
+    firsts = [m for m, _ in Ff.pairs]
     assign = []
     for i, (m2, b) in enumerate(Frho.pairs):
-        union = 0
-        for kidx in _bits(m2):
-            union |= Ff.pairs[kidx][0]
-        target = Ff.index(union, b)
+        target = Ff.index(_union(firsts, m2), b)
         if not Ff.K.equiv(adjoint.assign[i], target):
             raise AdjointMissing("multiplication differs from its closed form")
         assign.append(target)

@@ -126,9 +126,8 @@ def family_from_obj(obj, base_dir="."):
         _expect(isinstance(link, dict), "each link must be an object")
         src = link.get("from")
         tgt = link.get("to")
-        _expect(
-            isinstance(src, int) and isinstance(tgt, int), "link endpoints are indices"
-        )
+        # a JSON true/false is a Python bool, which isinstance accepts as an int
+        _expect(type(src) is int and type(tgt) is int, "link endpoints are indices")
         _expect(0 <= src < len(members) and 0 <= tgt < len(members), "link index range")
         u = _named_assign(link.get("u"), members[src].src, members[tgt].src)
         v = _named_assign(link.get("v"), members[src].tgt, members[tgt].tgt)
@@ -220,11 +219,7 @@ def hasse_dot(P):
         for b in _bits(Q.up[a]):
             if a == b:
                 continue
-            strictly_between = any(
-                x != a and x != b and (Q.up[a] >> x) & (Q.up[x] >> b) & 1
-                for x in range(Q.n)
-            )
-            if not strictly_between:
+            if not Q.up[a] & Q.down[b] & ~(1 << a | 1 << b):  # nothing strictly between
                 lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,9 +17,11 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     _bits,
+    _least_vector,
     _monotone_within,
     _preimage_masks,
     _sup_table,
+    _union,
     arrow_canonical_key,
     enumerate_preorders,
     hom_maps,
@@ -64,32 +66,19 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
         brute_force = not is_complete_lattice(A)
     if not brute_force:
         sups = _sup_table(A)
-        assign = []
-        for y in range(j.tgt.n):
-            mask = 0
-            for x in range(j.src.n):
-                if (j.tgt.up[j.assign[x]] >> y) & 1:
-                    mask |= 1 << f.assign[x]
-            assign.append(sups[mask])
-        ext = MonotoneMap(j.tgt, A, assign)
+        fbits = [1 << v for v in f.assign]
+        below = _preimage_masks(j.assign, j.tgt.down)
+        ext = MonotoneMap(j.tgt, A, [sups[_union(fbits, m)] for m in below])
     else:
         bounds = [(1 << A.n) - 1] * j.tgt.n
         for x in range(j.src.n):
             for y in _bits(j.tgt.up[j.assign[x]]):
                 bounds[y] &= A.up[f.assign[x]]
         cands = _monotone_within(j.tgt, A, bounds, max_carrier)
-        lower = [(1 << A.n) - 1] * j.tgt.n
-        for g in cands:
-            for y, v in enumerate(g):
-                lower[y] &= A.down[v]
-        best = None
-        for g in cands:
-            if all((lower[y] >> v) & 1 for y, v in enumerate(g)):
-                best = g
-                break
+        best = _least_vector(cands, A)
         if best is None:
             return None
-        ext = MonotoneMap(j.tgt, A, best)
+        ext = MonotoneMap(j.tgt, A, cands[best])
     restricted = tuple(ext.assign[v] for v in j.assign)
     if not all(
         A.equiv(r, fx) for r, fx in zip(restricted, f.assign)
@@ -205,9 +194,10 @@ def chain_stage_report(max_stage=6):
         for m1 in range(m2):
             small = chain(m1 + 1)
             inc = MonotoneMap(small, big, range(m1 + 1))
+            images = [1 << v for v in inc.assign]
             for mask in range(1 << small.n):
                 s = sup_mask(small, mask)
-                t = sup_mask(big, inc.image_mask(mask))
+                t = sup_mask(big, _union(images, mask))
                 if s is None or t is None or inc.assign[s] != t:
                     ok = False
     detail = (

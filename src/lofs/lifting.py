@@ -15,7 +15,9 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     Square,
+    _bits,
     _hom_preorder,
+    _least_vector,
     _pointwise_leq,
     _square_preorder,
     compose,
@@ -135,13 +137,6 @@ def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     )
 
 
-def _least(maps, tgt):
-    for d in maps:
-        if all(_pointwise_leq(tgt, d.assign, e.assign) for e in maps):
-            return d
-    return None
-
-
 def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     """A coherent lifting structure on g, or None.
 
@@ -149,45 +144,45 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     exists, else the lexicographic-first (recorded by the ``canonical``
     flag).  The selection is then validated against the monotonicity and
     link-naturality invariants; KZ situations never hit the flag and
-    always validate.
+    always validate.  Each member's squares are enumerated once and
+    shared with that check.
     """
     fillers = {}
     canonical = True
+    member_squares = []
     for idx, j in enumerate(family.members):
-        for sq in squares(j, g, max_carrier):
+        member_squares.append(squares(j, g, max_carrier))
+        for sq in member_squares[-1]:
             cands = square_fillers(sq, max_carrier)
             if not cands:
                 return None
-            best = _least(cands, g.src)
+            best = _least_vector([d.assign for d in cands], g.src)
             if best is None:
                 canonical = False
-                best = cands[0]
-            fillers[(idx, sq.h.assign, sq.k.assign)] = best
+                best = 0
+            fillers[(idx, sq.h.assign, sq.k.assign)] = cands[best]
     out = LiftingStructure(g, family, fillers, canonical)
-    if not _coherent(out, max_carrier):
+    if not _coherent(out, member_squares):
         return None
     return out
 
 
-def _coherent(structure, max_carrier):
+def _coherent(structure, member_squares):
+    """Monotone in the square, member by member, and natural across links.
+
+    ``member_squares[i]`` is ``squares(members[i], g)``.  The pairs of
+    squares to compare are the related pairs of their preorder.
+    """
     g, family = structure.g, structure.family
-    # monotone in the square, member by member
-    for idx, j in enumerate(family.members):
-        sqs = squares(j, g, max_carrier)
-        for a in sqs:
-            da = structure.filler(idx, a.h, a.k)
-            for b in sqs:
-                if _pointwise_leq(g.src, a.h.assign, b.h.assign) and _pointwise_leq(
-                    g.tgt, a.k.assign, b.k.assign
-                ):
-                    if not _pointwise_leq(
-                        g.src, da.assign, structure.filler(idx, b.h, b.k).assign
-                    ):
-                        return False
-    # natural across links
+    for idx, sqs in enumerate(member_squares):
+        fill = [structure.filler(idx, s.h, s.k).assign for s in sqs]
+        order = _square_preorder(family.members[idx], g, sqs)
+        for a, row in enumerate(order.up):
+            for b in _bits(row):
+                if not _pointwise_leq(g.src, fill[a], fill[b]):
+                    return False
     for src, tgt, u, v in family.links:
-        jt = family.members[tgt]
-        for sq in squares(jt, g, max_carrier):
+        for sq in member_squares[tgt]:
             left = structure.filler(src, compose(u, sq.h), compose(v, sq.k))
             right = compose(v, structure.filler(tgt, sq.h, sq.k))
             if left.assign != right.assign:
@@ -219,13 +214,14 @@ def compose_structures(sf, sg, max_carrier=DEFAULT_MAX_CARRIER):
         raise ShapeMismatch("underlying maps do not compose")
     gf = compose(f, g)
     fillers = {}
-    for idx, j in enumerate(sf.family.members):
-        for sq in squares(j, gf, max_carrier):
+    member_squares = [squares(j, gf, max_carrier) for j in sf.family.members]
+    for idx, sqs in enumerate(member_squares):
+        for sq in sqs:
             dg = sg.filler(idx, compose(sq.h, f), sq.k)
             df = sf.filler(idx, sq.h, dg)
             fillers[(idx, sq.h.assign, sq.k.assign)] = df
     out = LiftingStructure(gf, sf.family, fillers, sf.canonical and sg.canonical)
-    if not _coherent(out, max_carrier):
+    if not _coherent(out, member_squares):
         raise InvariantViolation("composite lifting structure is incoherent")
     return out
 

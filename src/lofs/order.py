@@ -55,6 +55,38 @@ def _preimage_masks(assign, rows):
     return out
 
 
+def _union(rows, mask):
+    """The OR of ``rows[i]`` over the set bits i of ``mask``.
+
+    The one kernel for unions of down-sets: down-closure of an image,
+    the multiplications of the down-set and filter monads, and the
+    factorisation's action on squares.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _least_member(mask, rows):
+    """The lowest a in ``mask`` with mask ⊆ rows[a], or None.
+
+    With ``up`` rows that is a least member of the subset (the lowest
+    index among equivalent ones); with ``down`` rows a greatest member.
+    Every other least member lies in the class of the one returned.
+    """
+    m = mask
+    while m:
+        low = m & -m
+        a = low.bit_length() - 1
+        if not (mask & ~rows[a]):
+            return a
+        m ^= low
+    return None
+
+
 class FinPreorder:
     """A finite set with a reflexive-transitive relation.
 
@@ -142,13 +174,10 @@ class FinPreorder:
     def restrict(self, mask):
         """Induced sub-preorder on the elements of ``mask`` (ascending)."""
         elems = list(_bits(mask))
-        pos = {e: p for p, e in enumerate(elems)}
-        rows = []
-        for e in elems:
-            r = 0
-            for j in _bits(self.up[e] & mask):
-                r |= 1 << pos[j]
-            rows.append(r)
+        pos = [0] * self.n
+        for p, e in enumerate(elems):
+            pos[e] = 1 << p
+        rows = [_union(pos, self.up[e] & mask) for e in elems]
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[e] for e in elems)
@@ -158,15 +187,8 @@ class FinPreorder:
         """Poset reflection: (quotient poset, class masks)."""
         cls = self.classes()
         reps = [next(_bits(c)) for c in cls]
-        k = len(cls)
-        rows = []
-        for a in range(k):
-            r = 0
-            for b in range(k):
-                if self.leq(reps[a], reps[b]):
-                    r |= 1 << b
-            rows.append(r)
-        return FinPreorder(k, rows), cls
+        rows = _preimage_masks(reps, [self.up[r] for r in reps])
+        return FinPreorder(len(cls), rows), cls
 
     def __eq__(self, other):
         return (
@@ -192,6 +214,8 @@ class MonotoneMap:
     related pair.  On failure the offending j is the lowest bit of
     src.up[i] & ~pre[assign[i]] for the first failing i, which is the
     pair the pairwise scan met first, so the message is unchanged.
+    A value that is not an integer (a float, a string) is reported as
+    such, naming its first index.
     """
 
     __slots__ = ("src", "tgt", "assign", "_hash")
@@ -202,17 +226,26 @@ class MonotoneMap:
             raise InvariantViolation(
                 f"assignment has {len(assign)} entries for {src.n} elements"
             )
-        for i, v in enumerate(assign):
-            if not 0 <= v < tgt.n:
-                raise IndexOutOfRange(f"assign[{i}]={v} outside 0..{tgt.n - 1}")
-        pre = _preimage_masks(assign, tgt.up)
-        for i, row in enumerate(src.up):
-            bad = row & ~pre[assign[i]]
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                raise InvariantViolation(
-                    f"not monotone: {i}<={j} but images are unrelated"
-                )
+        try:
+            for i, v in enumerate(assign):
+                if not 0 <= v < tgt.n:
+                    raise IndexOutOfRange(f"assign[{i}]={v} outside 0..{tgt.n - 1}")
+            pre = _preimage_masks(assign, tgt.up)
+            for i, row in enumerate(src.up):
+                bad = row & ~pre[assign[i]]
+                if bad:
+                    j = (bad & -bad).bit_length() - 1
+                    raise InvariantViolation(
+                        f"not monotone: {i}<={j} but images are unrelated"
+                    )
+        except TypeError:
+            # only a non-integer value gets here, so valid input pays nothing
+            for i, v in enumerate(assign):
+                if not isinstance(v, int):
+                    raise InvariantViolation(
+                        f"assign[{i}]={v!r} is not an integer"
+                    ) from None
+            raise
         self.src = src
         self.tgt = tgt
         self.assign = assign
@@ -220,13 +253,6 @@ class MonotoneMap:
 
     def __call__(self, i):
         return self.assign[i]
-
-    def image_mask(self, mask):
-        """Push a source bitmask forward along the map."""
-        out = 0
-        for i in _bits(mask):
-            out |= 1 << self.assign[i]
-        return out
 
     def is_injective(self):
         return len(set(self.assign)) == self.src.n
@@ -255,10 +281,6 @@ def compose(f, g):
     if f.tgt != g.src:
         raise ShapeMismatch("compose: f.tgt differs from g.src")
     return MonotoneMap(f.src, g.tgt, (g.assign[v] for v in f.assign))
-
-
-def constant(X, Y, y):
-    return MonotoneMap(X, Y, [y] * X.n)
 
 
 def two_cell(f, g):
@@ -401,14 +423,12 @@ def is_poset(X):
 
 
 def is_full(f):
-    """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved)."""
-    X, Y = f.src, f.tgt
-    for a in range(X.n):
-        fa = f.assign[a]
-        for b in range(X.n):
-            if (Y.up[fa] >> f.assign[b]) & 1 and not (X.up[a] >> b) & 1:
-                return False
-    return True
+    """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved).
+
+    One word test per element: {a' : f(a) <= f(a')} must lie in up[a].
+    """
+    pre = _preimage_masks(f.assign, f.tgt.up)
+    return not any(pre[v] & ~row for v, row in zip(f.assign, f.src.up))
 
 
 def is_order_embedding(f):
@@ -429,10 +449,7 @@ def sup_mask(X, mask):
     ub = (1 << X.n) - 1
     for i in _bits(mask):
         ub &= X.up[i]
-    for u in _bits(ub):
-        if not (ub & ~X.up[u]):
-            return u
-    return None
+    return _least_member(ub, X.up)
 
 
 def inf_mask(X, mask):
@@ -440,10 +457,7 @@ def inf_mask(X, mask):
     lb = (1 << X.n) - 1
     for i in _bits(mask):
         lb &= X.down[i]
-    for u in _bits(lb):
-        if not (lb & ~X.down[u]):
-            return u
-    return None
+    return _least_member(lb, X.down)
 
 
 @lru_cache(maxsize=None)
@@ -474,24 +488,7 @@ def is_complete_lattice_strict(X):
 
 
 def is_down_closed(X, mask):
-    for j in _bits(mask):
-        if X.down[j] & ~mask:
-            return False
-    return True
-
-
-def down_closure(X, mask):
-    out = 0
-    for j in _bits(mask):
-        out |= X.down[j]
-    return out
-
-
-def up_closure(X, mask):
-    out = 0
-    for j in _bits(mask):
-        out |= X.up[j]
-    return out
+    return not (_union(X.down, mask) & ~mask)
 
 
 @lru_cache(maxsize=256)
@@ -516,14 +513,7 @@ def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
             raise SizeLimitExceeded(
                 f"more than {max_carrier} down-sets on a {X.n}-element preorder"
             )
-    out = []
-    for m in ideals:
-        mask = 0
-        for c in _bits(m):
-            mask |= cls[c]
-        out.append(mask)
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(_union(cls, m) for m in ideals))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +574,24 @@ def hom_maps(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
 
 def _pointwise_leq(Y, a, b):
     return all((Y.up[x] >> y) & 1 for x, y in zip(a, b))
+
+
+def _least_vector(vectors, Y):
+    """Index of the first of ``vectors`` pointwise below all of them, or None.
+
+    One pass takes ``lower``, the pointwise meet of the down-sets of all
+    the vectors; the vectors below every other one are those inside it.
+    """
+    if not vectors:
+        return None
+    lower = [(1 << Y.n) - 1] * len(vectors[0])
+    for v in vectors:
+        for y, x in enumerate(v):
+            lower[y] &= Y.down[x]
+    for i, v in enumerate(vectors):
+        if all(lower[y] >> x & 1 for y, x in enumerate(v)):
+            return i
+    return None
 
 
 def _pointwise_rows(vectors, ups):
@@ -749,15 +757,11 @@ def _canonical(X):
     for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
         seq = [e for block in combo for e in block]  # new index -> old element
         new_of_old = [0] * n
+        new_bit = [0] * n
         for new, old in enumerate(seq):
             new_of_old[old] = new
-        rows = []
-        for new in range(n):
-            r = 0
-            for j in _bits(X.up[seq[new]]):
-                r |= 1 << new_of_old[j]
-            rows.append(r)
-        rows = tuple(rows)
+            new_bit[old] = 1 << new
+        rows = tuple(_union(new_bit, X.up[old]) for old in seq)
         if best_rows is None or rows < best_rows:
             best_rows = rows
             best_perms = [tuple(new_of_old)]

@@ -24,6 +24,7 @@ from .order import (
     _bits,
     _inclusion_rows,
     _preimage_masks,
+    _union,
     compose,
     down_set_masks,
     identity,
@@ -96,21 +97,20 @@ def open_set_poset(X):
     return FinPreorder(len(masks), _inclusion_rows(masks))
 
 
-def _directed_subsets(P):
+def _directed_sups(P):
+    """(d, sup d) for every nonempty directed subset d of the poset P.
+
+    Every nonempty finite directed set has a maximum, which is its
+    supremum, so the sup always exists.
+    """
     if P.n > 16:
         raise SizeLimitExceeded("too many subsets to quantify over")
+    out = []
     for mask in range(1, 1 << P.n):
         elems = list(_bits(mask))
-        directed = True
-        for a in elems:
-            for b in elems:
-                if not any((P.up[a] >> d) & (P.up[b] >> d) & (mask >> d) & 1 for d in elems):
-                    directed = False
-                    break
-            if not directed:
-                break
-        if directed:
-            yield mask
+        if all(P.up[a] & P.up[b] & mask for a in elems for b in elems):
+            out.append((mask, sup_mask(P, mask)))
+    return out
 
 
 def scott_opens(L):
@@ -122,25 +122,13 @@ def scott_opens(L):
     P = _points(L)
     if not P.is_poset:
         raise NotAPoset("Scott opens are defined over posets")
-    directed = list(_directed_subsets(P))
-    sups = {}
-    for d in directed:
-        s = sup_mask(P, d)
-        if s is None:
-            raise SizeLimitExceeded  # pragma: no cover - finite directed sets have maxima
-        sups[d] = s
-    out = []
-    for u in range(1 << P.n):
-        ok = all(not ((u >> i) & 1) or not (P.up[i] & ~u) for i in _bits(u))
-        if not ok:
-            continue
-        for d, s in sups.items():
-            if (u >> s) & 1 and not (d & u):
-                ok = False
-                break
-        if ok:
-            out.append(u)
-    return tuple(out)
+    directed = _directed_sups(P)
+    return tuple(
+        u
+        for u in range(1 << P.n)
+        if not (_union(P.up, u) & ~u)
+        and all(not (u >> s) & 1 or d & u for d, s in directed)
+    )
 
 
 def way_below(L):
@@ -153,14 +141,7 @@ def way_below(L):
     P = _points(L)
     if not P.is_poset:
         raise NotAPoset("way-below is defined over posets")
-    from .errors import MissingDirectedSup
-
-    directed = []
-    for d in _directed_subsets(P):
-        s = sup_mask(P, d)
-        if s is None:
-            raise MissingDirectedSup(f"directed subset {bin(d)} has no supremum")
-        directed.append((d, s))
+    directed = _directed_sups(P)
     rows = []
     for x in range(P.n):
         row = 0
@@ -218,13 +199,8 @@ def filter_map(f, src_fs=None, tgt_fs=None):
     tgt_fs = tgt_fs or filter_space(f.tgt)
     src_index = {u: i for i, u in enumerate(src_fs.opens)}
     pre = [src_index[m] for m in _preimage_masks(f.assign, tgt_fs.opens)]
-    assign = []
-    for s in src_fs.sets:
-        members = 0
-        for vi, ui in enumerate(pre):
-            if (s >> ui) & 1:
-                members |= 1 << vi
-        assign.append(tgt_fs.index_of_set(members))
+    # the members of F's image: the opens V whose preimage is a member of F
+    assign = [tgt_fs.index_of_set(m) for m in _preimage_masks(pre, src_fs.sets)]
     return MonotoneMap(src_fs.filters, tgt_fs.filters, assign)
 
 
@@ -233,20 +209,11 @@ def filter_mult(X, fs=None, ffs=None):
     fs = fs or filter_space(X)
     ffs = ffs or filter_space(FiniteSpace(fs.filters))
     ff_open_index = {u: i for i, u in enumerate(ffs.opens)}
-    sharp = []
-    for u in range(len(fs.opens)):
-        mask = 0
-        for i, s in enumerate(fs.sets):
-            if (s >> u) & 1:
-                mask |= 1 << i
-        sharp.append(ff_open_index[mask])
-    assign = []
-    for big in ffs.sets:
-        members = 0
-        for u, open_idx in enumerate(sharp):
-            if (big >> open_idx) & 1:
-                members |= 1 << u
-        assign.append(fs.index_of_set(members))
+    # {F : U in F} for U = opens[u]: the filters generated by an open
+    # inside U, which is the up-row of u in the (reverse) filter order
+    sharp = [ff_open_index[fs.filters.up[u]] for u in range(len(fs.opens))]
+    # the members of the image: the opens U whose sharp is a member of big
+    assign = [fs.index_of_set(m) for m in _preimage_masks(sharp, ffs.sets)]
     return MonotoneMap(ffs.filters, fs.filters, assign)
 
 
@@ -276,21 +243,18 @@ def filter_algebra(X, max_carrier=DEFAULT_MAX_CARRIER):
 
 
 def f_lower_star(f):
-    """Direct image of opens: U ↦ union of the opens whose preimage is inside U."""
-    src_masks = open_masks(f.src)
-    tgt_masks = open_masks(f.tgt)
-    src_poset = open_set_poset(f.src)
-    tgt_poset = open_set_poset(f.tgt)
-    tgt_index = {m: i for i, m in enumerate(tgt_masks)}
-    pres = list(zip(tgt_masks, _preimage_masks(f.assign, tgt_masks)))
-    assign = []
-    for u in src_masks:
-        out = 0
-        for v, pre in pres:
-            if not (pre & ~u):
-                out |= v
-        assign.append(tgt_index[out])
-    return MonotoneMap(src_poset, tgt_poset, assign)
+    """Direct image of opens: U ↦ union of the opens whose preimage is inside U.
+
+    That union is {y : f⁻¹(↑y) ⊆ U}: the up-set of y is the least open
+    containing y, and preimages preserve unions.
+    """
+    tgt_index = {m: i for i, m in enumerate(open_masks(f.tgt))}
+    pre = _preimage_masks(f.assign, f.tgt.up)
+    assign = [
+        tgt_index[sum(1 << y for y, p in enumerate(pre) if not (p & ~u))]
+        for u in open_masks(f.src)
+    ]
+    return MonotoneMap(open_set_poset(f.src), open_set_poset(f.tgt), assign)
 
 
 def is_top_coalgebra(f):

@@ -269,6 +269,20 @@ class TestCliContract:
         obj = {"type": "family", "members": 5}
         self.assert_invalid(write(tmp_path, "fam.json", obj), capsys)
 
+    def test_boolean_link_endpoint(self, tmp_path, capsys):
+        two = {"type": "preorder", "elements": ["a", "b"], "le": [["a", "b"]]}
+        ident = {"type": "map", "source": two, "target": two, "assign": {"a": "a", "b": "b"}}
+        legs = {"a": "a", "b": "b"}
+        obj = {
+            "type": "family",
+            "members": [ident, ident],
+            "links": [{"from": 1, "to": 0, "u": legs, "v": legs}],
+        }
+        assert cli.main(["validate", write(tmp_path, "ok.json", obj)]) == 0
+        capsys.readouterr()
+        obj["links"][0].update({"from": True, "to": False})
+        self.assert_invalid(write(tmp_path, "fam.json", obj), capsys)
+
     def test_invalid_utf8(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_bytes(b'\xff\xfe{"type": "preorder"}')

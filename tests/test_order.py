@@ -113,6 +113,11 @@ class TestMaps:
         with pytest.raises(InvariantViolation):
             MonotoneMap(chain(2), chain(2), [1, 0])
 
+    def test_non_integer_value_rejected(self):
+        for assign, index in (([0.5, 1], 0), ([1.0, 1], 0), ([0, "b"], 1)):
+            with pytest.raises(InvariantViolation, match=rf"assign\[{index}\]=.* is not an integer"):
+                MonotoneMap(chain(2), chain(2), assign)
+
     def test_two_cell(self):
         one = chain(1)
         c0 = MonotoneMap(one, chain(2), [0])

@@ -7,28 +7,59 @@ accept/reject verdict, the exception class and the exact message must
 agree.
 """
 
+from functools import lru_cache
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lofs.adjunction import LariWitness, RaliWitness, _section_choices, comma  # noqa: E402
-from lofs.downsets import downsets  # noqa: E402
+from lofs import formats  # noqa: E402
+from lofs.adjunction import (  # noqa: E402
+    LariWitness,
+    RaliWitness,
+    _section_choices,
+    collage,
+    comma,
+    find_lari,
+    find_left_adjoint,
+    find_right_adjoint,
+)
+from lofs.cli import _fullness_witness  # noqa: E402
+from lofs.downsets import apply_to_map, check_lax_idempotent_P, downsets  # noqa: E402
 from lofs.errors import IndexOutOfRange, InvariantViolation, ShapeMismatch  # noqa: E402
-from lofs.factorisation import factorise  # noqa: E402
+from lofs.factorisation import _k_action, factorise  # noqa: E402
+from lofs.lifting import GeneratorFamily, lifting_structure, square_fillers  # noqa: E402
 from lofs.order import (  # noqa: E402
     FinPreorder,
     MonotoneMap,
+    _least_member,
+    _union,
+    antichain,
+    chain,
     closure,
     compose,
+    enumerate_preorders,
+    hom_maps,
     identity,
+    indiscrete,
+    inf_mask,
+    is_full,
     monotone_assignments,
     squares,
+    sup_mask,
     two_cell,
 )
-from lofs.topology import filter_space, open_masks, open_set_poset  # noqa: E402
+from lofs.topology import (  # noqa: E402
+    f_lower_star,
+    filter_map,
+    filter_mult,
+    filter_space,
+    open_masks,
+    open_set_poset,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -175,6 +206,223 @@ def naive_lari(f, right):
     return None, retraction.assign == ident.assign
 
 
+def naive_union(rows, mask):
+    out = 0
+    for i, row in enumerate(rows):
+        if (mask >> i) & 1:
+            out |= row
+    return out
+
+
+def naive_least_member(mask, rows):
+    for a in range(len(rows)):
+        if (mask >> a) & 1 and all(
+            (rows[a] >> x) & 1 for x in range(len(rows)) if (mask >> x) & 1
+        ):
+            return a
+    return None
+
+
+def naive_is_full(f):
+    X, Y = f.src, f.tgt
+    for a in range(X.n):
+        for b in range(X.n):
+            if (Y.up[f.assign[a]] >> f.assign[b]) & 1 and not (X.up[a] >> b) & 1:
+                return False
+    return True
+
+
+def naive_fullness_witness(f):
+    for a in range(f.src.n):
+        for b in range(f.src.n):
+            if f.tgt.leq(f.assign[a], f.assign[b]) and not f.src.leq(a, b):
+                return {
+                    "images-related": [f.src.label(a), f.src.label(b)],
+                    "sources-unrelated": True,
+                }
+    return None
+
+
+def naive_restrict_rows(X, mask):
+    elems = [e for e in range(X.n) if (mask >> e) & 1]
+    return tuple(
+        sum(1 << q for q, e2 in enumerate(elems) if X.leq(e, e2)) for e in elems
+    )
+
+
+def naive_quotient_rows(X):
+    reps = [i for i in range(X.n) if all(not X.equiv(i, j) for j in range(i))]
+    return tuple(
+        sum(1 << b for b, r2 in enumerate(reps) if X.leq(r, r2)) for r in reps
+    )
+
+
+def naive_sup(X, mask):
+    """Least index among the least upper bounds of ``mask``, or None."""
+    ub = [u for u in range(X.n) if all(X.leq(i, u) for i in range(X.n) if (mask >> i) & 1)]
+    for u in ub:
+        if all(X.leq(u, v) for v in ub):
+            return u
+    return None
+
+
+def naive_adjoint(f, left):
+    """Left (right) adjoint by minima (maxima) of {a : b <= f(a)} ({a : f(a) <= b})."""
+    A, B = f.src, f.tgt
+    assign = []
+    for b in range(B.n):
+        if left:
+            cands = [a for a in range(A.n) if B.leq(b, f.assign[a])]
+            best = [a for a in cands if all(A.leq(a, x) for x in cands)]
+        else:
+            cands = [a for a in range(A.n) if B.leq(f.assign[a], b)]
+            best = [a for a in cands if all(A.leq(x, a) for x in cands)]
+        if not best:
+            return None
+        assign.append(best[0])
+    return tuple(assign)
+
+
+def naive_find_lari(f):
+    """``find_lari`` with the list of all maxima per element."""
+    A, B = f.src, f.tgt
+    forced = {}
+    for a in range(A.n):
+        if forced.setdefault(f.assign[a], a) != a:
+            return None
+    assign = []
+    for b in range(B.n):
+        below = [a for a in range(A.n) if B.leq(f.assign[a], b)]
+        maxima = [a for a in below if all(A.leq(x, a) for x in below)]
+        if b in forced:
+            if forced[b] not in maxima:
+                return None
+            assign.append(forced[b])
+        else:
+            if not maxima:
+                return None
+            assign.append(maxima[0])
+    return tuple(assign)
+
+
+def naive_lax_idempotent(X):
+    """The down-set check, rescanning every down-set per member."""
+    dl = downsets(X)
+    for m in dl.masks:
+        pointwise = 0
+        for x in range(X.n):
+            if (m >> x) & 1:
+                for idx, m2 in enumerate(dl.masks):
+                    if not (m2 & ~X.down[x]):
+                        pointwise |= 1 << idx
+        principal_of_m = 0
+        for idx, m2 in enumerate(dl.masks):
+            if not (m2 & ~m):
+                principal_of_m |= 1 << idx
+        if pointwise & ~principal_of_m:
+            return False
+    return True
+
+
+def naive_down_image(h, m):
+    """The down-closure of h[m], one target element at a time."""
+    return sum(
+        1 << y
+        for y in range(h.tgt.n)
+        if any((m >> x) & 1 and h.tgt.leq(y, h.assign[x]) for x in range(h.src.n))
+    )
+
+
+def naive_filter_map(f, src_fs, tgt_fs):
+    src_index = {u: i for i, u in enumerate(src_fs.opens)}
+    pre = []
+    for v in tgt_fs.opens:
+        pre.append(src_index[sum(1 << a for a in range(f.src.n) if (v >> f.assign[a]) & 1)])
+    assign = []
+    for s in src_fs.sets:
+        members = 0
+        for vi, ui in enumerate(pre):
+            if (s >> ui) & 1:
+                members |= 1 << vi
+        assign.append(tgt_fs.index_of_set(members))
+    return tuple(assign)
+
+
+def naive_filter_mult(fs, ffs):
+    ff_open_index = {u: i for i, u in enumerate(ffs.opens)}
+    sharp = []
+    for u in range(len(fs.opens)):
+        mask = 0
+        for i, s in enumerate(fs.sets):
+            if (s >> u) & 1:
+                mask |= 1 << i
+        sharp.append(ff_open_index[mask])
+    assign = []
+    for big in ffs.sets:
+        members = 0
+        for u, open_idx in enumerate(sharp):
+            if (big >> open_idx) & 1:
+                members |= 1 << u
+        assign.append(fs.index_of_set(members))
+    return tuple(assign)
+
+
+def naive_f_lower_star(f):
+    tgt_masks = open_masks(f.tgt)
+    tgt_index = {m: i for i, m in enumerate(tgt_masks)}
+    assign = []
+    for u in open_masks(f.src):
+        out = 0
+        for v in tgt_masks:
+            pre = sum(1 << a for a in range(f.src.n) if (v >> f.assign[a]) & 1)
+            if not (pre & ~u):
+                out |= v
+        assign.append(tgt_index[out])
+    return tuple(assign)
+
+
+def naive_lifting_structure(family, g):
+    """``lifting_structure`` with pairwise least fillers and monotonicity."""
+
+    def leq(Y, a, b):
+        return all(Y.leq(x, y) for x, y in zip(a, b))
+
+    fillers = {}
+    canonical = True
+    for idx, j in enumerate(family.members):
+        for sq in squares(j, g):
+            cands = [d.assign for d in square_fillers(sq)]
+            if not cands:
+                return None
+            least = [d for d in cands if all(leq(g.src, d, e) for e in cands)]
+            if not least:
+                canonical = False
+            fillers[(idx, sq.h.assign, sq.k.assign)] = (least or cands)[0]
+    for idx, j in enumerate(family.members):
+        sqs = squares(j, g)
+        for a in sqs:
+            for b in sqs:
+                if (
+                    leq(g.src, a.h.assign, b.h.assign)
+                    and leq(g.tgt, a.k.assign, b.k.assign)
+                    and not leq(
+                        g.src,
+                        fillers[(idx, a.h.assign, a.k.assign)],
+                        fillers[(idx, b.h.assign, b.k.assign)],
+                    )
+                ):
+                    return None
+    for src, tgt, u, v in family.links:
+        for sq in squares(family.members[tgt], g):
+            h = tuple(sq.h.assign[x] for x in u.assign)
+            k = tuple(sq.k.assign[y] for y in v.assign)
+            d = fillers[(tgt, sq.h.assign, sq.k.assign)]
+            right = tuple(d[y] for y in v.assign)
+            if fillers[(src, h, k)] != right:
+                return None
+    return fillers, canonical
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -216,6 +464,13 @@ def maps(draw, max_n=3):
     if not assigns:
         return None
     return MonotoneMap(X, Y, draw(st.sampled_from(assigns)))
+
+
+@lru_cache(maxsize=None)
+def all_maps(max_n):
+    """Every monotone map between representative preorders of size <= max_n."""
+    reps = [P for n in range(max_n + 1) for P in enumerate_preorders(n)]
+    return [f for X in reps for Y in reps for f in hom_maps(X, Y)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +570,137 @@ def test_witness_checks_match_composites(f, data):
     assert _outcome(lambda: LariWitness(f, back)) == expected
     if expected is None:
         assert LariWitness(f, back).exact == exact
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 63), max_size=6), st.integers(0, 127))
+def test_union_and_least_member_match_loops(rows, mask):
+    mask &= (1 << len(rows)) - 1
+    assert _union(rows, mask) == naive_union(rows, mask)
+    assert _least_member(mask, rows) == naive_least_member(mask, rows)
+
+
+@PROPERTY
+@given(maps(max_n=4))
+def test_fullness_matches_pairwise(f):
+    if f is None:
+        return
+    assert is_full(f) == naive_is_full(f)
+    assert _fullness_witness(f) == naive_fullness_witness(f)
+
+
+@PROPERTY
+@given(preorders(max_n=5), st.integers(0, 31))
+def test_restrict_quotient_sup_inf_match_loops(X, mask):
+    mask &= (1 << X.n) - 1
+    assert X.restrict(mask).up == naive_restrict_rows(X, mask)
+    Q, cls = X.quotient()
+    assert Q.up == naive_quotient_rows(X)
+    assert sup_mask(X, mask) == naive_sup(X, mask)
+    assert inf_mask(X, mask) == naive_sup(FinPreorder(X.n, X.down), mask)
+
+
+@PROPERTY
+@given(maps(max_n=4))
+@example(MonotoneMap(indiscrete(2), indiscrete(2), [0, 1]))  # forced value not the lowest
+def test_adjoint_searches_match_loops(f):
+    if f is None:
+        return
+    left, right = find_left_adjoint(f), find_right_adjoint(f)
+    assert (left and left.assign) == naive_adjoint(f, left=True)
+    assert (right and right.assign) == naive_adjoint(f, left=False)
+    lari = find_lari(f)
+    assert (lari and lari.right_adjoint.assign) == naive_find_lari(f)
+
+
+@PROPERTY
+@given(maps(max_n=4))
+def test_downset_actions_match_loops(f):
+    if f is None:
+        return
+    assert check_lax_idempotent_P(f.src) == naive_lax_idempotent(f.src)
+    src_dl, tgt_dl = downsets(f.src), downsets(f.tgt)
+    assert apply_to_map(f, src_dl, tgt_dl).assign == tuple(
+        tgt_dl.index(naive_down_image(f, m)) for m in src_dl.masks
+    )
+    col = collage(f)
+    A, B = f.src, f.tgt
+    assert col.carrier.up[A.n:] == tuple(
+        B.up[b] << A.n | sum(1 << a for a in range(A.n) if B.leq(b, f.assign[a]))
+        for b in range(B.n)
+    )
+
+
+@PROPERTY
+@given(maps(), maps(), st.data())
+def test_k_action_matches_loop(j, g, data):
+    if j is None or g is None:
+        return
+    sqs = squares(j, g)
+    if not sqs:
+        return
+    sq = data.draw(st.sampled_from(sqs))
+    source, target = factorise(j), factorise(g)
+    assert _k_action(source, target, sq.h, sq.k).assign == tuple(
+        target.index(naive_down_image(sq.h, m), sq.k.assign[b]) for m, b in source.pairs
+    )
+
+
+@PROPERTY
+@given(maps())
+def test_filter_and_open_actions_match_loops(f):
+    if f is None:
+        return
+    src_fs, tgt_fs = filter_space(f.src), filter_space(f.tgt)
+    assert filter_map(f, src_fs, tgt_fs).assign == naive_filter_map(f, src_fs, tgt_fs)
+    ffs = filter_space(src_fs.filters)
+    assert filter_mult(f.src, src_fs, ffs).assign == naive_filter_mult(src_fs, ffs)
+    assert f_lower_star(f).assign == naive_f_lower_star(f)
+
+
+@PROPERTY
+@given(preorders(max_n=4))
+def test_hasse_edges_match_between_scan(P):
+    Q, _ = P.quotient()
+    expected = [
+        f"  n{a} -> n{b};"
+        for a in range(Q.n)
+        for b in range(Q.n)
+        if a != b
+        and Q.leq(a, b)
+        and not any(x not in (a, b) and Q.leq(a, x) and Q.leq(x, b) for x in range(Q.n))
+    ]
+    assert [line for line in formats.hasse_dot(P).splitlines() if "->" in line] == expected
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from(all_maps(2)), min_size=1, max_size=2),
+    st.sampled_from(all_maps(3)),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 99)), max_size=2),
+)
+@example(  # two comparable fillers of one square: least and greatest differ
+    [MonotoneMap(chain(1), chain(2), [0])], MonotoneMap(chain(2), chain(1), [0, 0]), []
+)
+@example(  # incomparable fillers: the lexicographic choice breaks a link
+    [MonotoneMap(chain(0), chain(1), []), identity(chain(1))],
+    MonotoneMap(antichain(2), chain(1), [0, 0]),
+    [(0, 1, 0)],
+)
+def test_lifting_structure_matches_pairwise(members, g, picks):
+    links = []
+    for src, tgt, pick in picks:
+        src, tgt = src % len(members), tgt % len(members)
+        sqs = squares(members[src], members[tgt])
+        if sqs:
+            sq = sqs[pick % len(sqs)]
+            links.append((src, tgt, sq.h, sq.k))
+    family = GeneratorFamily(members, links)
+    got = lifting_structure(family, g)
+    expected = naive_lifting_structure(family, g)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert {key: d.assign for key, d in got.fillers.items()} == expected[0]
+        assert got.canonical == expected[1]
