@@ -14,6 +14,8 @@ hold on the nose.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .adjunction import find_left_adjoint, find_right_adjoint
 from .errors import AdjointMissing, InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
@@ -38,18 +40,19 @@ class FactorisationData:
     """The factorisation triple of one map.
 
     ``pairs[i]`` is the pair (down-set mask over dom f, codomain index)
-    that carrier element ``i`` stands for, listed ascending.
+    that carrier element ``i`` stands for, listed ascending, and
+    ``index`` maps each pair back to its element.
     """
 
     __slots__ = ("f", "K", "lam", "rho", "pairs", "_index")
 
-    def __init__(self, f, K, lam, rho, pairs):
+    def __init__(self, f, K, lam, rho, pairs, index):
         self.f = f
         self.K = K
         self.lam = lam
         self.rho = rho
         self.pairs = pairs
-        self._index = {p: i for i, p in enumerate(pairs)}
+        self._index = index
 
     def index(self, mask, b):
         return self._index[(mask, b)]
@@ -104,6 +107,27 @@ def _upper_bound_table(f):
     return _preimage_masks(f.assign, f.tgt.down)
 
 
+@lru_cache(maxsize=256)
+def _carrier(masks, B, labels, pre, max_carrier):
+    """(K, pairs, index, right part) for the maps into B with table ``pre``.
+
+    Everything here is a function of the source's down-set ``masks``,
+    the upper-bound table ``pre`` and the codomain, not of the map
+    itself.  ``labels`` (those of B) is part of the key only: preorder
+    equality ignores labels, and the right part keeps B as its codomain,
+    so a labelled B never meets another caller's B.
+    """
+    vectors = [
+        (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
+    ]
+    if len(vectors) > max_carrier:
+        raise SizeLimitExceeded("factorisation carrier exceeds the bound")
+    pairs = tuple((masks[i], b) for i, b in vectors)
+    K = FinPreorder(len(pairs), _pointwise_rows(vectors, (_inclusion_rows(masks), B.up)))
+    index = {p: i for i, p in enumerate(pairs)}
+    return K, pairs, index, MonotoneMap(K, B, [b for _, b in pairs])
+
+
 def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     """Factor f as (right part) ∘ (left part) through the pair preorder.
 
@@ -114,21 +138,25 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     masks per element instead of comparing all O(|K|²) pairs.  That is
     the same relation on the same ascending pair list, so K, both parts
     and every error are unchanged.
+
+    K, its pair list and index and the right part are memoised in
+    ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
+    upper-bound table, ``max_carrier``) and bounded at 256 entries.
+    Many maps of a sweep share one key, so each distinct K and right
+    part is built and validated once while it stays cached.  The cached
+    values are immutable and built by the same code from the same key,
+    so results and their order are unchanged.  An exception is not
+    cached: a smaller ``max_carrier`` is a different key, and the guard
+    raises with its own message.  The left part and the returned object
+    are built per call, on the caller's own f.
     """
     A, B = f.src, f.tgt
     masks = down_set_masks(A, max_carrier)
-    pre = _upper_bound_table(f)
-    vectors = [
-        (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
-    ]
-    if len(vectors) > max_carrier:
-        raise SizeLimitExceeded("factorisation carrier exceeds the bound")
-    pairs = [(masks[i], b) for i, b in vectors]
-    K = FinPreorder(len(pairs), _pointwise_rows(vectors, (_inclusion_rows(masks), B.up)))
-    index = {p: i for i, p in enumerate(pairs)}
+    K, pairs, index, rho = _carrier(
+        masks, B, B.labels, tuple(_upper_bound_table(f)), max_carrier
+    )
     lam = MonotoneMap(A, K, [index[(A.down[a], f.assign[a])] for a in range(A.n)])
-    rho = MonotoneMap(K, B, [b for _, b in pairs])
-    return FactorisationData(f, K, lam, rho, tuple(pairs))
+    return FactorisationData(f, K, lam, rho, pairs, index)
 
 
 def _k_action(source, target, h, k):

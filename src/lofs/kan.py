@@ -58,6 +58,15 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
     least candidate is the first one inside ``lower``, the pointwise
     meet of the down-sets of all candidates, which is the first candidate
     below all of them.
+
+    The scan is memoised in ``_least_within``, keyed by (cod j, A, the
+    bounds, ``max_carrier``) and bounded at 1,024 scans: maps f with the
+    same bounds share one scan, so ``kan_injective`` over a non-complete
+    A scans each distinct key once.  The cached value is the least
+    assignment tuple (or None), which carries no labels, so the
+    extension is still built per call on the caller's own preorders and
+    the restriction test still runs per call: results are unchanged.  A
+    smaller ``max_carrier`` is a different key, so its guard still raises.
     """
     if j.src != f.src:
         raise ShapeMismatch("extension needs dom j = dom f")
@@ -74,17 +83,24 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
         for x in range(j.src.n):
             for y in _bits(j.tgt.up[j.assign[x]]):
                 bounds[y] &= A.up[f.assign[x]]
-        cands = _monotone_within(j.tgt, A, bounds, max_carrier)
-        best = _least_vector(cands, A)
+        best = _least_within(j.tgt, A, tuple(bounds), max_carrier)
         if best is None:
             return None
-        ext = MonotoneMap(j.tgt, A, cands[best])
+        ext = MonotoneMap(j.tgt, A, best)
     restricted = tuple(ext.assign[v] for v in j.assign)
     if not all(
         A.equiv(r, fx) for r, fx in zip(restricted, f.assign)
     ):
         return None
     return ExtensionWitness(j, f, ext)
+
+
+@lru_cache(maxsize=1024)
+def _least_within(Y, A, bounds, max_carrier):
+    """The first monotone Y -> A within ``bounds`` below all others, or None."""
+    cands = _monotone_within(Y, A, bounds, max_carrier)
+    best = _least_vector(cands, A)
+    return None if best is None else cands[best]
 
 
 def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
@@ -134,12 +150,13 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def all_embeddings(max_size, posets_only=False):
     """All order-embeddings between preorders of size <= max_size.
 
     One representative per arrow-isomorphism class; Kan injectivity only
-    depends on that class.  Deterministic order.
+    depends on that class.  Deterministic order.  Cached per
+    (max_size, posets_only), at most 16 families.
     """
     reps = [
         p

@@ -106,9 +106,19 @@ def square_fillers(sq, max_carrier=DEFAULT_MAX_CARRIER, up_to_equiv=False):
     equivalence, the enriched notion matching KZ-lifting witnesses; the
     readings agree over posets.
     """
+    assigns = monotone_assignments(sq.j.tgt, sq.g.src, max_carrier)
+    return _fillers(sq, assigns, up_to_equiv)
+
+
+def _fillers(sq, assigns, up_to_equiv=False):
+    """``square_fillers`` over ``assigns``, the hom set cod j -> dom g.
+
+    Every square of one pair (j, g) shares that hom set, so the callers
+    that walk all the squares of a pair enumerate it once and pass it in.
+    """
     C, D = sq.g.src, sq.g.tgt
     out = []
-    for d in monotone_assignments(sq.j.tgt, C, max_carrier):
+    for d in assigns:
         if up_to_equiv:
             fits = all(
                 C.equiv(d[sq.j.assign[x]], sq.h.assign[x])
@@ -125,16 +135,25 @@ def square_fillers(sq, max_carrier=DEFAULT_MAX_CARRIER, up_to_equiv=False):
     return out
 
 
+def _squares_and_homs(j, g, max_carrier):
+    """The squares j -> g and, when there is one, the hom set cod j -> dom g.
+
+    The hom set is enumerated only when there is a square, as it was
+    when each square enumerated it, so its size guard raises in the same
+    cases.
+    """
+    sqs = squares(j, g, max_carrier)
+    return sqs, monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
+
+
 def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     """Every commuting square from j to g admits at least one filler.
 
     Fillers are taken up to pointwise equivalence so that KZ-orthogonality
     always implies this predicate; over posets that is the strict notion.
     """
-    return all(
-        square_fillers(s, max_carrier, up_to_equiv=True)
-        for s in squares(j, g, max_carrier)
-    )
+    sqs, assigns = _squares_and_homs(j, g, max_carrier)
+    return all(_fillers(s, assigns, up_to_equiv=True) for s in sqs)
 
 
 def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
@@ -144,16 +163,17 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     exists, else the lexicographic-first (recorded by the ``canonical``
     flag).  The selection is then validated against the monotonicity and
     link-naturality invariants; KZ situations never hit the flag and
-    always validate.  Each member's squares are enumerated once and
-    shared with that check.
+    always validate.  Each member's squares and its hom set cod j -> dom g
+    are enumerated once, and the squares are shared with that check.
     """
     fillers = {}
     canonical = True
     member_squares = []
     for idx, j in enumerate(family.members):
-        member_squares.append(squares(j, g, max_carrier))
-        for sq in member_squares[-1]:
-            cands = square_fillers(sq, max_carrier)
+        sqs, assigns = _squares_and_homs(j, g, max_carrier)
+        member_squares.append(sqs)
+        for sq in sqs:
+            cands = _fillers(sq, assigns)
             if not cands:
                 return None
             best = _least_vector([d.assign for d in cands], g.src)

@@ -425,10 +425,22 @@ def is_poset(X):
 def is_full(f):
     """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved).
 
-    One word test per element: {a' : f(a) <= f(a')} must lie in up[a].
+    One word test per element a, in order: the preimage mask
+    {a' : f(a) <= f(a')} must lie in up[a].  Only the mask of the element
+    under test is built, and the scan stops at the first element that
+    fails; most maps are not full, so most scans stop early.
     """
-    pre = _preimage_masks(f.assign, f.tgt.up)
-    return not any(pre[v] & ~row for v, row in zip(f.assign, f.src.up))
+    assign, tgt_up = f.assign, f.tgt.up
+    for v, row in zip(assign, f.src.up):
+        r = tgt_up[v]
+        above, bit = 0, 1
+        for w in assign:
+            if r >> w & 1:
+                above |= bit
+            bit <<= 1
+        if above & ~row:
+            return False
+    return True
 
 
 def is_order_embedding(f):
@@ -671,6 +683,28 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     one of the full scan.  Each h and each k map is built (and validated)
     once, however many squares share it.  The size guards are those of
     the full scan.
+
+    The enumeration is memoised in ``_squares``, keyed by (j, g, the
+    labels of their four preorders, ``max_carrier``) and bounded at 16
+    square sets, so a caller that lists the squares of a pair and then
+    asks ``canonical_map`` about the same pair enumerates them once.  A
+    cached set is an immutable tuple built by the same code from the
+    same key, and each call returns a fresh list of it, so the squares,
+    their order and every error are unchanged, and mutating one result
+    changes no other.  A smaller ``max_carrier`` is a different key, so
+    its guards still raise.
+    """
+    labels = (j.src.labels, j.tgt.labels, g.src.labels, g.tgt.labels)
+    return list(_squares(j, g, labels, max_carrier))
+
+
+@lru_cache(maxsize=16)
+def _squares(j, g, labels, max_carrier):
+    """``squares`` as a tuple.
+
+    ``labels`` is part of the key only: map and preorder equality ignore
+    labels, and every square holds j and g, so a labelled pair never
+    receives squares built on another caller's labels.
     """
     hs = monotone_assignments(j.src, g.src, max_carrier)
     ks = monotone_assignments(j.tgt, g.tgt, max_carrier)
@@ -693,7 +727,7 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
             out.append(Square(j, g, hmap, kmap))
     if len(out) > max_carrier:
         raise SizeLimitExceeded("more commuting squares than the bound allows")
-    return out
+    return tuple(out)
 
 
 def sq_hom_poset(j, g, max_carrier=DEFAULT_MAX_CARRIER):

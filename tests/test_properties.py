@@ -4,9 +4,13 @@ The references below are the plain pairwise loops the fast paths
 replaced, kept here as oracles.  Inputs are random relation rows and
 assignment vectors, valid and invalid alike; for the constructors the
 accept/reject verdict, the exception class and the exact message must
-agree.
+agree.  The bounded per-pass memos are compared with their uncached
+``__wrapped__`` computations, and their keys with the labels and size
+guards they must respect.
 """
 
+import importlib
+import pkgutil
 from functools import lru_cache
 
 import pytest
@@ -16,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import lofs  # noqa: E402
 from lofs import formats  # noqa: E402
 from lofs.adjunction import (  # noqa: E402
     LariWitness,
@@ -29,24 +34,45 @@ from lofs.adjunction import (  # noqa: E402
 )
 from lofs.cli import _fullness_witness  # noqa: E402
 from lofs.downsets import apply_to_map, check_lax_idempotent_P, downsets  # noqa: E402
-from lofs.errors import IndexOutOfRange, InvariantViolation, ShapeMismatch  # noqa: E402
-from lofs.factorisation import _k_action, factorise  # noqa: E402
-from lofs.lifting import GeneratorFamily, lifting_structure, square_fillers  # noqa: E402
+from lofs.errors import (  # noqa: E402
+    IndexOutOfRange,
+    InvariantViolation,
+    ShapeMismatch,
+    SizeLimitExceeded,
+)
+from lofs.factorisation import (  # noqa: E402
+    _carrier,
+    _k_action,
+    _upper_bound_table,
+    factorise,
+)
+from lofs.kan import _least_within, lan_extension  # noqa: E402
+from lofs.lifting import (  # noqa: E402
+    GeneratorFamily,
+    _fillers,
+    has_lifting,
+    lifting_structure,
+    square_fillers,
+)
 from lofs.order import (  # noqa: E402
+    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _least_member,
+    _squares,
     _union,
     antichain,
     chain,
     closure,
     compose,
+    down_set_masks,
     enumerate_preorders,
     hom_maps,
     identity,
     indiscrete,
     inf_mask,
     is_full,
+    maps_equivalent,
     monotone_assignments,
     squares,
     sup_mask,
@@ -381,6 +407,20 @@ def naive_f_lower_star(f):
     return tuple(assign)
 
 
+def naive_square_fillers(sq, up_to_equiv):
+    """Per-square filler enumeration: every monotone d, tested by composites."""
+    out = []
+    for d in hom_maps(sq.j.tgt, sq.g.src):
+        left, right = compose(sq.j, d), compose(d, sq.g)
+        if up_to_equiv:
+            fits = maps_equivalent(left, sq.h) and maps_equivalent(right, sq.k)
+        else:
+            fits = left == sq.h and right == sq.k
+        if fits:
+            out.append(d.assign)
+    return out
+
+
 def naive_lifting_structure(family, g):
     """``lifting_structure`` with pairwise least fillers and monotonicity."""
 
@@ -704,3 +744,145 @@ def test_lifting_structure_matches_pairwise(members, g, picks):
         assert got is not None
         assert {key: d.assign for key, d in got.fillers.items()} == expected[0]
         assert got.canonical == expected[1]
+
+
+@PROPERTY
+@given(maps(), maps())
+def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
+    if j is None or g is None:
+        return
+    sqs = squares(j, g)
+    assigns = monotone_assignments(j.tgt, g.src)
+    for sq in sqs:
+        for up_to_equiv in (False, True):
+            expected = naive_square_fillers(sq, up_to_equiv)
+            assert [d.assign for d in _fillers(sq, assigns, up_to_equiv)] == expected
+            assert [d.assign for d in square_fillers(sq, up_to_equiv=up_to_equiv)] == expected
+    assert has_lifting(j, g) == all(naive_square_fillers(sq, True) for sq in sqs)
+
+
+# ---------------------------------------------------------------------------
+# bounded per-pass memos
+
+
+def _limit_message(call):
+    with pytest.raises(SizeLimitExceeded) as info:
+        call()
+    return str(info.value)
+
+
+def _carrier_key(f, max_carrier=DEFAULT_MAX_CARRIER):
+    masks = down_set_masks(f.src, max_carrier)
+    return (masks, f.tgt, f.tgt.labels, tuple(_upper_bound_table(f)), max_carrier)
+
+
+@PROPERTY
+@given(maps(max_n=4))
+def test_carrier_memo_matches_uncached(f):
+    if f is None:
+        return
+    first, again = factorise(f), factorise(f)
+    key = _carrier_key(f)
+    assert _carrier(*key) == _carrier.__wrapped__(*key)
+    for fact in (first, again):
+        assert fact.f is f and fact.lam.src is f.src
+        assert (fact.K, fact.pairs, fact.lam, fact.rho) == (
+            first.K, first.pairs, first.lam, first.rho
+        )
+        assert all(fact.index(m, b) == i for i, (m, b) in enumerate(fact.pairs))
+
+
+@PROPERTY
+@given(preorders(max_n=3), preorders(max_n=3), st.data())
+def test_least_within_memo_matches_uncached(Y, A, data):
+    bounds = tuple(
+        data.draw(st.lists(st.integers(0, (1 << A.n) - 1), min_size=Y.n, max_size=Y.n))
+    )
+    key = (Y, A, bounds, DEFAULT_MAX_CARRIER)
+    first = _least_within(*key)
+    assert _least_within(*key) == first == _least_within.__wrapped__(*key)
+
+
+@PROPERTY
+@given(maps(), maps())
+def test_squares_memo_matches_uncached(j, g):
+    if j is None or g is None:
+        return
+    first, again = squares(j, g), squares(j, g)
+    labels = (j.src.labels, j.tgt.labels, g.src.labels, g.tgt.labels)
+    assert first == again == list(_squares.__wrapped__(j, g, labels, DEFAULT_MAX_CARRIER))
+    assert first is not again
+
+
+def test_memos_still_raise_under_a_smaller_bound():
+    f = identity(chain(3))  # 9 carrier elements over 4 down-sets
+    assert factorise(f).K.n == 9
+    assert _limit_message(lambda: factorise(f, max_carrier=8)) == _limit_message(
+        lambda: _carrier.__wrapped__(*_carrier_key(f, 8))
+    )
+
+    j = MonotoneMap(chain(1), chain(2), [0])
+    f = MonotoneMap(chain(1), antichain(2), [1])
+    assert lan_extension(j, f).ext.assign == (1, 1)
+    bounds = (antichain(2).up[1], antichain(2).up[1])
+    assert _limit_message(lambda: lan_extension(j, f, max_carrier=3)) == _limit_message(
+        lambda: _least_within.__wrapped__(chain(2), antichain(2), bounds, 3)
+    )
+
+    j = g = identity(chain(2))
+    assert len(squares(j, g)) == 3
+    labels = (None,) * 4
+    for bound in (2, 3):
+        assert _limit_message(lambda: squares(j, g, max_carrier=bound)) == _limit_message(
+            lambda: _squares.__wrapped__(j, g, labels, bound)
+        )
+
+
+def test_mutating_a_square_list_leaves_the_next_call_alone():
+    j, g = identity(chain(2)), MonotoneMap(chain(2), chain(1), [0, 0])
+    first = squares(j, g)
+    expected = [(s.h.assign, s.k.assign) for s in first]
+    first.clear()
+    squares(j, g).append(None)
+    assert [(s.h.assign, s.k.assign) for s in squares(j, g)] == expected
+
+
+def test_memos_never_hand_out_another_callers_labels():
+    plain = MonotoneMap(chain(2), chain(3), [0, 2])
+    named = MonotoneMap(
+        FinPreorder(2, chain(2).up, labels="xy"),
+        FinPreorder(3, chain(3).up, labels="abc"),
+        [0, 2],
+    )
+    assert plain == named
+    for f in (plain, named, plain):
+        fact = factorise(f)
+        assert fact.rho.tgt.labels == f.tgt.labels
+        assert fact.lam.src is f.src
+    assert factorise(named).rho.tgt is named.tgt
+
+    g = MonotoneMap(chain(3), chain(1), [0, 0, 0])
+    for j in (plain, named, plain):
+        sqs = squares(j, g)
+        assert sqs
+        for sq in sqs:
+            assert sq.j.src.labels == j.src.labels and sq.j.tgt.labels == j.tgt.labels
+            assert sq.h.src.labels == j.src.labels and sq.k.src.labels == j.tgt.labels
+    assert all(sq.j is named and sq.g is g for sq in squares(named, g))
+
+
+UNBOUNDED = {"order._canonical", "order._refinement", "order._sup_table", "order.enumerate_preorders"}
+
+
+def test_only_the_four_named_caches_are_unbounded():
+    found = {}
+    for info in pkgutil.iter_modules(lofs.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lofs.{info.name}")
+        for attr, obj in vars(module).items():
+            inner = getattr(obj, "__wrapped__", None)
+            if hasattr(obj, "cache_info") and getattr(inner, "__module__", None) == module.__name__:
+                found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
+    assert {"factorisation._carrier", "kan._least_within", "order._squares"} <= set(found)
+    assert {name for name, size in found.items() if size is None} == UNBOUNDED
