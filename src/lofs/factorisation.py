@@ -159,8 +159,8 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     return FactorisationData(f, K, lam, rho, pairs, index)
 
 
-def _k_action(source, target, h, k):
-    """Carrier map (φ, b) ↦ (down-closure of h[φ], k(b)).
+def _k_assign(source, target, h, k):
+    """Assignment of the carrier map (φ, b) ↦ (down-closure of h[φ], k(b)).
 
     Lands in the target carrier whenever the square commutes up to
     pointwise equivalence.  The down-closure of h[φ] is one union of the
@@ -169,12 +169,16 @@ def _k_action(source, target, h, k):
     down = [h.tgt.down[v] for v in h.assign]
     assign = []
     for m, b in source.pairs:
-        image = _union(down, m)
         try:
-            assign.append(target.index(image, k.assign[b]))
+            assign.append(target.index(_union(down, m), k.assign[b]))
         except KeyError:
             raise InvariantViolation("functor action leaves the carrier") from None
-    return MonotoneMap(source.K, target.K, assign)
+    return assign
+
+
+def _k_action(source, target, h, k):
+    """The carrier map of :func:`_k_assign`, validated."""
+    return MonotoneMap(source.K, target.K, _k_assign(source, target, h, k))
 
 
 def k_on_square(sq, source=None, target=None, max_carrier=DEFAULT_MAX_CARRIER):
@@ -300,12 +304,15 @@ def canonical_diag(sq, s, p):
     """The diagonal p ∘ K(h, k) ∘ s for a square from a coalgebra to an algebra.
 
     Fills the square (up to pointwise equivalence over genuine preorders)
-    and is least: every filler sits pointwise above it.
+    and is least: every filler sits pointwise above it.  The composite is
+    computed on assignment tuples and validated once, as one map; the
+    middle map is monotone by construction, so it is not built.
     """
     if s.fact.f != sq.j or p.fact.f != sq.g:
         raise ShapeMismatch("witnesses do not match the square")
-    middle = k_on_square(sq, source=s.fact, target=p.fact)
-    return compose(compose(s.s, middle), p.p)
+    middle = _k_assign(s.fact, p.fact, sq.h, sq.k)
+    retract = p.p.assign
+    return MonotoneMap(s.s.src, p.p.tgt, [retract[middle[v]] for v in s.s.assign])
 
 
 def fibrant_replacement(A, max_carrier=DEFAULT_MAX_CARRIER):

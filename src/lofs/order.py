@@ -430,8 +430,15 @@ def is_full(f):
     under test is built, and the scan stops at the first element that
     fails; most maps are not full, so most scans stop early.
     """
-    assign, tgt_up = f.assign, f.tgt.up
-    for v, row in zip(assign, f.src.up):
+    return _is_full(f.assign, f.src.up, f.tgt.up)
+
+
+def _is_full(assign, src_up, tgt_up):
+    """:func:`is_full` on a monotone assignment tuple and the two up-rows.
+
+    Lets a caller test fullness before it builds (and validates) a map.
+    """
+    for v, row in zip(assign, src_up):
         r = tgt_up[v]
         above, bit = 0, 1
         for w in assign:
@@ -862,61 +869,74 @@ def arrow_canonical_key(f):
     return (f.src.n, kx, f.tgt.n, ky, best)
 
 
-def _labeled_preorders(n, posets_only):
-    if n == 0:
-        yield FinPreorder(0, ())
-        return
-    row_choices = []
-    for i in range(n):
-        rest = [1 << j for j in range(n) if j != i]
-        opts = []
-        for picks in itertools.product([0, 1], repeat=n - 1):
-            row = 1 << i
-            for bit, on in zip(rest, picks):
-                if on:
-                    row |= bit
-            opts.append(row)
-        opts.sort()
-        row_choices.append(opts)
-    for rows in itertools.product(*row_choices):
-        ok = True
-        for i in range(n):
-            row = rows[i]
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                if rows[j] & ~row:
-                    ok = False
-                    break
-                m &= m - 1
-            if not ok:
-                break
-        if not ok:
-            continue
-        if posets_only and any(
-            (rows[i] >> j) & (rows[j] >> i) & 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            continue
-        yield FinPreorder(n, rows)
+def _one_point_extensions(P, posets_only):
+    """The preorders on P.n + 1 points that restrict to P, in two kinds.
+
+    (a) The new point n is a copy of some x: y <= n iff y <= x, and
+    n <= z iff x <= z, so n lies in x's class (skipped when
+    ``posets_only``).  (b) n lies strictly above a down-set D of P and
+    below nothing else.  Every extension in which n lies in a maximal
+    class is of one of these kinds.
+    """
+    n, up = P.n, P.up
+    new = 1 << n
+    if not posets_only:
+        for x in range(n):
+            yield FinPreorder(
+                n + 1, tuple(r | new if r >> x & 1 else r for r in up) + (up[x] | new,)
+            )
+    for D in down_set_masks(P):
+        yield FinPreorder(
+            n + 1, tuple(r | new if D >> i & 1 else r for i, r in enumerate(up)) + (new,)
+        )
 
 
 @lru_cache(maxsize=None)
 def enumerate_preorders(n, up_to_iso=True, posets_only=False, bound=DEFAULT_ENUM_BOUND):
     """All preorders on n elements, optionally one per isomorphism class.
 
-    Output order is deterministic: ascending canonical key.
+    Output order is deterministic: ascending canonical key, or ascending
+    ``up`` rows for the labeled enumeration.
+
+    The classes on n >= 1 points are generated from the class
+    representatives on n - 1 points by one-point extension: the new
+    point is either a copy of an existing point, in its class, or a
+    maximal point above a down-set (``_one_point_extensions``).  One
+    candidate is kept per canonical key.  This finds every class: a
+    finite preorder Q has a maximal class; removing one point m of it
+    leaves a preorder P, and Q is P plus m, where m is a copy of another
+    point of its class if the class has one, and otherwise lies strictly
+    above the down-set {y : y < m}.  Extending any representative
+    isomorphic to P gives a preorder isomorphic to Q.  A poset's maximal
+    classes are single points, so the copies are not needed for posets.
+    The representative kept is ``canonical_form``, which depends only on
+    the class, and the classes are sorted by canonical key, so the result
+    is the tuple a filter over all 2^(n(n-1)) relation matrices gives, at
+    a cost that scales with the number of classes.
+
+    The labeled enumeration is the union of the representatives' orbits
+    under the n! relabelings, sorted by ``up``.
     """
     if n > bound:
         raise SizeLimitExceeded(f"enumeration bound is {bound}, got n={n}")
-    found = list(_labeled_preorders(n, posets_only))
-    if not up_to_iso:
-        found.sort(key=lambda p: p.up)
-        return tuple(found)
-    reps = {}
-    for p in found:
-        key = canonical_key(p)
-        if key not in reps:
-            reps[key] = canonical_form(p)
-    return tuple(reps[k] for k in sorted(reps))
+    if n <= 0:
+        # a negative n is rejected here, with FinPreorder's own message
+        return (FinPreorder(n, ()),)
+    classes = {}
+    for P in enumerate_preorders(n - 1, True, posets_only, bound):
+        for Q in _one_point_extensions(P, posets_only):
+            key = canonical_key(Q)
+            if key not in classes:
+                classes[key] = canonical_form(Q)
+    reps = [classes[k] for k in sorted(classes)]
+    if up_to_iso:
+        return tuple(reps)
+    found = set()
+    for perm in itertools.permutations(range(n)):
+        bits = [1 << new for new in perm]
+        for P in reps:
+            rows = [0] * n
+            for old, new in enumerate(perm):
+                rows[new] = _union(bits, P.up[old])
+            found.add(tuple(rows))
+    return tuple(FinPreorder(n, rows) for rows in sorted(found))

@@ -279,6 +279,20 @@ class TestCanonicalDiag:
                 if compose(f, w) == sq.h and compose(w, g) == sq.k:
                     assert two_cell(d, w)
 
+    def test_matches_composite_definition(self):
+        fulls = [(f, coalgebra_structure(f)) for f in small_maps(2) if is_full(f)]
+        algebras = [(g, algebra_structure(g)) for g in small_maps(2)]
+        for f, s in fulls:
+            for g, p in algebras:
+                if p is None:
+                    continue
+                for sq in squares(f, g):
+                    middle = k_on_square(sq, source=s.fact, target=p.fact)
+                    expected = compose(compose(s.s, middle), p.p)
+                    d = canonical_diag(sq, s, p)
+                    assert d == expected
+                    assert d.src is expected.src and d.tgt is expected.tgt
+
     def test_extension_along_identity_target(self):
         f = MonotoneMap(chain(2), chain(3), [0, 2])
         g = identity(chain(3))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lofs import cli, formats
-from lofs.errors import FormatError
+from lofs.errors import FormatError, InvariantViolation, SizeLimitExceeded
 from lofs.factorisation import factorise
 from lofs.lifting import GeneratorFamily
 from lofs.order import (
@@ -287,6 +287,18 @@ class TestCliContract:
         path = tmp_path / "p.json"
         path.write_bytes(b'\xff\xfe{"type": "preorder"}')
         self.assert_invalid(str(path), capsys)
+
+    def test_enumerate_negative_size_and_bound(self, capsys):
+        for up_to_iso in (True, False):
+            for posets_only in (False, True):
+                with pytest.raises(InvariantViolation, match=r"^need -1 relation rows, got 0$"):
+                    enumerate_preorders(-1, up_to_iso, posets_only)
+                with pytest.raises(SizeLimitExceeded, match=r"^enumeration bound is 5, got n=6$"):
+                    enumerate_preorders(6, up_to_iso, posets_only)
+        assert cli.main(["enumerate", "--", "-1"]) == 3
+        assert capsys.readouterr().out == ""
+        assert cli.main(["enumerate", "6"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_classify_honours_global_max_size(self, capsys):
         counts = []

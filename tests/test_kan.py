@@ -19,6 +19,7 @@ from lofs.order import (
     hom_maps,
     identity,
     is_complete_lattice,
+    is_order_embedding,
     monotone_assignments,
     two_cell,
 )
@@ -193,6 +194,26 @@ class TestKanInjectivity:
             bang = MonotoneMap(A, ONE, [0] * A.n)
             for j in generators:
                 assert kan_injective(A, [j]) == (kz_orthogonal(j, bang) is not None)
+
+
+class TestAllEmbeddings:
+    def test_matches_building_every_map(self):
+        for m in range(4):
+            for posets_only in (False, True):
+                pool = [
+                    p for n in range(m + 1) for p in enumerate_preorders(n, posets_only=posets_only)
+                ]
+                seen = {}
+                for X in pool:
+                    for Y in pool:
+                        for f in hom_maps(X, Y):
+                            if is_order_embedding(f):
+                                seen.setdefault(arrow_canonical_key(f), f)
+                expected = [seen[k] for k in sorted(seen)]
+                got = all_embeddings(m, posets_only)
+                assert [(f.src, f.tgt, f.assign) for f in got] == [
+                    (f.src, f.tgt, f.assign) for f in expected
+                ]
 
 
 class TestClassification:

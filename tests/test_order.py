@@ -15,6 +15,7 @@ from lofs.order import (
     antichain,
     arrow_canonical_key,
     canonical_form,
+    canonical_key,
     chain,
     closure,
     compose,
@@ -46,6 +47,52 @@ def reps(max_size, posets_only=False):
         for n in range(max_size + 1)
         for p in enumerate_preorders(n, posets_only=posets_only)
     ]
+
+
+def naive_labeled_preorders(n, posets_only):
+    """The brute-force generator: every relation matrix that is a preorder.
+
+    All 2^(n(n-1)) choices of off-diagonal bits, rows ascending, kept when
+    transitive (and antisymmetric with ``posets_only``).
+    """
+    row_choices = []
+    for i in range(n):
+        rest = [1 << j for j in range(n) if j != i]
+        opts = []
+        for picks in itertools.product([0, 1], repeat=n - 1):
+            row = 1 << i
+            for bit, on in zip(rest, picks):
+                if on:
+                    row |= bit
+            opts.append(row)
+        opts.sort()
+        row_choices.append(opts)
+    for rows in itertools.product(*row_choices):
+        if any(
+            (rows[i] >> j) & 1 and rows[j] & ~rows[i]
+            for i in range(n)
+            for j in range(n)
+        ):
+            continue
+        if posets_only and any(
+            (rows[i] >> j) & (rows[j] >> i) & 1
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            continue
+        yield FinPreorder(n, rows)
+
+
+def naive_enumerate(n, up_to_iso, posets_only):
+    """Filter every matrix, then keep one canonical form per canonical key."""
+    found = list(naive_labeled_preorders(n, posets_only))
+    if not up_to_iso:
+        found.sort(key=lambda p: p.up)
+        return tuple(found)
+    classes = {}
+    for p in found:
+        classes.setdefault(canonical_key(p), canonical_form(p))
+    return tuple(classes[k] for k in sorted(classes))
 
 
 def arrow_classes(max_size):
@@ -290,10 +337,25 @@ class TestDownSets:
 
 class TestEnumeration:
     def test_published_counts(self):
-        assert [len(enumerate_preorders(n)) for n in range(5)] == [1, 1, 3, 9, 33]
-        assert [
-            len(enumerate_preorders(n, posets_only=True)) for n in range(5)
-        ] == [1, 1, 2, 5, 16]
+        def counts(top, **kw):
+            return [len(enumerate_preorders(n, **kw)) for n in range(top + 1)]
+
+        assert counts(6, bound=6) == [1, 1, 3, 9, 33, 139, 718]  # A001930
+        assert counts(6, posets_only=True, bound=6) == [1, 1, 2, 5, 16, 63, 318]  # A000112
+        assert counts(5, up_to_iso=False) == [1, 1, 4, 29, 355, 6942]  # A000798
+        assert counts(5, up_to_iso=False, posets_only=True) == [
+            1, 1, 3, 19, 219, 4231,
+        ]  # A001035
+
+    def test_matches_brute_force_oracle(self):
+        for n in range(5):
+            for up_to_iso in (True, False):
+                for posets_only in (False, True):
+                    got = enumerate_preorders(n, up_to_iso, posets_only)
+                    expected = naive_enumerate(n, up_to_iso, posets_only)
+                    assert [(p.n, p.up, p.labels) for p in got] == [
+                        (p.n, p.up, p.labels) for p in expected
+                    ]
 
     def test_empty_case(self):
         assert len(enumerate_preorders(0)) == 1

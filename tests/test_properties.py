@@ -58,6 +58,7 @@ from lofs.order import (  # noqa: E402
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
+    _is_full,
     _least_member,
     _squares,
     _union,
@@ -622,10 +623,12 @@ def test_union_and_least_member_match_loops(rows, mask):
 
 @PROPERTY
 @given(maps(max_n=4))
+@example(MonotoneMap(chain(2), chain(3), [0, 2]))  # full
 def test_fullness_matches_pairwise(f):
     if f is None:
         return
     assert is_full(f) == naive_is_full(f)
+    assert _is_full(f.assign, f.src.up, f.tgt.up) == naive_is_full(f)
     assert _fullness_witness(f) == naive_fullness_witness(f)
 
 
