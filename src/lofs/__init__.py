@@ -66,11 +66,9 @@ from .lifting import (
     lifting_structure,
 )
 from .order import (
-    DownSet,
     FinPreorder,
     MonotoneMap,
     Square,
-    TwoCell,
     antichain,
     chain,
     closure,
@@ -82,7 +80,6 @@ from .order import (
     identity,
     indiscrete,
     is_complete_lattice,
-    is_complete_lattice_strict,
     is_full,
     is_isomorphic,
     is_order_embedding,

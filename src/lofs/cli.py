@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import formats, suite
 from .errors import (
@@ -21,15 +22,15 @@ from .errors import (
     ShapeMismatch,
     SizeLimitExceeded,
 )
-from .factorisation import factorise, fibrant_replacement
+from .factorisation import _downset_iso, factorise
 from .kan import kan_injective, classify_injectives
-from .lifting import kz_orthogonal, lifting_structure
+from .lifting import GeneratorFamily, kz_orthogonal, lifting_structure
 from .order import (
     DEFAULT_ENUM_BOUND,
     FinPreorder,
     MonotoneMap,
     _bits,
-    _preimage_masks,
+    _unreflected_pair,
     enumerate_preorders,
     is_complete_lattice,
     is_full,
@@ -50,19 +51,10 @@ _INVALID = (FormatError, InvariantViolation, IndexOutOfRange)
 _OPERATIONAL = (SizeLimitExceeded, ShapeMismatch, NotAPoset)
 
 
-def _load(path, want=None):
+def _load(path, want):
     doc = formats.load_document(path)
-    if want is not None and not isinstance(doc, want):
+    if not isinstance(doc, want):
         raise FormatError(f"{path}: expected {want.__name__}, got {type(doc).__name__}")
-    return doc
-
-
-def _load_preorder(path):
-    doc = formats.load_document(path)
-    if isinstance(doc, FiniteSpace):
-        return doc.points
-    if not isinstance(doc, FinPreorder):
-        raise FormatError(f"{path}: expected a preorder or space")
     return doc
 
 
@@ -72,6 +64,13 @@ def _emit(text):
 
 def _names(P, mask):
     return [P.label(i) for i in _bits(mask)]
+
+
+def _equivalent_pair(P):
+    """The first element with another in its class, and the least such other."""
+    i = next(i for i in range(P.n) if P.class_mask(i) != 1 << i)
+    j = next(_bits(P.class_mask(i) & ~(1 << i)))
+    return {"equivalent-pair": [P.label(i), P.label(j)]}
 
 
 def _complete_lattice_witness(P):
@@ -84,26 +83,23 @@ def _complete_lattice_witness(P):
 
 
 def _fullness_witness(f):
-    """The first (a, b) with f(a) <= f(b) but not a <= b, as in ``is_full``."""
-    pre = _preimage_masks(f.assign, f.tgt.up)
-    for a, (v, row) in enumerate(zip(f.assign, f.src.up)):
-        bad = pre[v] & ~row
-        if bad:
-            b = (bad & -bad).bit_length() - 1
-            return {
-                "images-related": [f.src.label(a), f.src.label(b)],
-                "sources-unrelated": True,
-            }
-    return None
+    """The first (a, b) with f(a) <= f(b) but not a <= b, by name, or None."""
+    pair = _unreflected_pair(f.assign, f.src.up, f.tgt.up)
+    if pair is None:
+        return None
+    return {"images-related": [f.src.label(a) for a in pair], "sources-unrelated": True}
 
 
+# predicate name -> (kind of object read, predicate, witness of a false verdict)
 _CHECKS = {
-    "poset": (FinPreorder, is_poset),
-    "complete-lattice": (FinPreorder, is_complete_lattice),
-    "continuous-lattice": (FinPreorder, is_continuous_lattice),
-    "full": (MonotoneMap, is_full),
-    "order-embedding": (MonotoneMap, is_order_embedding),
-    "top-coalgebra": (MonotoneMap, is_top_coalgebra),
+    "poset": (FinPreorder, is_poset, _equivalent_pair),
+    "complete-lattice": (FinPreorder, is_complete_lattice, _complete_lattice_witness),
+    "continuous-lattice": (FinPreorder, is_continuous_lattice, _complete_lattice_witness),
+    "full": (MonotoneMap, is_full, _fullness_witness),
+    "order-embedding": (MonotoneMap, is_order_embedding, _fullness_witness),
+    "top-coalgebra": (
+        MonotoneMap, is_top_coalgebra, lambda f: _fullness_witness(f_lower_star(f))
+    ),
 }
 
 
@@ -115,67 +111,47 @@ def _cmd_validate(args):
 
 
 def _cmd_check(args):
-    want, predicate = _CHECKS[args.predicate]
+    want, predicate, witness = _CHECKS[args.predicate]
     if want is FinPreorder:
-        value = _load_preorder(args.file)
+        value = formats.load_preorder(args.file)
     else:
-        value = _load(args.file, MonotoneMap)
+        value = _load(args.file, want)
     result = bool(predicate(value))
     payload = {"predicate": args.predicate, "result": result}
     if args.witness and not result:
-        if args.predicate == "complete-lattice":
-            payload["witness"] = _complete_lattice_witness(value)
-        elif args.predicate in ("full", "order-embedding"):
-            payload["witness"] = _fullness_witness(value)
-        elif args.predicate == "top-coalgebra":
-            payload["witness"] = _fullness_witness(f_lower_star(value))
-        elif args.predicate == "poset":
-            # the first i with another member in its class has no smaller one
-            i = next(i for i in range(value.n) if value.class_mask(i) != 1 << i)
-            others = value.class_mask(i) & ~(1 << i)
-            j = (others & -others).bit_length() - 1
-            payload["witness"] = {"equivalent-pair": [value.label(i), value.label(j)]}
-        elif args.predicate == "continuous-lattice":
-            payload["witness"] = _complete_lattice_witness(value)
+        payload["witness"] = witness(value)
     _emit(formats.dumps(payload))
     return 0 if result else 1
 
 
 def _cmd_factor(args):
-    f = _load(args.file, MonotoneMap)
-    fact = factorise(f, args.max_carrier)
-    obj = formats.factorisation_to_obj(fact)
+    fact = factorise(_load(args.file, MonotoneMap), args.max_carrier)
     if args.format == "dot":
-        _emit(formats.hasse_dot(formats.preorder_from_obj(obj["K"])))
+        _emit(formats.hasse_dot(formats.labelled_carrier(fact)))
     else:
-        _emit(formats.dumps(obj))
+        _emit(formats.dumps(formats.factorisation_to_obj(fact)))
     return 0
 
 
 def _cmd_fibrant(args):
-    A = _load_preorder(args.file)
-    _, lam, iso = fibrant_replacement(A, args.max_carrier)
+    A = formats.load_preorder(args.file)
     point = FinPreorder(1, (1,), ("pt",))
     fact = factorise(MonotoneMap(A, point, [0] * A.n), args.max_carrier)
-    obj = formats.factorisation_to_obj(fact)
     if args.format == "dot":
-        _emit(formats.hasse_dot(formats.preorder_from_obj(obj["K"])))
+        _emit(formats.hasse_dot(formats.labelled_carrier(fact)))
         return 0
+    obj = formats.factorisation_to_obj(fact)
     payload = {
         "object": obj["K"],
         "unit": obj["lambda"],
-        "downset-iso": {"assign": list(iso.assign)},
+        "downset-iso": {"assign": list(_downset_iso(fact, args.max_carrier).assign)},
     }
     _emit(formats.dumps(payload))
     return 0
 
 
 def _cmd_lift(args):
-    family = formats.load_document(args.family)
-    from .lifting import GeneratorFamily
-
-    if not isinstance(family, GeneratorFamily):
-        raise FormatError(f"{args.family}: expected a generator family")
+    family = _load(args.family, GeneratorFamily)
     g = _load(args.map, MonotoneMap)
     st = lifting_structure(family, g, args.max_carrier)
     payload = {"exists": st is not None}
@@ -208,7 +184,7 @@ def _cmd_kz(args):
 
 
 def _cmd_kan_injective(args):
-    A = _load_preorder(args.object)
+    A = formats.load_preorder(args.object)
     family = formats.load_document(args.family)
     result = kan_injective(A, family, args.max_carrier)
     _emit(formats.dumps({"kan-injective": result}))
@@ -239,11 +215,7 @@ def _cmd_classify(args):
 def _cmd_filter_space(args):
     X = _load(args.file, FiniteSpace)
     fs = filter_space(X, args.max_carrier)
-    opens = fs.opens
-    labels = [
-        "{" + ",".join(_names(X.points, opens[fs.generators[i]])) + "}^"
-        for i in range(fs.filters.n)
-    ]
+    labels = ["{" + ",".join(_names(X.points, u)) + "}^" for u in fs.opens]
     filters = FinPreorder(fs.filters.n, fs.filters.up, labels)
     if args.format == "dot":
         _emit(formats.hasse_dot(filters))
@@ -275,8 +247,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_dot(args):
-    P = _load_preorder(args.file)
-    _emit(formats.hasse_dot(P))
+    _emit(formats.hasse_dot(formats.load_preorder(args.file)))
     return 0
 
 
@@ -286,7 +257,14 @@ def _cmd_suite(args):
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The ``lofs`` argument parser, built on first use and then shared.
+
+    Building it is most of the cost of a small request, and parsing
+    leaves it unchanged, so one parser serves every ``main`` call of a
+    process.
+    """
     parser = argparse.ArgumentParser(
         prog="lofs",
         description="Finite order-theoretic factorisations, lifting operations and topology.",
@@ -364,8 +342,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _INVALID as exc:

@@ -21,17 +21,16 @@ from .order import (
 
 
 class DownSetLattice:
-    """All down-sets of ``base`` as a preorder ordered by inclusion.
+    """All down-sets of a preorder, as a preorder ordered by inclusion.
 
     ``masks[i]`` is the subset represented by carrier element ``i``; the
     masks are listed in ascending numeric order, which is the canonical
     element order.
     """
 
-    __slots__ = ("base", "carrier", "masks", "_index")
+    __slots__ = ("carrier", "masks", "_index")
 
-    def __init__(self, base, carrier, masks):
-        self.base = base
+    def __init__(self, carrier, masks):
         self.carrier = carrier
         self.masks = masks
         self._index = {m: i for i, m in enumerate(masks)}
@@ -42,7 +41,7 @@ class DownSetLattice:
 
 def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
     masks = down_set_masks(X, max_carrier)
-    return DownSetLattice(X, FinPreorder(len(masks), _inclusion_rows(masks)), masks)
+    return DownSetLattice(FinPreorder(len(masks), _inclusion_rows(masks)), masks)
 
 
 def unit(X, dl=None):

@@ -256,7 +256,7 @@ def coalgebra_structure(f, max_carrier=DEFAULT_MAX_CARRIER):
     return CoalgebraWitness(fact, s)
 
 
-def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER, check_multiplication=None):
+def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER):
     """The algebra witness on g, or None.
 
     The structure map, when it exists, is the left adjoint of the left
@@ -264,7 +264,7 @@ def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER, check_multiplication=N
     monad), so the adjoint search decides existence; the candidate is then
     validated against the witness equations.  The multiplication law is
     checked elementwise whenever the double factorisation fits the
-    carrier bound, or always when ``check_multiplication`` is True.
+    carrier bound.
     """
     fact = factorise(g, max_carrier)
     p = find_left_adjoint(fact.lam)
@@ -273,13 +273,10 @@ def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER, check_multiplication=N
     if not maps_equivalent(compose(p, g), fact.rho):
         return None
     witness = AlgebraWitness(fact, p)
-    if check_multiplication is None:
-        try:
-            _check_multiplication_law(witness, max_carrier)
-        except SizeLimitExceeded:
-            pass
-    elif check_multiplication:
+    try:
         _check_multiplication_law(witness, max_carrier)
+    except SizeLimitExceeded:
+        pass
     return witness
 
 
@@ -322,9 +319,15 @@ def fibrant_replacement(A, max_carrier=DEFAULT_MAX_CARRIER):
     onto ``downsets(A).carrier`` carrying the left part to the principal
     down-set unit.
     """
-    point = chain(1)
-    bang = MonotoneMap(A, point, [0] * A.n)
-    fact = factorise(bang, max_carrier)
-    dl = downsets(A, max_carrier)
-    iso = MonotoneMap(fact.K, dl.carrier, [dl.index(m) for m, _ in fact.pairs])
-    return fact.K, fact.lam, iso
+    fact = factorise(MonotoneMap(A, chain(1), [0] * A.n), max_carrier)
+    return fact.K, fact.lam, _downset_iso(fact, max_carrier)
+
+
+def _downset_iso(fact, max_carrier=DEFAULT_MAX_CARRIER):
+    """The iso (φ, pt) ↦ φ from the carrier of A -> point onto the down-sets of A.
+
+    Read off the pairs of ``fact``, so a caller that factorised A -> point
+    with its own labels gets the iso without a second factorisation.
+    """
+    dl = downsets(fact.f.src, max_carrier)
+    return MonotoneMap(fact.K, dl.carrier, [dl.index(m) for m, _ in fact.pairs])

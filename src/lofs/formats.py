@@ -16,7 +16,7 @@ import os
 
 from .errors import FormatError
 from .lifting import GeneratorFamily
-from .order import FinPreorder, MonotoneMap, _bits, closure
+from .order import FinPreorder, MonotoneMap, _bits, _closure_rows
 from .topology import FiniteSpace
 
 
@@ -31,6 +31,11 @@ def _expect(cond, message):
 
 
 def preorder_from_obj(obj):
+    """The labelled preorder of a ``preorder`` or ``space`` object.
+
+    The generating pairs are closed reflexively and transitively, and the
+    result is validated once, with its labels.
+    """
     _expect(isinstance(obj, dict), "preorder must be a JSON object")
     _expect(obj.get("type") in ("preorder", "space"), "expected a preorder object")
     elements = obj.get("elements")
@@ -54,8 +59,7 @@ def preorder_from_obj(obj):
         )
         _expect(a in index and b in index, f"unknown element in le pair {entry}")
         pairs.append((index[a], index[b]))
-    closed = closure(len(elements), pairs)
-    return FinPreorder(closed.n, closed.up, elements)
+    return FinPreorder(len(elements), _closure_rows(len(elements), pairs), elements)
 
 
 def preorder_to_obj(P, type_name="preorder"):
@@ -68,19 +72,47 @@ def preorder_to_obj(P, type_name="preorder"):
 
 def space_from_obj(obj):
     _expect(obj.get("type") == "space", "expected a space object")
-    return FiniteSpace(preorder_from_obj({**obj, "type": "preorder"}))
+    return FiniteSpace(preorder_from_obj(obj))
+
+
+def load_preorder(path):
+    """The preorder in the file at ``path``, or the points of its space.
+
+    The one reader for a command argument or a map endpoint that may
+    name either kind of file.
+    """
+    doc = load_document(path)
+    if isinstance(doc, FiniteSpace):
+        return doc.points
+    _expect(isinstance(doc, FinPreorder), f"{path}: expected a preorder or space")
+    return doc
 
 
 def _resolve_endpoint(value, base_dir):
+    """A map endpoint: a path relative to the map's file, or an inline object."""
     if isinstance(value, str):
-        doc = load_document(os.path.join(base_dir, value))
-        if isinstance(doc, FiniteSpace):
-            return doc.points
-        _expect(isinstance(doc, FinPreorder), f"{value} does not hold a preorder")
-        return doc
-    if isinstance(value, dict) and value.get("type") == "space":
-        return space_from_obj(value).points
+        return load_preorder(os.path.join(base_dir, value))
     return preorder_from_obj(value)
+
+
+def _named_assign(obj, src, tgt, what):
+    """The map src -> tgt that the name-to-name object ``obj`` describes.
+
+    The one reader for a map's ``assign`` and for the legs of a family
+    link; ``what`` names the field in messages.  Every source element
+    must be named, and the map is validated as monotone.
+    """
+    _expect(isinstance(obj, dict), f"{what} must be an object")
+    src_index = {src.label(i): i for i in range(src.n)}
+    tgt_index = {tgt.label(i): i for i in range(tgt.n)}
+    assign = [None] * src.n
+    for a, b in obj.items():
+        _expect(a in src_index, f"unknown source element {a!r}")
+        _expect(isinstance(b, str), f"target element {b!r} is not a string")
+        _expect(b in tgt_index, f"unknown target element {b!r}")
+        assign[src_index[a]] = tgt_index[b]
+    _expect(None not in assign, f"{what} must cover every source element")
+    return MonotoneMap(src, tgt, assign)
 
 
 def map_from_obj(obj, base_dir="."):
@@ -88,18 +120,7 @@ def map_from_obj(obj, base_dir="."):
     _expect(obj.get("type") == "map", "expected a map object")
     src = _resolve_endpoint(obj.get("source"), base_dir)
     tgt = _resolve_endpoint(obj.get("target"), base_dir)
-    assign_obj = obj.get("assign")
-    _expect(isinstance(assign_obj, dict), "assign must be an object")
-    src_index = {src.label(i): i for i in range(src.n)}
-    tgt_index = {tgt.label(i): i for i in range(tgt.n)}
-    assign = [None] * src.n
-    for a, b in assign_obj.items():
-        _expect(a in src_index, f"unknown source element {a!r}")
-        _expect(isinstance(b, str), f"target element {b!r} is not a string")
-        _expect(b in tgt_index, f"unknown target element {b!r}")
-        assign[src_index[a]] = tgt_index[b]
-    _expect(None not in assign, "assign must cover every source element")
-    return MonotoneMap(src, tgt, assign)
+    return _named_assign(obj.get("assign"), src, tgt, "assign")
 
 
 def map_to_obj(f):
@@ -129,39 +150,33 @@ def family_from_obj(obj, base_dir="."):
         # a JSON true/false is a Python bool, which isinstance accepts as an int
         _expect(type(src) is int and type(tgt) is int, "link endpoints are indices")
         _expect(0 <= src < len(members) and 0 <= tgt < len(members), "link index range")
-        u = _named_assign(link.get("u"), members[src].src, members[tgt].src)
-        v = _named_assign(link.get("v"), members[src].tgt, members[tgt].tgt)
+        u = _named_assign(link.get("u"), members[src].src, members[tgt].src, "link leg u")
+        v = _named_assign(link.get("v"), members[src].tgt, members[tgt].tgt, "link leg v")
         links.append((src, tgt, u, v))
     return GeneratorFamily(members, links)
 
 
-def _named_assign(obj, src, tgt):
-    _expect(isinstance(obj, dict), "link legs must be name-to-name objects")
-    src_index = {src.label(i): i for i in range(src.n)}
-    tgt_index = {tgt.label(i): i for i in range(tgt.n)}
-    assign = [None] * src.n
-    for a, b in obj.items():
-        _expect(isinstance(b, str), f"link element {b!r} is not a string")
-        _expect(a in src_index and b in tgt_index, f"unknown element in link {obj}")
-        assign[src_index[a]] = tgt_index[b]
-    _expect(None not in assign, "link leg must cover every element")
-    return MonotoneMap(src, tgt, assign)
+def labelled_carrier(fact):
+    """The carrier K of a factorisation, each element named by its pair.
+
+    Pair (φ, b) is named ``({a1,a2,...},b)`` from the labels of dom f and
+    cod f; ``factor`` and ``fibrant`` print this preorder as JSON or DOT.
+    """
+    A, B = fact.f.src, fact.f.tgt
+    labels = [
+        "({" + ",".join(A.label(i) for i in _bits(m)) + "}," + B.label(b) + ")"
+        for m, b in fact.pairs
+    ]
+    return FinPreorder(fact.K.n, fact.K.up, labels)
 
 
 def factorisation_to_obj(fact):
     """The CLI shape for a factorisation: middle object plus both legs."""
-    A, B = fact.f.src, fact.f.tgt
-    labels = []
-    for m, b in fact.pairs:
-        members = ",".join(A.label(i) for i in _bits(m))
-        labels.append(f"({{{members}}},{B.label(b)})")
-    K = FinPreorder(fact.K.n, fact.K.up, labels)
-    lam = MonotoneMap(A, K, fact.lam.assign)
-    rho = MonotoneMap(K, B, fact.rho.assign)
+    K = labelled_carrier(fact)
     return {
         "K": preorder_to_obj(K),
-        "lambda": map_to_obj(lam),
-        "rho": map_to_obj(rho),
+        "lambda": map_to_obj(MonotoneMap(fact.f.src, K, fact.lam.assign)),
+        "rho": map_to_obj(MonotoneMap(K, fact.f.tgt, fact.rho.assign)),
     }
 
 

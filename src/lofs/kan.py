@@ -17,17 +17,19 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     _bits,
-    _is_full,
     _least_vector,
     _monotone_within,
     _preimage_masks,
     _sup_table,
     _union,
+    _unreflected_pair,
     arrow_canonical_key,
+    chain,
     enumerate_preorders,
     hom_maps,
     is_complete_lattice,
     monotone_assignments,
+    sup_mask,
 )
 
 
@@ -171,7 +173,7 @@ def all_embeddings(max_size, posets_only=False):
     for X in reps:
         for Y in reps:
             for assign in monotone_assignments(X, Y):
-                if not _is_full(assign, X.up, Y.up):
+                if _unreflected_pair(assign, X.up, Y.up) is not None:
                     continue
                 f = MonotoneMap(X, Y, assign)
                 key = arrow_canonical_key(f)
@@ -205,8 +207,6 @@ def chain_stage_report(max_stage=6):
     preserves all suprema.  Returns (all_ok, detail) where detail states
     explicitly that the limit-stage failure is not finitely representable.
     """
-    from .order import chain, sup_mask
-
     ok = True
     for m2 in range(1, max_stage + 1):
         big = chain(m2 + 1)

@@ -295,18 +295,6 @@ def maps_equivalent(f, g):
     return two_cell(f, g) and two_cell(g, f)
 
 
-class TwoCell:
-    """An inequality lower <= upper between parallel maps."""
-
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        if not two_cell(lower, upper):
-            raise InvariantViolation("no 2-cell: lower is not pointwise below upper")
-        self.lower = lower
-        self.upper = upper
-
-
 class Square:
     """A commutative square (h, k) : j -> g in the arrow category."""
 
@@ -340,43 +328,21 @@ class Square:
         return f"Square(h={list(self.h.assign)}, k={list(self.k.assign)})"
 
 
-class DownSet:
-    """A down-closed subset of a finite preorder."""
-
-    __slots__ = ("carrier", "mask")
-
-    def __init__(self, carrier, mask):
-        if mask & ~((1 << carrier.n) - 1):
-            raise IndexOutOfRange("down-set mentions elements outside the carrier")
-        if not is_down_closed(carrier, mask):
-            raise InvariantViolation("subset is not down-closed")
-        self.carrier = carrier
-        self.mask = mask
-
-    @property
-    def members(self):
-        return tuple(bool((self.mask >> i) & 1) for i in range(self.carrier.n))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DownSet)
-            and self.carrier == other.carrier
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, self.mask))
-
-    def __repr__(self):
-        return f"DownSet({sorted(_bits(self.mask))})"
-
-
 # ---------------------------------------------------------------------------
 # construction
 
 
 def closure(n, pairs):
     """Smallest reflexive-transitive relation on 0..n-1 containing ``pairs``."""
+    return FinPreorder(n, _closure_rows(n, pairs))
+
+
+def _closure_rows(n, pairs):
+    """The ``up`` rows of :func:`closure`, unvalidated.
+
+    Lets a reader that attaches labels build (and validate) the labelled
+    preorder once.
+    """
     rows = [1 << i for i in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
@@ -387,7 +353,7 @@ def closure(n, pairs):
         for i in range(n):
             if (rows[i] >> k) & 1:
                 rows[i] |= rk
-    return FinPreorder(n, rows)
+    return rows
 
 
 def chain(n):
@@ -423,31 +389,32 @@ def is_poset(X):
 
 
 def is_full(f):
-    """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved).
+    """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved)."""
+    return _unreflected_pair(f.assign, f.src.up, f.tgt.up) is None
 
-    One word test per element a, in order: the preimage mask
-    {a' : f(a) <= f(a')} must lie in up[a].  Only the mask of the element
-    under test is built, and the scan stops at the first element that
-    fails; most maps are not full, so most scans stop early.
+
+def _unreflected_pair(assign, src_up, tgt_up):
+    """The first (a, b) with assign[a] <= assign[b] but not a <= b, or None.
+
+    The one fullness scan, on an assignment tuple and the two up-rows, so
+    a caller can test a candidate before it builds (and validates) a map,
+    and a failing verdict comes with its witness.  One word test per
+    element a, in order: the mask {b : assign[a] <= assign[b]} must lie in
+    up[a], and b is the lowest bit outside it.  The scan stops at the
+    first element that fails; most maps are not full, so most scans stop
+    early.
     """
-    return _is_full(f.assign, f.src.up, f.tgt.up)
-
-
-def _is_full(assign, src_up, tgt_up):
-    """:func:`is_full` on a monotone assignment tuple and the two up-rows.
-
-    Lets a caller test fullness before it builds (and validates) a map.
-    """
-    for v, row in zip(assign, src_up):
+    for a, v in enumerate(assign):
         r = tgt_up[v]
         above, bit = 0, 1
         for w in assign:
             if r >> w & 1:
                 above |= bit
             bit <<= 1
-        if above & ~row:
-            return False
-    return True
+        bad = above & ~src_up[a]
+        if bad:
+            return a, (bad & -bad).bit_length() - 1
+    return None
 
 
 def is_order_embedding(f):
@@ -499,15 +466,6 @@ def is_complete_lattice(X):
             if sup_mask(X, (1 << i) | (1 << j)) is None:
                 return False
     return True
-
-
-def is_complete_lattice_strict(X):
-    """The poset variant: sups exist and their witnesses are unique."""
-    return X.is_poset and is_complete_lattice(X)
-
-
-def is_down_closed(X, mask):
-    return not (_union(X.down, mask) & ~mask)
 
 
 @lru_cache(maxsize=256)
@@ -754,7 +712,6 @@ def sq_hom_poset(j, g, max_carrier=DEFAULT_MAX_CARRIER):
 # enumeration and isomorphism
 
 
-@lru_cache(maxsize=None)
 def _refinement(X):
     """Iterated degree refinement; an isomorphism-invariant color per element."""
     n = X.n
@@ -891,12 +848,25 @@ def _one_point_extensions(P, posets_only):
         )
 
 
-@lru_cache(maxsize=None)
 def enumerate_preorders(n, up_to_iso=True, posets_only=False, bound=DEFAULT_ENUM_BOUND):
     """All preorders on n elements, optionally one per isomorphism class.
 
     Output order is deterministic: ascending canonical key, or ascending
     ``up`` rows for the labeled enumeration.
+
+    The size bound is tested on every call, before the memo in
+    ``_enumeration``, which holds one tuple per (n, up_to_iso,
+    posets_only) however the call spells its arguments, so equal
+    requests share one result.
+    """
+    if n > bound:
+        raise SizeLimitExceeded(f"enumeration bound is {bound}, got n={n}")
+    return _enumeration(n, up_to_iso, posets_only)
+
+
+@lru_cache(maxsize=64)
+def _enumeration(n, up_to_iso, posets_only):
+    """:func:`enumerate_preorders` once its bound has been checked.
 
     The classes on n >= 1 points are generated from the class
     representatives on n - 1 points by one-point extension: the new
@@ -917,13 +887,11 @@ def enumerate_preorders(n, up_to_iso=True, posets_only=False, bound=DEFAULT_ENUM
     The labeled enumeration is the union of the representatives' orbits
     under the n! relabelings, sorted by ``up``.
     """
-    if n > bound:
-        raise SizeLimitExceeded(f"enumeration bound is {bound}, got n={n}")
     if n <= 0:
         # a negative n is rejected here, with FinPreorder's own message
         return (FinPreorder(n, ()),)
     classes = {}
-    for P in enumerate_preorders(n - 1, True, posets_only, bound):
+    for P in _enumeration(n - 1, True, posets_only):
         for Q in _one_point_extensions(P, posets_only):
             key = canonical_key(Q)
             if key not in classes:

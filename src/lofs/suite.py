@@ -14,7 +14,7 @@ import time
 
 from .adjunction import find_left_adjoint
 from .downsets import check_lax_idempotent_P, downsets, unit
-from .errors import SizeLimitExceeded
+from .errors import InvariantViolation, SizeLimitExceeded
 from .factorisation import (
     algebra_structure,
     canonical_diag,
@@ -34,6 +34,7 @@ from .lifting import (
 )
 from .order import (
     MonotoneMap,
+    Square,
     _bits,
     _pointwise_leq,
     arrow_canonical_key,
@@ -55,6 +56,7 @@ from .topology import (
     filter_mult,
     filter_space,
     filter_unit,
+    is_continuous_lattice,
     is_embedding,
     is_top_coalgebra,
     open_masks,
@@ -135,6 +137,11 @@ def _random_preorder(rnd, max_size):
 
 
 def _random_monotone(rnd, X, Y, tries=300):
+    """A random monotone map X -> Y by rejection, or None after ``tries`` draws.
+
+    Only a draw that is not monotone is rejected; any other error is a
+    fault of the code under test and propagates.
+    """
     if X.n == 0:
         return MonotoneMap(X, Y, [])
     if Y.n == 0:
@@ -143,7 +150,7 @@ def _random_monotone(rnd, X, Y, tries=300):
         assign = [rnd.randrange(Y.n) for _ in range(X.n)]
         try:
             return MonotoneMap(X, Y, assign)
-        except Exception:
+        except InvariantViolation:
             continue
     return None
 
@@ -295,8 +302,6 @@ def criterion_lax_idempotency():
 
 
 def _unit_square(f, fact):
-    from .order import Square
-
     return Square(f, fact.rho, fact.lam, identity(f.tgt))
 
 
@@ -369,14 +374,12 @@ def criterion_family_laws():
 
 def criterion_topology_collapse():
     """Scott opens, way-below, continuity, filter algebras and embeddings."""
-    from .topology import is_continuous_lattice as cont
-
     for P in _reps(5, posets_only=True):
         if scott_opens(P) != open_masks(P):
             return False, f"Scott opens differ from up-sets on {P!r}"
         if way_below(P) != P.up:
             return False, f"way-below differs from the order on {P!r}"
-        if cont(P) != is_complete_lattice(P):
+        if is_continuous_lattice(P) != is_complete_lattice(P):
             return False, f"continuity differs from completeness on {P!r}"
     for P in _reps(4):
         if (filter_algebra(FiniteSpace(P)) is not None) != is_complete_lattice(P):

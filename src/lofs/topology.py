@@ -60,20 +60,19 @@ class FiniteSpace:
 class FilterSpace:
     """The space of filters of the open-set lattice, ordered by inclusion.
 
-    ``sets[i]`` is the member mask of filter ``i`` over ``opens``;
-    ``generators[i]`` is the least member (every filter here is
-    principal).  The specialization order of the filter topology, whose
-    sub-basic opens are {F : U in F}, is inclusion of filters.
+    ``sets[i]`` is the member mask of filter ``i`` over ``opens``; every
+    filter here is principal, and filter ``i`` is generated by its least
+    member ``opens[i]``.  The specialization order of the filter
+    topology, whose sub-basic opens are {F : U in F}, is inclusion of
+    filters.
     """
 
-    __slots__ = ("base", "opens", "filters", "sets", "generators", "_index")
+    __slots__ = ("opens", "filters", "sets", "_index")
 
-    def __init__(self, base, opens, filters, sets, generators):
-        self.base = base
+    def __init__(self, opens, filters, sets):
         self.opens = opens
         self.filters = filters
         self.sets = sets
-        self.generators = generators
         self._index = {s: i for i, s in enumerate(sets)}
 
     def index_of_set(self, member_mask):
@@ -171,18 +170,14 @@ def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
     Filters are listed by their generating open, in open order; the order
     on filters is inclusion of member sets.
     """
-    P = _points(X)
     opens = open_masks(X)
-    m = len(opens)
-    if m > max_carrier:
+    if len(opens) > max_carrier:
         raise SizeLimitExceeded("open-set lattice exceeds the bound")
     # the filter generated by opens[u] is the set of opens above it: its
     # inclusion row among the opens
     sets = _inclusion_rows(opens)
-    filters = FinPreorder(m, _inclusion_rows(sets))
-    return FilterSpace(
-        FiniteSpace(P), opens, filters, tuple(sets), tuple(range(m))
-    )
+    filters = FinPreorder(len(opens), _inclusion_rows(sets))
+    return FilterSpace(opens, filters, tuple(sets))
 
 
 def filter_unit(X, fs=None):

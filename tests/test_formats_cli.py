@@ -4,7 +4,7 @@ import pytest
 
 from lofs import cli, formats
 from lofs.errors import FormatError, InvariantViolation, SizeLimitExceeded
-from lofs.factorisation import factorise
+from lofs.factorisation import factorise, fibrant_replacement
 from lofs.lifting import GeneratorFamily
 from lofs.order import (
     FinPreorder,
@@ -15,6 +15,7 @@ from lofs.order import (
     diamond,
     enumerate_preorders,
     identity,
+    monotone_assignments,
 )
 from lofs.topology import FiniteSpace
 
@@ -224,6 +225,83 @@ class TestCli:
         assert cli.main(["suite", "--criteria", "11"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS  11 enumeration-counts")
+
+
+def labelled_preorders(max_n, names):
+    """Every labeled preorder of size <= max_n, its elements named from ``names``."""
+    return [
+        FinPreorder(P.n, P.up, names[: P.n])
+        for n in range(max_n + 1)
+        for P in enumerate_preorders(n, up_to_iso=False)
+    ]
+
+
+def carrier_dot_reference(fact):
+    """The carrier's DOT text through a JSON round trip of the factorisation."""
+    return formats.hasse_dot(formats.preorder_from_obj(formats.factorisation_to_obj(fact)["K"]))
+
+
+class TestCliRendering:
+    """``factor`` and ``fibrant`` print what the JSON round trip gives."""
+
+    POINT = FinPreorder(1, (1,), ("pt",))
+
+    def test_factor_dot(self, tmp_path, capsys):
+        maps = 0
+        for X in labelled_preorders(2, "ab"):
+            for Y in labelled_preorders(2, "uv"):
+                for assign in monotone_assignments(X, Y):
+                    f = MonotoneMap(X, Y, assign)
+                    path = write(tmp_path, "f.json", formats.map_to_obj(f))
+                    assert cli.main(["--format", "dot", "factor", path]) == 0
+                    assert capsys.readouterr().out == carrier_dot_reference(factorise(f))
+                    maps += 1
+        assert maps == 69  # every monotone map between labeled preorders of size <= 2
+
+    def test_fibrant_dot(self, tmp_path, capsys):
+        for A in labelled_preorders(2, "ab"):
+            path = write(tmp_path, "a.json", formats.preorder_to_obj(A))
+            fact = factorise(MonotoneMap(A, self.POINT, [0] * A.n))
+            assert cli.main(["--format", "dot", "fibrant", path]) == 0
+            assert capsys.readouterr().out == carrier_dot_reference(fact)
+
+    def test_fibrant_iso_is_the_library_iso(self, tmp_path, capsys):
+        for A in labelled_preorders(4, "abcd"):
+            path = write(tmp_path, "a.json", formats.preorder_to_obj(A))
+            assert cli.main(["fibrant", path]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["downset-iso"]["assign"] == list(fibrant_replacement(A)[2].assign)
+            fact = factorise(MonotoneMap(A, self.POINT, [0] * A.n))
+            obj = formats.factorisation_to_obj(fact)
+            assert payload["object"] == obj["K"] and payload["unit"] == obj["lambda"]
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", DIAMOND_OBJ)
+        a2 = write(tmp_path, "a2.json", formats.preorder_to_obj(antichain(2)))
+        f = write(tmp_path, "f.json", formats.map_to_obj(MonotoneMap(antichain(2), chain(2), [0, 1])))
+        argvs = [
+            ["--witness", "check", "complete-lattice", a2],
+            ["check", "complete-lattice", a2],
+            ["--witness", "check", "full", f],
+            ["check", "full", f],
+            ["--format", "dot", "factor", f],
+            ["factor", f],
+            ["--witness", "--format", "dot", "fibrant", d],
+            ["fibrant", d],
+            ["classify", "--max-size", "2"],
+            ["--max-size", "1", "classify"],
+            ["enumerate", "2", "--posets-only", "--labeled"],
+            ["enumerate", "2"],
+            ["dot", d],
+        ]
+        expected = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            expected.append((cli.main(argv), capsys.readouterr().out))
+        cli.build_parser.cache_clear()
+        got = [(cli.main(argv), capsys.readouterr().out) for argv in argvs + argvs[::-1]]
+        assert got == expected + expected[::-1]
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestCliContract:

@@ -169,7 +169,7 @@ class TestFilterMonad:
         fs = filter_space(X)
         alpha = filter_algebra(X)
         for i in range(fs.filters.n):
-            assert alpha(i) == inf_mask(DIA, fs.opens[fs.generators[i]])
+            assert alpha(i) == inf_mask(DIA, fs.opens[i])
 
 
 class TestDirectImage:
