@@ -44,7 +44,6 @@ from .topology import (
     filter_space,
     filter_unit,
     is_continuous_lattice,
-    is_top_coalgebra,
 )
 
 _INVALID = (FormatError, InvariantViolation, IndexOutOfRange)
@@ -56,6 +55,10 @@ def _load(path, want):
     if not isinstance(doc, want):
         raise FormatError(f"{path}: expected {want.__name__}, got {type(doc).__name__}")
     return doc
+
+
+def _load_map(path):
+    return _load(path, MonotoneMap)
 
 
 def _emit(text):
@@ -90,16 +93,18 @@ def _fullness_witness(f):
     return {"images-related": [f.src.label(a) for a in pair], "sources-unrelated": True}
 
 
-# predicate name -> (kind of object read, predicate, witness of a false verdict)
+# predicate name -> (reader of the file, predicate, witness of a false
+# verdict); top-coalgebra reads f_* of the map, so that the verdict and
+# its witness share one direct-image map
 _CHECKS = {
-    "poset": (FinPreorder, is_poset, _equivalent_pair),
-    "complete-lattice": (FinPreorder, is_complete_lattice, _complete_lattice_witness),
-    "continuous-lattice": (FinPreorder, is_continuous_lattice, _complete_lattice_witness),
-    "full": (MonotoneMap, is_full, _fullness_witness),
-    "order-embedding": (MonotoneMap, is_order_embedding, _fullness_witness),
-    "top-coalgebra": (
-        MonotoneMap, is_top_coalgebra, lambda f: _fullness_witness(f_lower_star(f))
+    "poset": (formats.load_preorder, is_poset, _equivalent_pair),
+    "complete-lattice": (formats.load_preorder, is_complete_lattice, _complete_lattice_witness),
+    "continuous-lattice": (
+        formats.load_preorder, is_continuous_lattice, _complete_lattice_witness
     ),
+    "full": (_load_map, is_full, _fullness_witness),
+    "order-embedding": (_load_map, is_order_embedding, _fullness_witness),
+    "top-coalgebra": (lambda path: f_lower_star(_load_map(path)), is_full, _fullness_witness),
 }
 
 
@@ -111,11 +116,8 @@ def _cmd_validate(args):
 
 
 def _cmd_check(args):
-    want, predicate, witness = _CHECKS[args.predicate]
-    if want is FinPreorder:
-        value = formats.load_preorder(args.file)
-    else:
-        value = _load(args.file, want)
+    read, predicate, witness = _CHECKS[args.predicate]
+    value = read(args.file)
     result = bool(predicate(value))
     payload = {"predicate": args.predicate, "result": result}
     if args.witness and not result:
@@ -125,7 +127,7 @@ def _cmd_check(args):
 
 
 def _cmd_factor(args):
-    fact = factorise(_load(args.file, MonotoneMap), args.max_carrier)
+    fact = factorise(_load_map(args.file), args.max_carrier)
     if args.format == "dot":
         _emit(formats.hasse_dot(formats.labelled_carrier(fact)))
     else:
@@ -152,7 +154,7 @@ def _cmd_fibrant(args):
 
 def _cmd_lift(args):
     family = _load(args.family, GeneratorFamily)
-    g = _load(args.map, MonotoneMap)
+    g = _load_map(args.map)
     st = lifting_structure(family, g, args.max_carrier)
     payload = {"exists": st is not None}
     if st is not None:
@@ -172,8 +174,8 @@ def _cmd_lift(args):
 
 
 def _cmd_kz(args):
-    j = _load(args.j, MonotoneMap)
-    g = _load(args.g, MonotoneMap)
+    j = _load_map(args.j)
+    g = _load_map(args.g)
     w = kz_orthogonal(j, g, args.max_carrier)
     payload = {"exists": w is not None}
     if w is not None:
@@ -185,7 +187,7 @@ def _cmd_kz(args):
 
 def _cmd_kan_injective(args):
     A = formats.load_preorder(args.object)
-    family = formats.load_document(args.family)
+    family = _load(args.family, GeneratorFamily)
     result = kan_injective(A, family, args.max_carrier)
     _emit(formats.dumps({"kan-injective": result}))
     return 0 if result else 1

@@ -1,9 +1,12 @@
-"""The down-set completion of a preorder and its monad structure.
+"""The down-set completion of a preorder.
 
 ``downsets(X)`` is the complete lattice of down-closed subsets ordered by
-inclusion; the unit sends an element to its principal down-set and the
-multiplication takes unions.  Algebras are exactly the complete lattices,
-with structure map a canonical supremum choice.
+inclusion, and the unit sends an element to its principal down-set.  The
+open-set lattice of a finite space is ``downsets`` of the opposite
+preorder.  The rest of the monad is the factorisation at the point: on
+X -> 1, ``factorisation.mult`` takes unions, ``k_on_square`` on the
+square (f, id) is the functor, and ``factorisation.algebra_structure``
+exists exactly on the complete lattices.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from .order import (
     _inclusion_rows,
     _union,
     down_set_masks,
-    is_complete_lattice,
-    sup_mask,
 )
 
 
@@ -48,35 +49,6 @@ def unit(X, dl=None):
     """x ↦ its principal down-set; always monotone and full."""
     dl = dl or downsets(X)
     return MonotoneMap(X, dl.carrier, [dl.index(X.down[x]) for x in range(X.n)])
-
-
-def apply_to_map(f, src_dl=None, tgt_dl=None):
-    """Functor action on a monotone map: φ ↦ down-closure of f[φ]."""
-    src_dl = src_dl or downsets(f.src)
-    tgt_dl = tgt_dl or downsets(f.tgt)
-    down = [f.tgt.down[v] for v in f.assign]
-    assign = [tgt_dl.index(_union(down, m)) for m in src_dl.masks]
-    return MonotoneMap(src_dl.carrier, tgt_dl.carrier, assign)
-
-
-def mult(X, max_carrier=DEFAULT_MAX_CARRIER):
-    """Union of a down-set of down-sets; the monad multiplication."""
-    dl = downsets(X, max_carrier)
-    dl2 = downsets(dl.carrier, max_carrier)
-    assign = [dl.index(_union(dl.masks, m2)) for m2 in dl2.masks]
-    return MonotoneMap(dl2.carrier, dl.carrier, assign)
-
-
-def algebra_structure(X):
-    """The structure map ``downsets(X) -> X``, or None.
-
-    Exists exactly when X is a complete lattice (up to equivalence); the
-    value on a down-set is the canonical least upper bound.
-    """
-    if not is_complete_lattice(X):
-        return None
-    dl = downsets(X)
-    return MonotoneMap(dl.carrier, X, [sup_mask(X, m) for m in dl.masks])
 
 
 def check_lax_idempotent_P(X, max_carrier=DEFAULT_MAX_CARRIER):

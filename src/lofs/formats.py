@@ -123,13 +123,18 @@ def map_from_obj(obj, base_dir="."):
     return _named_assign(obj.get("assign"), src, tgt, "assign")
 
 
-def map_to_obj(f):
+def _map_obj(src, tgt, assign):
+    """The CLI shape for the map src -> tgt with the given assignment."""
     return {
         "type": "map",
-        "source": preorder_to_obj(f.src),
-        "target": preorder_to_obj(f.tgt),
-        "assign": {f.src.label(i): f.tgt.label(v) for i, v in enumerate(f.assign)},
+        "source": preorder_to_obj(src),
+        "target": preorder_to_obj(tgt),
+        "assign": {src.label(i): tgt.label(v) for i, v in enumerate(assign)},
     }
+
+
+def map_to_obj(f):
+    return _map_obj(f.src, f.tgt, f.assign)
 
 
 def family_from_obj(obj, base_dir="."):
@@ -171,12 +176,15 @@ def labelled_carrier(fact):
 
 
 def factorisation_to_obj(fact):
-    """The CLI shape for a factorisation: middle object plus both legs."""
+    """The CLI shape for a factorisation: middle object plus both legs.
+
+    The legs, validated by ``factorise``, are rendered from their assignments.
+    """
     K = labelled_carrier(fact)
     return {
         "K": preorder_to_obj(K),
-        "lambda": map_to_obj(MonotoneMap(fact.f.src, K, fact.lam.assign)),
-        "rho": map_to_obj(MonotoneMap(K, fact.f.tgt, fact.rho.assign)),
+        "lambda": _map_obj(fact.f.src, K, fact.lam.assign),
+        "rho": _map_obj(K, fact.f.tgt, fact.rho.assign),
     }
 
 

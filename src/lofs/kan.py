@@ -47,19 +47,34 @@ class ExtensionWitness:
         return f"ExtensionWitness(ext={list(self.ext.assign)})"
 
 
-def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
+def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
     """The least g with f <= g ∘ j, if it restricts back to f; else None.
 
     When the codomain is a complete lattice the minimum is computed
     directly as g(y) = sup {f(x) : j(x) <= y}, which is below every
-    candidate by the upper-bound argument; otherwise (or when
-    ``brute_force`` is set) the monotone maps are scanned.  The scan only
-    enumerates maps with g(y) an upper bound of f[{x : j(x) <= y}]: for a
-    monotone g that is the same condition as f <= g ∘ j, so the candidate
-    list and its lexicographic order are those of the full scan.  The
-    least candidate is the first one inside ``lower``, the pointwise
-    meet of the down-sets of all candidates, which is the first candidate
-    below all of them.
+    candidate by the upper-bound argument; otherwise the monotone maps
+    are scanned by :func:`_scanned_extension`.
+    """
+    if j.src != f.src:
+        raise ShapeMismatch("extension needs dom j = dom f")
+    A = f.tgt
+    if not is_complete_lattice(A):
+        return _scanned_extension(j, f, max_carrier)
+    sups = _sup_table(A)
+    fbits = [1 << v for v in f.assign]
+    below = _preimage_masks(j.assign, j.tgt.down)
+    return _restricting(j, f, [sups[_union(fbits, m)] for m in below])
+
+
+def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
+    """:func:`lan_extension` by a scan of the monotone maps, for any codomain.
+
+    The scan only enumerates maps with g(y) an upper bound of
+    f[{x : j(x) <= y}]: for a monotone g that is the same condition as
+    f <= g ∘ j, so the candidate list and its lexicographic order are
+    those of the full scan.  The least candidate is the first one inside
+    ``lower``, the pointwise meet of the down-sets of all candidates,
+    which is the first candidate below all of them.
 
     The scan is memoised in ``_least_within``, keyed by (cod j, A, the
     bounds, ``max_carrier``) and bounded at 1,024 scans: maps f with the
@@ -70,29 +85,22 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER, brute_force=None):
     the restriction test still runs per call: results are unchanged.  A
     smaller ``max_carrier`` is a different key, so its guard still raises.
     """
-    if j.src != f.src:
-        raise ShapeMismatch("extension needs dom j = dom f")
     A = f.tgt
-    if brute_force is None:
-        brute_force = not is_complete_lattice(A)
-    if not brute_force:
-        sups = _sup_table(A)
-        fbits = [1 << v for v in f.assign]
-        below = _preimage_masks(j.assign, j.tgt.down)
-        ext = MonotoneMap(j.tgt, A, [sups[_union(fbits, m)] for m in below])
-    else:
-        bounds = [(1 << A.n) - 1] * j.tgt.n
-        for x in range(j.src.n):
-            for y in _bits(j.tgt.up[j.assign[x]]):
-                bounds[y] &= A.up[f.assign[x]]
-        best = _least_within(j.tgt, A, tuple(bounds), max_carrier)
-        if best is None:
-            return None
-        ext = MonotoneMap(j.tgt, A, best)
-    restricted = tuple(ext.assign[v] for v in j.assign)
-    if not all(
-        A.equiv(r, fx) for r, fx in zip(restricted, f.assign)
-    ):
+    bounds = [(1 << A.n) - 1] * j.tgt.n
+    for x in range(j.src.n):
+        for y in _bits(j.tgt.up[j.assign[x]]):
+            bounds[y] &= A.up[f.assign[x]]
+    best = _least_within(j.tgt, A, tuple(bounds), max_carrier)
+    if best is None:
+        return None
+    return _restricting(j, f, best)
+
+
+def _restricting(j, f, assign):
+    """The extension with ``assign`` as a witness, if it restricts back to f."""
+    A = f.tgt
+    ext = MonotoneMap(j.tgt, A, assign)
+    if not all(A.equiv(ext.assign[v], fx) for v, fx in zip(j.assign, f.assign)):
         return None
     return ExtensionWitness(j, f, ext)
 
@@ -118,7 +126,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     once and later members with that key are skipped: the verdict is the
     conjunction over members, and skipped members would repeat a check
     that passed.  Over any other A every extension takes the scan of
-    ``lan_extension``, which is what its own completeness test would pick.
+    ``_scanned_extension``, which is what ``lan_extension`` would pick.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
@@ -127,7 +135,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     for j in members:
         if not complete:
             for f in hom_maps(j.src, A, max_carrier):
-                if lan_extension(j, f, max_carrier, brute_force=True) is None:
+                if _scanned_extension(j, f, max_carrier) is None:
                     return False
             continue
         # complete codomain: the sup formula is monotone, minimal and an

@@ -11,22 +11,26 @@ improper filter containing the empty open is one of them.  In a finite
 lattice every filter is principal (a filter is a finite intersection-
 closed upper set, so it contains the meet of its members), which keeps
 the filter space the size of the open-set lattice.
+
+The open-set lattice is ``downsets`` of the opposite preorder, and the
+filter monad is the down-set monad read through it: the unit is the
+principal down-set, the functor the up-closure of images and the
+multiplication the union.
 """
 
 from __future__ import annotations
 
 from .adjunction import find_right_adjoint
+from .downsets import downsets
 from .errors import NotAPoset, SizeLimitExceeded
 from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
-    _inclusion_rows,
     _preimage_masks,
     _union,
     compose,
-    down_set_masks,
     identity,
     is_complete_lattice,
     is_full,
@@ -60,40 +64,41 @@ class FiniteSpace:
 class FilterSpace:
     """The space of filters of the open-set lattice, ordered by inclusion.
 
-    ``sets[i]`` is the member mask of filter ``i`` over ``opens``; every
-    filter here is principal, and filter ``i`` is generated by its least
-    member ``opens[i]``.  The specialization order of the filter
-    topology, whose sub-basic opens are {F : U in F}, is inclusion of
-    filters.
+    Every filter here is principal: filter ``i`` is generated by its least
+    member ``opens[i]``, and ``sets[i]``, its member mask over ``opens``,
+    is the up-row of ``i`` in the open-set lattice.  The specialization
+    order of the filter topology, whose sub-basic opens are {F : U in F},
+    is inclusion of filters, which reverses inclusion of their
+    generators: ``filters`` is the opposite of the open-set lattice.
     """
 
-    __slots__ = ("opens", "filters", "sets", "_index")
+    __slots__ = ("opens", "filters", "sets", "_lattice")
 
-    def __init__(self, opens, filters, sets):
-        self.opens = opens
-        self.filters = filters
-        self.sets = sets
-        self._index = {s: i for i, s in enumerate(sets)}
-
-    def index_of_set(self, member_mask):
-        return self._index[member_mask]
+    def __init__(self, lattice):
+        self._lattice = lattice
+        self.opens = lattice.masks
+        self.sets = lattice.carrier.up
+        self.filters = FinPreorder(lattice.carrier.n, lattice.carrier.down)
 
 
 def _points(X):
     return X.points if isinstance(X, FiniteSpace) else X
 
 
+def _open_lattice(X):
+    """The opens of X by inclusion: the down-sets of the opposite preorder."""
+    P = _points(X)
+    return downsets(FinPreorder(P.n, P.down))
+
+
 def open_masks(X):
     """All open sets (up-closed subsets) as masks, ascending."""
-    P = _points(X)
-    opposite = FinPreorder(P.n, P.down)
-    return down_set_masks(opposite)
+    return _open_lattice(X).masks
 
 
 def open_set_poset(X):
     """The opens of X ordered by inclusion, elements aligned with open_masks."""
-    masks = open_masks(X)
-    return FinPreorder(len(masks), _inclusion_rows(masks))
+    return _open_lattice(X).carrier
 
 
 def _directed_sups(P):
@@ -170,45 +175,41 @@ def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
     Filters are listed by their generating open, in open order; the order
     on filters is inclusion of member sets.
     """
-    opens = open_masks(X)
-    if len(opens) > max_carrier:
+    lattice = _open_lattice(X)
+    if len(lattice.masks) > max_carrier:
         raise SizeLimitExceeded("open-set lattice exceeds the bound")
-    # the filter generated by opens[u] is the set of opens above it: its
-    # inclusion row among the opens
-    sets = _inclusion_rows(opens)
-    filters = FinPreorder(len(opens), _inclusion_rows(sets))
-    return FilterSpace(opens, filters, tuple(sets))
+    return FilterSpace(lattice)
 
 
 def filter_unit(X, fs=None):
-    """x ↦ its neighbourhood filter; monotone, in fact an order embedding."""
+    """x ↦ its neighbourhood filter, generated by ↑x; an order embedding."""
     P = _points(X)
     fs = fs or filter_space(X)
-    open_index = {u: i for i, u in enumerate(fs.opens)}
-    return MonotoneMap(P, fs.filters, [open_index[P.up[x]] for x in range(P.n)])
+    return MonotoneMap(P, fs.filters, [fs._lattice.index(P.up[x]) for x in range(P.n)])
 
 
 def filter_map(f, src_fs=None, tgt_fs=None):
-    """Functor action: F ↦ {V : f⁻¹(V) in F}."""
+    """Functor action: F ↦ {V : f⁻¹(V) in F}.
+
+    For F generated by U, f⁻¹(V) contains U exactly when V contains the
+    up-closure of f[U], which therefore generates the image.
+    """
     src_fs = src_fs or filter_space(f.src)
     tgt_fs = tgt_fs or filter_space(f.tgt)
-    src_index = {u: i for i, u in enumerate(src_fs.opens)}
-    pre = [src_index[m] for m in _preimage_masks(f.assign, tgt_fs.opens)]
-    # the members of F's image: the opens V whose preimage is a member of F
-    assign = [tgt_fs.index_of_set(m) for m in _preimage_masks(pre, src_fs.sets)]
+    up = [f.tgt.up[v] for v in f.assign]
+    assign = [tgt_fs._lattice.index(_union(up, u)) for u in src_fs.opens]
     return MonotoneMap(src_fs.filters, tgt_fs.filters, assign)
 
 
 def filter_mult(X, fs=None, ffs=None):
-    """Kleisli-style multiplication: 𝔉 ↦ {U : {F : U in F} in 𝔉}."""
+    """Kleisli-style multiplication: 𝔉 ↦ {U : {F : U in F} in 𝔉}.
+
+    𝔉 is generated by an open W of the filter space, a set of generating
+    opens; {F : U in F} contains W exactly when U contains the union of W.
+    """
     fs = fs or filter_space(X)
     ffs = ffs or filter_space(FiniteSpace(fs.filters))
-    ff_open_index = {u: i for i, u in enumerate(ffs.opens)}
-    # {F : U in F} for U = opens[u]: the filters generated by an open
-    # inside U, which is the up-row of u in the (reverse) filter order
-    sharp = [ff_open_index[fs.filters.up[u]] for u in range(len(fs.opens))]
-    # the members of the image: the opens U whose sharp is a member of big
-    assign = [fs.index_of_set(m) for m in _preimage_masks(sharp, ffs.sets)]
+    assign = [fs._lattice.index(_union(fs.opens, w)) for w in ffs.opens]
     return MonotoneMap(ffs.filters, fs.filters, assign)
 
 
@@ -243,13 +244,13 @@ def f_lower_star(f):
     That union is {y : f⁻¹(↑y) ⊆ U}: the up-set of y is the least open
     containing y, and preimages preserve unions.
     """
-    tgt_index = {m: i for i, m in enumerate(open_masks(f.tgt))}
+    src, tgt = _open_lattice(f.src), _open_lattice(f.tgt)
     pre = _preimage_masks(f.assign, f.tgt.up)
     assign = [
-        tgt_index[sum(1 << y for y, p in enumerate(pre) if not (p & ~u))]
-        for u in open_masks(f.src)
+        tgt.index(sum(1 << y for y, p in enumerate(pre) if not (p & ~u)))
+        for u in src.masks
     ]
-    return MonotoneMap(open_set_poset(f.src), open_set_poset(f.tgt), assign)
+    return MonotoneMap(src.carrier, tgt.carrier, assign)
 
 
 def is_top_coalgebra(f):

@@ -1,12 +1,9 @@
-from lofs.downsets import (
-    algebra_structure,
-    apply_to_map,
-    check_lax_idempotent_P,
-    downsets,
-    mult,
-    unit,
-)
+from lofs.downsets import check_lax_idempotent_P, downsets, unit
+from lofs.factorisation import algebra_structure, k_on_square, mult
 from lofs.order import (
+    MonotoneMap,
+    Square,
+    _union,
     antichain,
     chain,
     compose,
@@ -20,9 +17,31 @@ from lofs.order import (
     sup_mask,
 )
 
+# The down-set monad is the factorisation at the point: its multiplication
+# and algebras are those of X -> 1, and its functor is the factorisation's
+# action on the square (f, id_1) between X -> 1 and Y -> 1.
+
 
 def reps(max_size):
     return [p for n in range(max_size + 1) for p in enumerate_preorders(n)]
+
+
+def bang(X):
+    return MonotoneMap(X, chain(1), [0] * X.n)
+
+
+def down_map(f):
+    """φ ↦ down-closure of f[φ], between the down-set lattices."""
+    return k_on_square(Square(bang(f.src), bang(f.tgt), f, identity(chain(1))))
+
+
+def down_mult(X):
+    return mult(bang(X))
+
+
+def down_algebra(X):
+    w = algebra_structure(bang(X))
+    return None if w is None else w.p
 
 
 class TestCompletion:
@@ -57,13 +76,13 @@ class TestUnit:
         for X in reps(3):
             dl = downsets(X)
             u = unit(X, dl)
-            assert is_full(apply_to_map(u, dl, downsets(dl.carrier)))
+            assert is_full(down_map(u))
 
 
 class TestMonadLaws:
     def test_examples(self):
         dl = downsets(chain(2))
-        m = mult(chain(2))
+        m = down_mult(chain(2))
         dl2 = downsets(dl.carrier)
         # empty family of down-sets unions to the empty down-set
         assert dl.masks[m(dl2.index(0))] == 0
@@ -73,39 +92,47 @@ class TestMonadLaws:
             dl = downsets(X)
             dl2 = downsets(dl.carrier)
             u = unit(X, dl)
-            m = mult(X)
+            m = down_mult(X)
             assert compose(unit(dl.carrier, dl2), m) == identity(dl.carrier)
-            assert compose(apply_to_map(u, dl, dl2), m) == identity(dl.carrier)
-            dl3 = downsets(dl2.carrier)
-            assert compose(apply_to_map(m, dl3, dl2), m) == compose(
-                mult(dl.carrier), m
+            assert compose(down_map(u), m) == identity(dl.carrier)
+            assert compose(down_map(m), m) == compose(down_mult(dl.carrier), m)
+
+    def test_mult_is_union_up_to_size_3(self):
+        for X in reps(3):
+            dl = downsets(X)
+            dl2 = downsets(dl.carrier)
+            assert down_mult(X) == MonotoneMap(
+                dl2.carrier, dl.carrier, [dl.index(_union(dl.masks, m)) for m in dl2.masks]
             )
 
 
 class TestAlgebras:
     def test_examples(self):
-        alpha = algebra_structure(diamond())
+        alpha = down_algebra(diamond())
         dl = downsets(diamond())
         assert alpha is not None
         for i, mask in enumerate(dl.masks):
             assert alpha(i) == sup_mask(diamond(), mask)
-        assert algebra_structure(antichain(2)) is None
-        assert algebra_structure(chain(1)) is not None
+        assert down_algebra(antichain(2)) is None
+        assert down_algebra(chain(1)) is not None
 
     def test_exists_iff_complete_up_to_size_4(self):
         for X in reps(4):
-            assert (algebra_structure(X) is not None) == is_complete_lattice(X)
+            alpha = down_algebra(X)
+            assert (alpha is not None) == is_complete_lattice(X)
+            if alpha is not None:
+                assert alpha.assign == tuple(sup_mask(X, m) for m in downsets(X).masks)
 
     def test_laws_up_to_equivalence(self):
         for X in [diamond(), chain(3), indiscrete(2)]:
-            alpha = algebra_structure(X)
+            alpha = down_algebra(X)
             dl = downsets(X)
             u = unit(X, dl)
             for x in range(X.n):
                 assert X.equiv(alpha(u(x)), x)
             dl2 = downsets(dl.carrier)
-            lhs = compose(apply_to_map(alpha, dl2, dl), alpha)
-            rhs = compose(mult(X), alpha)
+            lhs = compose(down_map(alpha), alpha)
+            rhs = compose(down_mult(X), alpha)
             for i in range(dl2.carrier.n):
                 assert X.equiv(lhs(i), rhs(i))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lofs import cli, formats
+from lofs import cli, formats, topology
 from lofs.errors import FormatError, InvariantViolation, SizeLimitExceeded
 from lofs.factorisation import factorise, fibrant_replacement
 from lofs.lifting import GeneratorFamily
@@ -17,7 +17,7 @@ from lofs.order import (
     identity,
     monotone_assignments,
 )
-from lofs.topology import FiniteSpace
+from lofs.topology import FiniteSpace, f_lower_star
 
 DIAMOND_OBJ = {
     "type": "preorder",
@@ -127,6 +127,24 @@ class TestCli:
         assert cli.main(["--witness", "check", "complete-lattice", v]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness"] == {"subset-without-sup": []}
+
+    def test_top_coalgebra_witness_builds_the_direct_image_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return f_lower_star(f)
+
+        monkeypatch.setattr(topology, "f_lower_star", counted)
+        monkeypatch.setattr(cli, "f_lower_star", counted)
+        f = MonotoneMap(chain(2), chain(1), [0, 0])  # not an embedding
+        path = write(tmp_path, "f.json", formats.map_to_obj(f))
+        assert cli.main(["--witness", "check", "top-coalgebra", path]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"] == {"images-related": ["x1", "x0"], "sources-unrelated": True}
+        assert len(calls) == 1
 
     def test_factor_matches_library(self, tmp_path, capsys):
         f = MonotoneMap(chain(1), chain(2), [1])
@@ -275,6 +293,25 @@ class TestCliRendering:
             obj = formats.factorisation_to_obj(fact)
             assert payload["object"] == obj["K"] and payload["unit"] == obj["lambda"]
 
+    def test_factorisation_legs_are_rendered_without_validation(self, monkeypatch):
+        facts = [
+            factorise(MonotoneMap(X, Y, assign))
+            for X in labelled_preorders(2, "ab")
+            for Y in labelled_preorders(2, "uv")
+            for assign in monotone_assignments(X, Y)
+        ]
+        expected = []
+        for fact in facts:
+            K = formats.labelled_carrier(fact)
+            expected.append({
+                "K": formats.preorder_to_obj(K),
+                "lambda": formats.map_to_obj(MonotoneMap(fact.f.src, K, fact.lam.assign)),
+                "rho": formats.map_to_obj(MonotoneMap(K, fact.f.tgt, fact.rho.assign)),
+            })
+        # the legs were validated by factorise; building a map again would fail here
+        monkeypatch.setattr(formats, "MonotoneMap", None)
+        assert [formats.factorisation_to_obj(fact) for fact in facts] == expected
+
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
         d = write(tmp_path, "d.json", DIAMOND_OBJ)
         a2 = write(tmp_path, "a2.json", formats.preorder_to_obj(antichain(2)))
@@ -360,6 +397,49 @@ class TestCliContract:
         capsys.readouterr()
         obj["links"][0].update({"from": True, "to": False})
         self.assert_invalid(write(tmp_path, "fam.json", obj), capsys)
+
+    def test_kan_injective_family_of_the_wrong_kind(self, tmp_path, capsys):
+        obj = write(tmp_path, "d.json", DIAMOND_OBJ)
+        j = MonotoneMap(antichain(2), diamond(), [1, 2])
+        for name, doc in (
+            ("two.json", {"type": "preorder", "elements": ["a", "b"], "le": []}),
+            ("map.json", formats.map_to_obj(j)),
+        ):
+            assert cli.main(["kan-injective", obj, write(tmp_path, name, doc)]) == 3
+            assert capsys.readouterr().out == ""
+
+    def test_every_file_command_with_every_document_kind(self, tmp_path, capsys):
+        j = MonotoneMap(antichain(2), diamond(), [1, 2])
+        docs = [
+            write(tmp_path, name, doc)
+            for name, doc in (
+                ("preorder.json", DIAMOND_OBJ),
+                ("space.json", formats.preorder_to_obj(chain(2), "space")),
+                ("map.json", formats.map_to_obj(j)),
+                ("family.json", [formats.map_to_obj(j)]),
+            )
+        ]
+        one_file = [["validate"], ["factor"], ["fibrant"], ["filter-space"], ["dot"]]
+        one_file += [["check", predicate] for predicate in sorted(cli._CHECKS)]
+        argvs = [command + [a] for command in one_file for a in docs]
+        argvs += [
+            [command, a, b]
+            for command in ("lift", "kz", "kan-injective")
+            for a in docs
+            for b in docs
+        ]
+        runs = 0
+        for flags in ([], ["--witness"], ["--format", "dot"]):
+            for argv in argvs:
+                try:
+                    code = cli.main(flags + argv)
+                except Exception as exc:  # the contract allows none
+                    pytest.fail(f"{flags + argv} raised {exc!r}")
+                out = capsys.readouterr().out
+                assert code in (0, 1, 2, 3), flags + argv
+                assert code < 2 or out == "", flags + argv
+                runs += 1
+        assert runs == 3 * (11 * 4 + 3 * 16)
 
     def test_invalid_utf8(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -2,6 +2,7 @@ import pytest
 
 from lofs.errors import ShapeMismatch, SizeLimitExceeded
 from lofs.kan import (
+    _scanned_extension,
     all_embeddings,
     chain_stage_report,
     classify_injectives,
@@ -98,7 +99,7 @@ class TestLanExtension:
                         j = MonotoneMap(X, Y, ja)
                         for f in hom_maps(X, A):
                             fast = lan_extension(j, f)
-                            brute = lan_extension(j, f, brute_force=True)
+                            brute = _scanned_extension(j, f)
                             assert (fast is None) == (brute is None)
                             if fast is not None:
                                 assert all(
@@ -135,7 +136,7 @@ class TestPrunedScan:
                 maps = monotone_assignments(j.tgt, A)
                 for fa in monotone_assignments(j.src, A):
                     f = MonotoneMap(j.src, A, fa)
-                    w = lan_extension(j, f, brute_force=True)
+                    w = _scanned_extension(j, f)
                     expected = naive_extension(j, f, maps)
                     assert (None if w is None else w.ext.assign) == expected
 
@@ -143,8 +144,8 @@ class TestPrunedScan:
         j = identity(antichain(3))
         f = MonotoneMap(antichain(3), DIA, [0, 0, 0])
         with pytest.raises(SizeLimitExceeded):
-            lan_extension(j, f, max_carrier=63, brute_force=True)
-        assert lan_extension(j, f, max_carrier=64, brute_force=True) is not None
+            _scanned_extension(j, f, max_carrier=63)
+        assert _scanned_extension(j, f, max_carrier=64) is not None
 
 
 class TestGroupedKanInjectivity:

@@ -33,7 +33,7 @@ from lofs.adjunction import (  # noqa: E402
     find_right_adjoint,
 )
 from lofs.cli import _fullness_witness  # noqa: E402
-from lofs.downsets import apply_to_map, check_lax_idempotent_P, downsets  # noqa: E402
+from lofs.downsets import check_lax_idempotent_P, downsets  # noqa: E402
 from lofs.errors import (  # noqa: E402
     IndexOutOfRange,
     InvariantViolation,
@@ -45,6 +45,7 @@ from lofs.factorisation import (  # noqa: E402
     _k_action,
     _upper_bound_table,
     factorise,
+    k_on_square,
 )
 from lofs.kan import _least_within, lan_extension  # noqa: E402
 from lofs.lifting import (  # noqa: E402
@@ -58,6 +59,7 @@ from lofs.order import (  # noqa: E402
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
+    Square,
     _least_member,
     _squares,
     _union,
@@ -372,7 +374,7 @@ def naive_filter_map(f, src_fs, tgt_fs):
         for vi, ui in enumerate(pre):
             if (s >> ui) & 1:
                 members |= 1 << vi
-        assign.append(tgt_fs.index_of_set(members))
+        assign.append(tgt_fs.sets.index(members))
     return tuple(assign)
 
 
@@ -391,7 +393,7 @@ def naive_filter_mult(fs, ffs):
         for u, open_idx in enumerate(sharp):
             if (big >> open_idx) & 1:
                 members |= 1 << u
-        assign.append(fs.index_of_set(members))
+        assign.append(fs.sets.index(members))
     return tuple(assign)
 
 
@@ -669,7 +671,15 @@ def test_downset_actions_match_loops(f):
         return
     assert check_lax_idempotent_P(f.src) == naive_lax_idempotent(f.src)
     src_dl, tgt_dl = downsets(f.src), downsets(f.tgt)
-    assert apply_to_map(f, src_dl, tgt_dl).assign == tuple(
+    # the down-set functor: the factorisation's action on (f, id) at the point
+    point = chain(1)
+    at_point = Square(
+        MonotoneMap(f.src, point, [0] * f.src.n),
+        MonotoneMap(f.tgt, point, [0] * f.tgt.n),
+        f,
+        identity(point),
+    )
+    assert k_on_square(at_point).assign == tuple(
         tgt_dl.index(naive_down_image(f, m)) for m in src_dl.masks
     )
     col = collage(f)
