@@ -123,18 +123,18 @@ def map_from_obj(obj, base_dir="."):
     return _named_assign(obj.get("assign"), src, tgt, "assign")
 
 
-def _map_obj(src, tgt, assign):
-    """The CLI shape for the map src -> tgt with the given assignment."""
+def _map_obj(src, tgt, assign, src_obj, tgt_obj):
+    """The CLI shape for src -> tgt; ``src_obj``, ``tgt_obj`` are their renderings."""
     return {
         "type": "map",
-        "source": preorder_to_obj(src),
-        "target": preorder_to_obj(tgt),
+        "source": src_obj,
+        "target": tgt_obj,
         "assign": {src.label(i): tgt.label(v) for i, v in enumerate(assign)},
     }
 
 
 def map_to_obj(f):
-    return _map_obj(f.src, f.tgt, f.assign)
+    return _map_obj(f.src, f.tgt, f.assign, preorder_to_obj(f.src), preorder_to_obj(f.tgt))
 
 
 def family_from_obj(obj, base_dir="."):
@@ -178,13 +178,17 @@ def labelled_carrier(fact):
 def factorisation_to_obj(fact):
     """The CLI shape for a factorisation: middle object plus both legs.
 
-    The legs, validated by ``factorise``, are rendered from their assignments.
+    The legs, validated by ``factorise``, are rendered from their
+    assignments.  K is rendered once: the ``K`` entry, the target of
+    lambda and the source of rho are one object.
     """
+    A, B = fact.f.src, fact.f.tgt
     K = labelled_carrier(fact)
+    k_obj = preorder_to_obj(K)
     return {
-        "K": preorder_to_obj(K),
-        "lambda": _map_obj(fact.f.src, K, fact.lam.assign),
-        "rho": _map_obj(K, fact.f.tgt, fact.rho.assign),
+        "K": k_obj,
+        "lambda": _map_obj(A, K, fact.lam.assign, preorder_to_obj(A), k_obj),
+        "rho": _map_obj(K, B, fact.rho.assign, k_obj, preorder_to_obj(B)),
     }
 
 

@@ -5,6 +5,10 @@ commuting square from j to g, a diagonal filler; the choices must be
 monotone in the square and natural across the family's links.  Since the
 hom objects here are preorders, generator families carry no composition
 data: links are plain squares between members.
+
+Fillers are the fibres of the comparison c : hom(cod j, dom g) -> Sq(j, g),
+d ↦ (d ∘ j, g ∘ d): exactly over a square, up to pointwise equivalence
+over its class.  A KZ-lifting operation is a RALI section of c.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .order import (
     _hom_preorder,
     _least_vector,
     _pointwise_leq,
+    _preimage_masks,
     _square_preorder,
     compose,
     monotone_assignments,
@@ -77,73 +82,35 @@ class LiftingStructure:
         return self.fillers[(member_idx, h.assign, k.assign)]
 
 
+def _boundaries(j, g, assigns, sqs):
+    """The comparison map c on assignment tuples: c(d) for each d in ``assigns``.
+
+    c(d) is the index in ``sqs`` of the boundary square (d ∘ j, g ∘ d).
+    ``sqs`` lists every square j -> g, so every boundary has an index.
+    """
+    index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
+    return [
+        index[(tuple(d[v] for v in j.assign), tuple(g.assign[v] for v in d))]
+        for d in assigns
+    ]
+
+
 def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     """The comparison d ↦ (d ∘ j, g ∘ d) into the square preorder.
 
     Its source is ``hom_poset(cod j, dom g)`` and its target
     ``sq_hom_poset(j, g)``, both in canonical element order.  The hom
     assignments and the squares are enumerated once here and shared by
-    both preorders and the square index; they are the very lists those
+    both preorders and ``_boundaries``; they are the very lists those
     two functions would enumerate, so the map is unchanged.
     """
     assigns = monotone_assignments(j.tgt, g.src, max_carrier)
     sqs = squares(j, g, max_carrier)
-    index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
-    out = []
-    for d in assigns:
-        h = tuple(d[v] for v in j.assign)
-        k = tuple(g.assign[v] for v in d)
-        out.append(index[(h, k)])
     return MonotoneMap(
-        _hom_preorder(j.tgt, g.src, assigns), _square_preorder(j, g, sqs), out
+        _hom_preorder(j.tgt, g.src, assigns),
+        _square_preorder(j, g, sqs),
+        _boundaries(j, g, assigns, sqs),
     )
-
-
-def square_fillers(sq, max_carrier=DEFAULT_MAX_CARRIER, up_to_equiv=False):
-    """All diagonals d with d ∘ j = h and g ∘ d = k, lexicographic.
-
-    With ``up_to_equiv`` the two equations are read up to pointwise
-    equivalence, the enriched notion matching KZ-lifting witnesses; the
-    readings agree over posets.
-    """
-    assigns = monotone_assignments(sq.j.tgt, sq.g.src, max_carrier)
-    return _fillers(sq, assigns, up_to_equiv)
-
-
-def _fillers(sq, assigns, up_to_equiv=False):
-    """``square_fillers`` over ``assigns``, the hom set cod j -> dom g.
-
-    Every square of one pair (j, g) shares that hom set, so the callers
-    that walk all the squares of a pair enumerate it once and pass it in.
-    """
-    C, D = sq.g.src, sq.g.tgt
-    out = []
-    for d in assigns:
-        if up_to_equiv:
-            fits = all(
-                C.equiv(d[sq.j.assign[x]], sq.h.assign[x])
-                for x in range(sq.j.src.n)
-            ) and all(
-                D.equiv(sq.g.assign[v], sq.k.assign[y]) for y, v in enumerate(d)
-            )
-        else:
-            fits = all(
-                d[sq.j.assign[x]] == sq.h.assign[x] for x in range(sq.j.src.n)
-            ) and all(sq.g.assign[v] == sq.k.assign[y] for y, v in enumerate(d))
-        if fits:
-            out.append(MonotoneMap(sq.j.tgt, C, d))
-    return out
-
-
-def _squares_and_homs(j, g, max_carrier):
-    """The squares j -> g and, when there is one, the hom set cod j -> dom g.
-
-    The hom set is enumerated only when there is a square, as it was
-    when each square enumerated it, so its size guard raises in the same
-    cases.
-    """
-    sqs = squares(j, g, max_carrier)
-    return sqs, monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
 
 
 def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
@@ -151,36 +118,50 @@ def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
 
     Fillers are taken up to pointwise equivalence so that KZ-orthogonality
     always implies this predicate; over posets that is the strict notion.
+    So the comparison map must hit every class of squares.  The hom set
+    is enumerated only when there is a square, so its size guard raises
+    in the same cases as when each square enumerated it.
     """
-    sqs, assigns = _squares_and_homs(j, g, max_carrier)
-    return all(_fillers(s, assigns, up_to_equiv=True) for s in sqs)
+    sqs = squares(j, g, max_carrier)
+    assigns = monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
+    order = _square_preorder(j, g, sqs)
+    classes = [order.class_mask(i) for i in range(order.n)]
+    return all(_preimage_masks(_boundaries(j, g, assigns, sqs), classes))
 
 
 def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     """A coherent lifting structure on g, or None.
 
-    Fillers are chosen square by square: the least filler when one
-    exists, else the lexicographic-first (recorded by the ``canonical``
-    flag).  The selection is then validated against the monotonicity and
+    From the fibre of the comparison map over each square, the least
+    filler is chosen when one exists, else the lexicographic-first
+    (recorded by the ``canonical`` flag), and only that one is built as
+    a map.  The selection is then validated against the monotonicity and
     link-naturality invariants; KZ situations never hit the flag and
-    always validate.  Each member's squares and its hom set cod j -> dom g
-    are enumerated once, and the squares are shared with that check.
+    always validate.  Each member's squares and, when it has one, its hom
+    set cod j -> dom g are enumerated once; the squares are shared with
+    that check.
     """
     fillers = {}
     canonical = True
     member_squares = []
     for idx, j in enumerate(family.members):
-        sqs, assigns = _squares_and_homs(j, g, max_carrier)
+        sqs = squares(j, g, max_carrier)
+        assigns = monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
         member_squares.append(sqs)
-        for sq in sqs:
-            cands = _fillers(sq, assigns)
-            if not cands:
+        fibres = _preimage_masks(
+            _boundaries(j, g, assigns, sqs), [1 << i for i in range(len(sqs))]
+        )
+        for sq, fibre in zip(sqs, fibres):
+            if not fibre:
                 return None
-            best = _least_vector([d.assign for d in cands], g.src)
+            cands = [assigns[d] for d in _bits(fibre)]
+            best = _least_vector(cands, g.src)
             if best is None:
                 canonical = False
                 best = 0
-            fillers[(idx, sq.h.assign, sq.k.assign)] = cands[best]
+            fillers[(idx, sq.h.assign, sq.k.assign)] = MonotoneMap(
+                j.tgt, g.src, cands[best]
+            )
     out = LiftingStructure(g, family, fillers, canonical)
     if not _coherent(out, member_squares):
         return None

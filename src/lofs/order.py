@@ -702,7 +702,8 @@ def sq_hom_poset(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     both its h and its k do, pointwise.  The rows come from
     ``_pointwise_rows`` over the concatenated (h, k) vectors, which is the
     same relation as comparing every pair; callers that already hold the
-    squares (``lifting.canonical_map``) share them through
+    squares (``canonical_map``, ``has_lifting`` and the coherence check
+    of the lifting structures in ``lifting``) share them through
     ``_square_preorder``.
     """
     return _square_preorder(j, g, squares(j, g, max_carrier))

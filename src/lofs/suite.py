@@ -36,7 +36,6 @@ from .order import (
     MonotoneMap,
     Square,
     _bits,
-    _pointwise_leq,
     arrow_canonical_key,
     chain,
     closure,
@@ -47,6 +46,7 @@ from .order import (
     is_complete_lattice,
     is_full,
     maps_equivalent,
+    monotone_assignments,
     squares,
 )
 from .topology import (
@@ -217,12 +217,20 @@ def criterion_fibrant_replacement():
     return True, "replacement matches the down-set lattice for all 186 classes"
 
 
+def _order_tables(P):
+    """(le, rep): le[a][b] says a <= b in P; rep[a] is the least b equivalent to a."""
+    le = [[P.leq(a, b) for b in range(P.n)] for a in range(P.n)]
+    return le, [next(b for b in range(P.n) if le[a][b] and le[b][a]) for a in range(P.n)]
+
+
 def criterion_least_diagonal():
     """Canonical diagonals are least fillers and agree with the KZ section.
 
     Boundary equations and filler membership are read up to pointwise
     equivalence (on posets that is equality); the minimality check runs
-    against every monotone map filling the square in that sense.
+    against every monotone map filling the square in that sense.  Maps
+    are composed and compared as assignment tuples, against order tables
+    built once per algebra.
     """
     classes = _arrow_classes(3)
     fulls = [(f, coalgebra_structure(f)) for f in classes if is_full(f)]
@@ -230,38 +238,44 @@ def criterion_least_diagonal():
     for g in classes:
         w = algebra_structure(g)
         if w is not None:
-            algebras.append((g, w))
-    def norm(P, assign):
-        return tuple((P.class_mask(v) & -P.class_mask(v)).bit_length() - 1 for v in assign)
+            algebras.append((g, w, _order_tables(g.src), _order_tables(g.tgt)))
+
+    def leq(le, a, b):
+        return all(le[x][y] for x, y in zip(a, b))
+
+    def equiv(le, a, b):
+        return leq(le, a, b) and leq(le, b, a)
+
+    def norm(rep, assign):
+        return tuple(rep[v] for v in assign)
 
     pairs = 0
     for f, s in fulls:
-        for g, p in algebras:
+        for g, p, (le_c, rep_c), (le_d, rep_d) in algebras:
             sqs = squares(f, g)
             fillers_of = {}
-            all_maps = hom_maps(f.tgt, g.src)
+            all_maps = monotone_assignments(f.tgt, g.src)
             by_boundary = {}
             for w in all_maps:
-                key = (norm(g.src, compose(f, w).assign), norm(g.tgt, compose(w, g).assign))
-                by_boundary.setdefault(key, []).append(w)
+                h, k = [w[x] for x in f.assign], [g.assign[y] for y in w]
+                by_boundary.setdefault((norm(rep_c, h), norm(rep_d, k)), []).append(w)
             for sq in sqs:
-                d = canonical_diag(sq, s, p)
-                if not maps_equivalent(compose(f, d), sq.h):
+                d = canonical_diag(sq, s, p).assign
+                if not equiv(le_c, [d[x] for x in f.assign], sq.h.assign):
                     return False, f"diagonal misses h on {sq!r}"
-                if not maps_equivalent(compose(d, g), sq.k):
+                if not equiv(le_d, [g.assign[y] for y in d], sq.k.assign):
                     return False, f"diagonal misses k on {sq!r}"
                 fillers_of[(sq.h.assign, sq.k.assign)] = d
-                key = (norm(g.src, sq.h.assign), norm(g.tgt, sq.k.assign))
+                key = (norm(rep_c, sq.h.assign), norm(rep_d, sq.k.assign))
                 for w in by_boundary.get(key, ()):
-                    if not _pointwise_leq(g.src, d.assign, w.assign):
+                    if not leq(le_c, d, w):
                         return False, f"diagonal not least on {sq!r}"
             w = kz_orthogonal(f, g)
             if w is None:
                 return False, f"KZ witness missing for full {f!r} vs algebra {g!r}"
             for i, sq in enumerate(sqs):
                 picked = all_maps[w.left_adjoint(i)]
-                d = fillers_of[(sq.h.assign, sq.k.assign)]
-                if not maps_equivalent(picked, d):
+                if not equiv(le_c, picked, fillers_of[(sq.h.assign, sq.k.assign)]):
                     return False, f"section disagrees with the diagonal on {sq!r}"
             pairs += 1
     return True, f"{pairs} (coalgebra, algebra) pairs, zero violations"

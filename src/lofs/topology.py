@@ -47,10 +47,6 @@ class FiniteSpace:
     def __init__(self, points):
         self.points = points
 
-    @property
-    def is_t0(self):
-        return self.points.is_poset
-
     def __eq__(self, other):
         return isinstance(other, FiniteSpace) and self.points == other.points
 
@@ -85,10 +81,13 @@ def _points(X):
     return X.points if isinstance(X, FiniteSpace) else X
 
 
-def _open_lattice(X):
-    """The opens of X by inclusion: the down-sets of the opposite preorder."""
+def _open_lattice(X, max_carrier=DEFAULT_MAX_CARRIER):
+    """The opens of X by inclusion: the down-sets of the opposite preorder.
+
+    ``max_carrier`` bounds the number of opens while they are built.
+    """
     P = _points(X)
-    return downsets(FinPreorder(P.n, P.down))
+    return downsets(FinPreorder(P.n, P.down), max_carrier)
 
 
 def open_masks(X):
@@ -173,12 +172,11 @@ def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
     """The space of filters of the open-set lattice of X.
 
     Filters are listed by their generating open, in open order; the order
-    on filters is inclusion of member sets.
+    on filters is inclusion of member sets.  There is one filter per
+    open, so ``max_carrier`` bounds the opens while they are built, and
+    the down-set guard names the bound when it fires.
     """
-    lattice = _open_lattice(X)
-    if len(lattice.masks) > max_carrier:
-        raise SizeLimitExceeded("open-set lattice exceeds the bound")
-    return FilterSpace(lattice)
+    return FilterSpace(_open_lattice(X, max_carrier))
 
 
 def filter_unit(X, fs=None):

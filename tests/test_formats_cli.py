@@ -293,6 +293,24 @@ class TestCliRendering:
             obj = formats.factorisation_to_obj(fact)
             assert payload["object"] == obj["K"] and payload["unit"] == obj["lambda"]
 
+    def test_factor_renders_the_carrier_once(self, tmp_path, capsys, monkeypatch):
+        f = write(tmp_path, "f.json", {
+            "type": "map", "source": DIAMOND_OBJ, "target": formats.preorder_to_obj(self.POINT),
+            "assign": {e: "pt" for e in DIAMOND_OBJ["elements"]},
+        })
+        expected = formats.dumps(formats.factorisation_to_obj(factorise(formats.load_document(f))))
+        sizes = []
+        render = formats.preorder_to_obj
+
+        def counted(P, type_name="preorder"):
+            sizes.append(P.n)
+            return render(P, type_name)
+
+        monkeypatch.setattr(formats, "preorder_to_obj", counted)
+        assert cli.main(["factor", f]) == 0
+        assert capsys.readouterr().out == expected
+        assert sizes == [6, 4, 1]  # K once, then dom f and cod f
+
     def test_factorisation_legs_are_rendered_without_validation(self, monkeypatch):
         facts = [
             factorise(MonotoneMap(X, Y, assign))

@@ -50,17 +50,18 @@ from lofs.factorisation import (  # noqa: E402
 from lofs.kan import _least_within, lan_extension  # noqa: E402
 from lofs.lifting import (  # noqa: E402
     GeneratorFamily,
-    _fillers,
+    _boundaries,
     has_lifting,
     lifting_structure,
-    square_fillers,
 )
 from lofs.order import (  # noqa: E402
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     Square,
+    _bits,
     _least_member,
+    _preimage_masks,
     _squares,
     _union,
     _unreflected_pair,
@@ -77,6 +78,7 @@ from lofs.order import (  # noqa: E402
     is_full,
     maps_equivalent,
     monotone_assignments,
+    sq_hom_poset,
     squares,
     sup_mask,
     two_cell,
@@ -435,7 +437,7 @@ def naive_lifting_structure(family, g):
     canonical = True
     for idx, j in enumerate(family.members):
         for sq in squares(j, g):
-            cands = [d.assign for d in square_fillers(sq)]
+            cands = naive_square_fillers(sq, False)
             if not cands:
                 return None
             least = [d for d in cands if all(leq(g.src, d, e) for e in cands)]
@@ -768,15 +770,22 @@ def test_lifting_structure_matches_pairwise(members, g, picks):
 @PROPERTY
 @given(maps(), maps())
 def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
+    """The fibres of the comparison map are the per-square fillers.
+
+    Exactly: the fibre over square i; up to equivalence: the fibre over
+    the class of i in the square preorder.
+    """
     if j is None or g is None:
         return
     sqs = squares(j, g)
     assigns = monotone_assignments(j.tgt, g.src)
-    for sq in sqs:
-        for up_to_equiv in (False, True):
-            expected = naive_square_fillers(sq, up_to_equiv)
-            assert [d.assign for d in _fillers(sq, assigns, up_to_equiv)] == expected
-            assert [d.assign for d in square_fillers(sq, up_to_equiv=up_to_equiv)] == expected
+    c = _boundaries(j, g, assigns, sqs)
+    order = sq_hom_poset(j, g)
+    exact = _preimage_masks(c, [1 << i for i in range(len(sqs))])
+    up_to_equiv = _preimage_masks(c, [order.class_mask(i) for i in range(len(sqs))])
+    for i, sq in enumerate(sqs):
+        assert [assigns[d] for d in _bits(exact[i])] == naive_square_fillers(sq, False)
+        assert [assigns[d] for d in _bits(up_to_equiv[i])] == naive_square_fillers(sq, True)
     assert has_lifting(j, g) == all(naive_square_fillers(sq, True) for sq in sqs)
 
 

@@ -1,7 +1,11 @@
+import importlib
+
 import pytest
 
-from lofs.errors import NotAPoset
+from lofs import cli, formats
+from lofs.errors import NotAPoset, SizeLimitExceeded
 from lofs.order import (
+    FinPreorder,
     MonotoneMap,
     antichain,
     chain,
@@ -103,6 +107,31 @@ class TestFilterSpace:
     def test_chain_space(self):
         fs = filter_space(FiniteSpace(chain(2)))
         assert is_isomorphic(fs.filters, chain(3))
+
+    def test_bound_below_the_lattice_raises_while_building(self, monkeypatch):
+        # 2^13 opens; the guard fires before the lattice is ordered
+        def never(masks):
+            raise AssertionError("the open-set lattice was built")
+
+        monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_inclusion_rows", never)
+        with pytest.raises(SizeLimitExceeded) as info:
+            filter_space(FiniteSpace(antichain(13)), 100)
+        assert str(info.value) == "more than 100 down-sets on a 13-element preorder"
+
+    def test_bound_above_the_default_is_honoured(self):
+        # twelve incomparable points below a top: 2^12 + 1 = 4097 opens
+        X = FiniteSpace(FinPreorder(13, [1 << i | 1 << 12 for i in range(12)] + [1 << 12]))
+        with pytest.raises(SizeLimitExceeded, match="more than 4096 down-sets"):
+            filter_space(X)
+        assert filter_space(X, 4097).filters.n == 4097
+
+    def test_cli_bound_names_itself(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(formats.dumps(formats.preorder_to_obj(antichain(13), "space")))
+        assert cli.main(["--max-carrier", "100", "filter-space", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "lofs: more than 100 down-sets on a 13-element preorder\n"
 
     def test_unit_values(self):
         X = FiniteSpace(chain(2))
