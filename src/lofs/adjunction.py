@@ -8,12 +8,13 @@ element with no minimum.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, ShapeMismatch, SizeLimitExceeded
+from .errors import InvariantViolation, ShapeMismatch
 from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
+    _guard,
     _least_member,
     _pointwise_rows,
     _preimage_masks,
@@ -196,8 +197,7 @@ def find_lari(f):
 def comma(f, max_carrier=DEFAULT_MAX_CARRIER):
     """The lax limit of f: pairs (a, b) with f(a) <= b."""
     A, B = f.src, f.tgt
-    if A.n * B.n > max_carrier:
-        raise SizeLimitExceeded("comma carrier exceeds the bound")
+    _guard("comma candidate pairs", A.n * B.n, max_carrier)
     pairs = [
         (a, b) for a in range(A.n) for b in range(B.n) if (B.up[f.assign[a]] >> b) & 1
     ]

@@ -27,6 +27,7 @@ from .kan import kan_injective, classify_injectives
 from .lifting import GeneratorFamily, kz_orthogonal, lifting_structure
 from .order import (
     DEFAULT_ENUM_BOUND,
+    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
@@ -218,7 +219,7 @@ def _cmd_filter_space(args):
     X = _load(args.file, FiniteSpace)
     fs = filter_space(X, args.max_carrier)
     labels = ["{" + ",".join(_names(X.points, u)) + "}^" for u in fs.opens]
-    filters = FinPreorder(fs.filters.n, fs.filters.up, labels)
+    filters = FinPreorder._checked(fs.filters.up, fs.filters.down, labels)
     if args.format == "dot":
         _emit(formats.hasse_dot(filters))
         return 0
@@ -271,8 +272,8 @@ def build_parser():
         prog="lofs",
         description="Finite order-theoretic factorisations, lifting operations and topology.",
     )
-    parser.add_argument("--max-carrier", type=int, default=4096, metavar="N",
-                        help="bound on intermediate carriers (default 4096)")
+    parser.add_argument("--max-carrier", type=int, default=DEFAULT_MAX_CARRIER, metavar="N",
+                        help=f"bound on intermediate carriers (default {DEFAULT_MAX_CARRIER})")
     # default None so that a subcommand can tell an explicit bound apart
     parser.add_argument("--max-size", type=int, default=None, metavar="N",
                         help=f"bound on enumerated object size (default {DEFAULT_ENUM_BOUND})")

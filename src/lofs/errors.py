@@ -14,7 +14,19 @@ class ShapeMismatch(LofsError):
 
 
 class SizeLimitExceeded(LofsError):
-    """A carrier or search space would exceed the configured bound."""
+    """A carrier or search space would exceed the configured bound.
+
+    ``what`` names the guard, ``requested`` is the amount it measured and
+    ``bound`` the limit that amount exceeds; the message is built from
+    the three.
+    """
+
+    def __init__(self, what, requested, bound):
+        super().__init__(what, requested, bound)
+        self.what, self.requested, self.bound = what, requested, bound
+
+    def __str__(self):
+        return f"{self.what}: {self.requested} exceeds the bound {self.bound}"
 
 
 class NotAPoset(LofsError):

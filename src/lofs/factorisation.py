@@ -22,6 +22,7 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
+    _guard,
     _inclusion_rows,
     _pointwise_rows,
     _preimage_masks,
@@ -120,8 +121,7 @@ def _carrier(masks, B, labels, pre, max_carrier):
     vectors = [
         (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
     ]
-    if len(vectors) > max_carrier:
-        raise SizeLimitExceeded("factorisation carrier exceeds the bound")
+    _guard("factorisation carrier", len(vectors), max_carrier)
     pairs = tuple((masks[i], b) for i, b in vectors)
     K = FinPreorder(len(pairs), _pointwise_rows(vectors, (_inclusion_rows(masks), B.up)))
     index = {p: i for i, p in enumerate(pairs)}
@@ -146,8 +146,8 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     part is built and validated once while it stays cached.  The cached
     values are immutable and built by the same code from the same key,
     so results and their order are unchanged.  An exception is not
-    cached: a smaller ``max_carrier`` is a different key, and the guard
-    raises with its own message.  The left part and the returned object
+    cached, and a smaller ``max_carrier`` is a different key, so the
+    guard still raises.  The left part and the returned object
     are built per call, on the caller's own f.
     """
     A, B = f.src, f.tgt

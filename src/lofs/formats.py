@@ -172,7 +172,7 @@ def labelled_carrier(fact):
         "({" + ",".join(A.label(i) for i in _bits(m)) + "}," + B.label(b) + ")"
         for m, b in fact.pairs
     ]
-    return FinPreorder(fact.K.n, fact.K.up, labels)
+    return FinPreorder._checked(fact.K.up, fact.K.down, labels)
 
 
 def factorisation_to_obj(fact):

@@ -127,6 +127,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     conjunction over members, and skipped members would repeat a check
     that passed.  Over any other A every extension takes the scan of
     ``_scanned_extension``, which is what ``lan_extension`` would pick.
+    Either way ``max_carrier`` bounds every hom set into A.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
@@ -146,7 +147,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
         jb = tuple(below[y] for y in j.assign)
         if (X, jb) in passed:
             continue
-        for f in monotone_assignments(X, A):
+        for f in monotone_assignments(X, A, max_carrier):
             for x in range(X.n):
                 mask = 0
                 m = jb[x]

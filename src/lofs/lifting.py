@@ -118,12 +118,10 @@ def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
 
     Fillers are taken up to pointwise equivalence so that KZ-orthogonality
     always implies this predicate; over posets that is the strict notion.
-    So the comparison map must hit every class of squares.  The hom set
-    is enumerated only when there is a square, so its size guard raises
-    in the same cases as when each square enumerated it.
+    So the comparison map must hit every class of squares.
     """
     sqs = squares(j, g, max_carrier)
-    assigns = monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
+    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
     order = _square_preorder(j, g, sqs)
     classes = [order.class_mask(i) for i in range(order.n)]
     return all(_preimage_masks(_boundaries(j, g, assigns, sqs), classes))
@@ -137,8 +135,8 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     (recorded by the ``canonical`` flag), and only that one is built as
     a map.  The selection is then validated against the monotonicity and
     link-naturality invariants; KZ situations never hit the flag and
-    always validate.  Each member's squares and, when it has one, its hom
-    set cod j -> dom g are enumerated once; the squares are shared with
+    always validate.  Each member's squares and its hom set
+    cod j -> dom g are enumerated once; the squares are shared with
     that check.
     """
     fillers = {}
@@ -146,7 +144,7 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     member_squares = []
     for idx, j in enumerate(family.members):
         sqs = squares(j, g, max_carrier)
-        assigns = monotone_assignments(j.tgt, g.src, max_carrier) if sqs else []
+        assigns = monotone_assignments(j.tgt, g.src, max_carrier)
         member_squares.append(sqs)
         fibres = _preimage_masks(
             _boundaries(j, g, assigns, sqs), [1 << i for i in range(len(sqs))]

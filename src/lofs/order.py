@@ -24,6 +24,17 @@ DEFAULT_MAX_CARRIER = 4096
 DEFAULT_ENUM_BOUND = 5
 
 
+def _guard(what, requested, bound):
+    """Raise ``SizeLimitExceeded`` when ``requested`` exceeds ``bound``.
+
+    The one size guard: every limit in lofs calls it with the amount of
+    work it is about to do, or the count reached so far, and ``what``
+    names the guard in the message.
+    """
+    if requested > bound:
+        raise SizeLimitExceeded(what, requested, bound)
+
+
 def _bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -97,8 +108,8 @@ class FinPreorder:
     row's range and reflexivity.  The second walks the set bits of every
     row once, inline: each j in up[i] is tested for transitivity
     (up[j] must lie inside up[i]) and recorded in down[j] in the same
-    step.  Rows and bits are visited in the order of the separate checks
-    it replaces, so the first violation and its message are unchanged.
+    step.  Rows and bits are visited in ascending order, and the first
+    violation met is the one reported.
     """
 
     __slots__ = ("n", "up", "down", "labels", "_hash")
@@ -127,13 +138,28 @@ class FinPreorder:
                 down[j] |= bit
                 m ^= low
             bit <<= 1
+        self._set(up, tuple(down), labels)
+
+    @classmethod
+    def _checked(cls, up, down, labels=None):
+        """The preorder on rows that already form one, with ``labels``.
+
+        ``up`` and ``down`` are the rows of a validated preorder, or the
+        two swapped (its opposite), so only the labels are checked.
+        """
+        self = object.__new__(cls)
+        self._set(up, down, labels)
+        return self
+
+    def _set(self, up, down, labels):
+        n = len(up)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n or len(set(labels)) != n:
                 raise InvariantViolation("labels must be n distinct strings")
         self.n = n
         self.up = up
-        self.down = tuple(down)
+        self.down = down
         self.labels = labels
         self._hash = hash((n, up))
 
@@ -212,8 +238,7 @@ class MonotoneMap:
     the map is monotone iff src.up[i] lies inside pre[assign[i]] for
     every i, one word test per element instead of one bit test per
     related pair.  On failure the offending j is the lowest bit of
-    src.up[i] & ~pre[assign[i]] for the first failing i, which is the
-    pair the pairwise scan met first, so the message is unchanged.
+    src.up[i] & ~pre[assign[i]] for the first failing i.
     A value that is not an integer (a float, a string) is reported as
     such, naming its first index.
     """
@@ -486,10 +511,7 @@ def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
         below = Q.down[c] & ~(1 << c)
         grown = [m | (1 << c) for m in ideals if not (below & ~m)]
         ideals += grown
-        if len(ideals) > max_carrier:
-            raise SizeLimitExceeded(
-                f"more than {max_carrier} down-sets on a {X.n}-element preorder"
-            )
+        _guard(f"down-sets of a {X.n}-element preorder", len(ideals), max_carrier)
     return tuple(sorted(_union(cls, m) for m in ideals))
 
 
@@ -517,10 +539,7 @@ def _monotone_within(X, Y, allowed, max_carrier):
         return [()]
     if Y.n == 0:
         return []
-    if Y.n ** X.n > max_carrier:
-        raise SizeLimitExceeded(
-            f"{Y.n}^{X.n} candidate maps exceed the bound {max_carrier}"
-        )
+    _guard(f"{Y.n}^{X.n} candidate maps", Y.n ** X.n, max_carrier)
     n = X.n
     out = []
     assign = [0] * n
@@ -646,8 +665,9 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     k with k∘j = g∘h instead of testing every (h, k) pair; each group
     keeps the lexicographic order of the k, so the output order is the
     one of the full scan.  Each h and each k map is built (and validated)
-    once, however many squares share it.  The size guards are those of
-    the full scan.
+    once, however many squares share it.  Each hom set is bounded by
+    ``max_carrier``, their product by 64 * ``max_carrier`` and the
+    squares found by ``max_carrier``.
 
     The enumeration is memoised in ``_squares``, keyed by (j, g, the
     labels of their four preorders, ``max_carrier``) and bounded at 16
@@ -673,8 +693,7 @@ def _squares(j, g, labels, max_carrier):
     """
     hs = monotone_assignments(j.src, g.src, max_carrier)
     ks = monotone_assignments(j.tgt, g.tgt, max_carrier)
-    if len(hs) * len(ks) > 64 * max_carrier:
-        raise SizeLimitExceeded("square search space exceeds the bound")
+    _guard("square search space", len(hs) * len(ks), 64 * max_carrier)
     by_kj = {}
     for k in ks:
         by_kj.setdefault(tuple(k[v] for v in j.assign), []).append(k)
@@ -690,8 +709,7 @@ def _squares(j, g, labels, max_carrier):
             if kmap is None:
                 kmap = kmaps[k] = MonotoneMap(j.tgt, g.tgt, k)
             out.append(Square(j, g, hmap, kmap))
-    if len(out) > max_carrier:
-        raise SizeLimitExceeded("more commuting squares than the bound allows")
+    _guard("commuting squares", len(out), max_carrier)
     return tuple(out)
 
 
@@ -749,8 +767,7 @@ def _canonical(X):
     for b in blocks:
         for t in range(2, len(b) + 1):
             total *= t
-        if total > _PERM_LIMIT:
-            raise SizeLimitExceeded("too many candidate relabelings")
+        _guard(f"relabelings of a {n}-element preorder", total, _PERM_LIMIT)
     best_rows = None
     best_perms = []
     for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
@@ -860,8 +877,7 @@ def enumerate_preorders(n, up_to_iso=True, posets_only=False, bound=DEFAULT_ENUM
     posets_only) however the call spells its arguments, so equal
     requests share one result.
     """
-    if n > bound:
-        raise SizeLimitExceeded(f"enumeration bound is {bound}, got n={n}")
+    _guard("enumeration size", n, bound)
     return _enumeration(n, up_to_iso, posets_only)
 
 

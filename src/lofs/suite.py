@@ -94,17 +94,25 @@ def _naive_down_closed(P, mask):
 
 
 def criterion_factorisation_soundness():
-    """Factor every map of size <= 4 and replay the membership definition."""
+    """Factor every map of size <= 4 and replay the membership definition.
+
+    The replay reads assignment tuples and ``le`` tables built once per
+    codomain.  Row i of K must be the mask of the pairs (m2, b2) above
+    pair i = (m, b) by definition: the AND of the column of pairs whose
+    down-set contains m and the column of pairs whose bound lies above b.
+    """
     start = time.time()
     count = 0
+    codomains = [(Y, _order_tables(Y)[0]) for Y in _reps(4)]
     for X in _reps(4):
         downsets_of_x = [
             m for m in range(1 << X.n) if _naive_down_closed(X, m)
         ]
-        for Y in _reps(4):
+        for Y, le in codomains:
             for f in hom_maps(X, Y):
                 fact = factorise(f)
-                if compose(fact.lam, fact.rho).assign != f.assign:
+                fa = f.assign
+                if tuple(fact.rho.assign[v] for v in fact.lam.assign) != fa:
                     return False, f"composite differs from f for {f!r}"
                 if not is_full(fact.lam):
                     return False, f"left part not full for {f!r}"
@@ -112,15 +120,22 @@ def criterion_factorisation_soundness():
                     (m, b)
                     for m in downsets_of_x
                     for b in range(Y.n)
-                    if all(Y.leq(f.assign[a], b) for a in _bits(m))
+                    if all(le[fa[a]][b] for a in _bits(m))
                 ]
-                if sorted(expected) != list(fact.pairs):
+                pairs = fact.pairs
+                if sorted(expected) != list(pairs):
                     return False, f"membership oracle mismatch for {f!r}"
-                for i, (m, b) in enumerate(fact.pairs):
-                    for i2, (m2, b2) in enumerate(fact.pairs):
-                        oracle = (m | m2) == m2 and Y.leq(b, b2)
-                        if oracle != fact.K.leq(i, i2):
-                            return False, f"order oracle mismatch for {f!r}"
+                above_col = [
+                    sum(1 << i2 for i2, (_, b2) in enumerate(pairs) if le[b][b2])
+                    for b in range(Y.n)
+                ]
+                superset_col = {
+                    m: sum(1 << i2 for i2, (m2, _) in enumerate(pairs) if m | m2 == m2)
+                    for m in {m for m, _ in pairs}
+                }
+                for i, (m, b) in enumerate(pairs):
+                    if superset_col[m] & above_col[b] != fact.K.up[i]:
+                        return False, f"order oracle mismatch for {f!r}"
                 count += 1
     elapsed = time.time() - start
     if elapsed >= 60:

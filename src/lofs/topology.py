@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from .adjunction import find_right_adjoint
 from .downsets import downsets
-from .errors import NotAPoset, SizeLimitExceeded
+from .errors import NotAPoset
 from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
+    _guard,
     _preimage_masks,
     _union,
     compose,
@@ -74,7 +75,7 @@ class FilterSpace:
         self._lattice = lattice
         self.opens = lattice.masks
         self.sets = lattice.carrier.up
-        self.filters = FinPreorder(lattice.carrier.n, lattice.carrier.down)
+        self.filters = FinPreorder._checked(lattice.carrier.down, lattice.carrier.up)
 
 
 def _points(X):
@@ -87,7 +88,7 @@ def _open_lattice(X, max_carrier=DEFAULT_MAX_CARRIER):
     ``max_carrier`` bounds the number of opens while they are built.
     """
     P = _points(X)
-    return downsets(FinPreorder(P.n, P.down), max_carrier)
+    return downsets(FinPreorder._checked(P.down, P.up), max_carrier)
 
 
 def open_masks(X):
@@ -106,8 +107,7 @@ def _directed_sups(P):
     Every nonempty finite directed set has a maximum, which is its
     supremum, so the sup always exists.
     """
-    if P.n > 16:
-        raise SizeLimitExceeded("too many subsets to quantify over")
+    _guard(f"subsets of a {P.n}-element poset", 1 << P.n, 1 << 16)
     out = []
     for mask in range(1, 1 << P.n):
         elems = list(_bits(mask))
@@ -173,8 +173,7 @@ def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
 
     Filters are listed by their generating open, in open order; the order
     on filters is inclusion of member sets.  There is one filter per
-    open, so ``max_carrier`` bounds the opens while they are built, and
-    the down-set guard names the bound when it fires.
+    open, so ``max_carrier`` bounds the opens while they are built.
     """
     return FilterSpace(_open_lattice(X, max_carrier))
 

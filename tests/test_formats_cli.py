@@ -207,6 +207,23 @@ class TestCli:
         assert len(payload) == 5  # classes of size <= 2
         assert all(r["kan-injective"] == r["complete-lattice"] for r in payload)
 
+    def test_kan_injective_honours_max_carrier(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", DIAMOND_OBJ)
+        a2 = write(tmp_path, "a2.json", formats.preorder_to_obj(antichain(2)))
+        fam = write(tmp_path, "fam.json", [formats.map_to_obj(identity(chain(1)))])
+        # the bound holds over the complete diamond as over the antichain
+        for obj in (d, a2):
+            assert cli.main(["--max-carrier", "1", "kan-injective", obj, fam]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("lofs: ") and out.err.endswith(" exceeds the bound 1\n")
+        c6 = write(tmp_path, "c6.json", formats.preorder_to_obj(chain(6)))
+        a5 = write(tmp_path, "a5.json", [formats.map_to_obj(identity(antichain(5)))])
+        assert cli.main(["kan-injective", c6, a5]) == 2
+        assert capsys.readouterr().err == "lofs: 6^5 candidate maps: 7776 exceeds the bound 4096\n"
+        assert cli.main(["--max-carrier", "7776", "kan-injective", c6, a5]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kan-injective": True}
+
     def test_filter_space(self, tmp_path, capsys):
         sp = write(
             tmp_path,
@@ -469,7 +486,7 @@ class TestCliContract:
             for posets_only in (False, True):
                 with pytest.raises(InvariantViolation, match=r"^need -1 relation rows, got 0$"):
                     enumerate_preorders(-1, up_to_iso, posets_only)
-                with pytest.raises(SizeLimitExceeded, match=r"^enumeration bound is 5, got n=6$"):
+                with pytest.raises(SizeLimitExceeded, match=r"^enumeration size: 6 exceeds the bound 5$"):
                     enumerate_preorders(6, up_to_iso, posets_only)
         assert cli.main(["enumerate", "--", "-1"]) == 3
         assert capsys.readouterr().out == ""

@@ -188,6 +188,18 @@ class TestKanInjectivity:
             for A in enumerate_preorders(n):
                 assert kan_injective(A, fam)
 
+    def test_bound_over_a_complete_object_is_the_callers(self):
+        j = identity(antichain(5))  # 6^5 = 7776 maps into chain(6)
+        with pytest.raises(SizeLimitExceeded) as info:
+            kan_injective(chain(6), [j])
+        assert (info.value.requested, info.value.bound) == (7776, 4096)
+        assert kan_injective(chain(6), [j], max_carrier=10**6)
+        # one bound whether A is complete or not
+        for A in (DIA, antichain(2)):
+            with pytest.raises(SizeLimitExceeded) as info:
+                kan_injective(A, [identity(chain(1))], max_carrier=1)
+            assert (info.value.requested, info.value.bound) == (A.n, 1)
+
     def test_agrees_with_kz_route(self):
         pool = [p for n in range(4) for p in enumerate_preorders(n)]
         generators = all_embeddings(2)

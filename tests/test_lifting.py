@@ -22,6 +22,7 @@ from lofs.order import (
     identity,
     is_full,
     maps_equivalent,
+    monotone_assignments,
     squares,
     two_cell,
     vee,
@@ -86,6 +87,20 @@ class TestLiftingStructures:
             for b in sqs:
                 if two_cell(a.h, b.h) and two_cell(a.k, b.k):
                     assert two_cell(st.filler(0, a.h, a.k), st.filler(0, b.h, b.k))
+
+    def test_no_square_means_an_empty_hom_set(self):
+        # with no square, dom g is empty and cod j is not, so the hom set
+        # cod j -> dom g is empty before its size guard is read
+        small = [p for n in range(3) for p in enumerate_preorders(n)]
+        maps = [f for X in small for Y in small for f in hom_maps(X, Y)]
+        assert len(maps) == 44
+        pairs = [(j, g) for j in maps for g in maps if not squares(j, g)]
+        assert len(pairs) == 199
+        for j, g in pairs:
+            assert g.src.n == 0 < j.tgt.n
+            assert monotone_assignments(j.tgt, g.src, max_carrier=0) == []
+            assert has_lifting(j, g)
+            assert lifting_structure(GeneratorFamily([j]), g).fillers == {}
 
 
 class TestKz:

@@ -1,13 +1,19 @@
+import ast
 import itertools
+import pathlib
+import pickle
 
 import pytest
 
+import lofs
+from lofs.adjunction import comma
 from lofs.errors import (
     IndexOutOfRange,
     InvariantViolation,
     ShapeMismatch,
     SizeLimitExceeded,
 )
+from lofs.factorisation import factorise
 from lofs.order import (
     FinPreorder,
     MonotoneMap,
@@ -37,6 +43,7 @@ from lofs.order import (
     two_cell,
     vee,
 )
+from lofs.topology import scott_opens
 
 
 def reps(max_size, posets_only=False):
@@ -344,7 +351,7 @@ class TestEnumeration:
 
     def test_bound_is_checked_on_every_call(self):
         assert len(enumerate_preorders(6, bound=6)) == 718
-        with pytest.raises(SizeLimitExceeded, match=r"^enumeration bound is 5, got n=6$"):
+        with pytest.raises(SizeLimitExceeded, match=r"^enumeration size: 6 exceeds the bound 5$"):
             enumerate_preorders(6)
 
     def test_equal_requests_share_one_result(self):
@@ -397,3 +404,100 @@ class TestIsomorphism:
         assert a == chain(2)
         with pytest.raises(InvariantViolation):
             FinPreorder(2, (0b11, 0b10), labels=("x", "x"))
+
+
+class TestSizeGuards:
+    # one call per guard: (call, what, requested, bound)
+    CASES = {
+        "down_set_masks": (
+            lambda: down_set_masks(antichain(13), 100),
+            "down-sets of a 13-element preorder", 128, 100,
+        ),
+        "_monotone_within": (
+            lambda: monotone_assignments(chain(5), chain(6)), "6^5 candidate maps", 7776, 4096,
+        ),
+        "_squares search space": (
+            lambda: squares(identity(antichain(4)), identity(antichain(4)), 256),
+            "square search space", 256 * 256, 64 * 256,
+        ),
+        "_squares result": (
+            # 3 h times 4 free k per h, while each hom set has at most 2^3 candidates
+            lambda: squares(
+                MonotoneMap(antichain(1), antichain(3), [0]),
+                MonotoneMap(antichain(3), antichain(2), [0, 0, 1]),
+                8,
+            ),
+            "commuting squares", 12, 8,
+        ),
+        "_canonical": (
+            lambda: canonical_key(antichain(9)),
+            "relabelings of a 9-element preorder", 362880, 40320,
+        ),
+        "enumerate_preorders": (lambda: enumerate_preorders(6), "enumeration size", 6, 5),
+        "factorisation._carrier": (
+            lambda: factorise(identity(chain(3)), 8), "factorisation carrier", 9, 8,
+        ),
+        "adjunction.comma": (
+            lambda: comma(identity(chain(3)), 8), "comma candidate pairs", 9, 8,
+        ),
+        "topology._directed_sups": (
+            lambda: scott_opens(chain(17)), "subsets of a 17-element poset", 1 << 17, 1 << 16,
+        ),
+    }
+
+    @pytest.mark.parametrize("guard", sorted(CASES))
+    def test_each_guard_names_itself_and_its_numbers(self, guard):
+        call, what, requested, bound = self.CASES[guard]
+        with pytest.raises(SizeLimitExceeded) as info:
+            call()
+        exc = info.value
+        assert (exc.what, exc.requested, exc.bound) == (what, requested, bound)
+        assert exc.requested > exc.bound
+        assert str(exc) == f"{what}: {requested} exceeds the bound {bound}"
+        again = pickle.loads(pickle.dumps(exc))
+        assert (again.what, again.requested, again.bound, str(again)) == (
+            what, requested, bound, str(exc)
+        )
+
+    def test_size_limit_is_raised_only_by_the_guard(self):
+        raises = []
+        for path in sorted(pathlib.Path(lofs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            in_guard = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and func.name == "_guard"
+                for node in ast.walk(func)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and "SizeLimitExceeded" in {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                }:
+                    raises.append((path.name, id(node) in in_guard))
+        assert raises == [("order.py", True)]
+
+
+class TestCheckedRows:
+    def test_opposite_and_labels_match_the_validated_constructor(self):
+        for n in range(5):
+            labels = [f"e{i}" for i in range(n)]
+            for P in enumerate_preorders(n, up_to_iso=False):
+                op = FinPreorder._checked(P.down, P.up)
+                expected = FinPreorder(P.n, P.down)
+                assert (op.n, op.up, op.down, op.labels) == (
+                    expected.n, expected.up, expected.down, expected.labels
+                )
+                assert op == expected and hash(op) == hash(expected)
+                named = FinPreorder._checked(P.up, P.down, labels)
+                expected = FinPreorder(P.n, P.up, labels)
+                assert (named.n, named.up, named.down, named.labels) == (
+                    expected.n, expected.up, expected.down, expected.labels
+                )
+
+    def test_labels_are_still_checked(self):
+        P = chain(2)
+        for labels in (["a"], ["a", "a"], ["a", "b", "c"]):
+            with pytest.raises(InvariantViolation, match=r"^labels must be n distinct strings$"):
+                FinPreorder(P.n, P.up, labels)
+            with pytest.raises(InvariantViolation, match=r"^labels must be n distinct strings$"):
+                FinPreorder._checked(P.up, P.down, labels)

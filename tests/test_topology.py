@@ -116,12 +116,12 @@ class TestFilterSpace:
         monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_inclusion_rows", never)
         with pytest.raises(SizeLimitExceeded) as info:
             filter_space(FiniteSpace(antichain(13)), 100)
-        assert str(info.value) == "more than 100 down-sets on a 13-element preorder"
+        assert str(info.value) == "down-sets of a 13-element preorder: 128 exceeds the bound 100"
 
     def test_bound_above_the_default_is_honoured(self):
         # twelve incomparable points below a top: 2^12 + 1 = 4097 opens
         X = FiniteSpace(FinPreorder(13, [1 << i | 1 << 12 for i in range(12)] + [1 << 12]))
-        with pytest.raises(SizeLimitExceeded, match="more than 4096 down-sets"):
+        with pytest.raises(SizeLimitExceeded, match=r"^down-sets of a 13-element preorder: 4097 exceeds the bound 4096$"):
             filter_space(X)
         assert filter_space(X, 4097).filters.n == 4097
 
@@ -131,7 +131,7 @@ class TestFilterSpace:
         assert cli.main(["--max-carrier", "100", "filter-space", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "lofs: more than 100 down-sets on a 13-element preorder\n"
+        assert out.err == "lofs: down-sets of a 13-element preorder: 128 exceeds the bound 100\n"
 
     def test_unit_values(self):
         X = FiniteSpace(chain(2))
