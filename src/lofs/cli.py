@@ -202,6 +202,7 @@ def _cmd_classify(args):
         max_size,
         generator_size=args.generator_size,
         posets_only=args.posets_only,
+        max_carrier=args.max_carrier,
     )
     payload = [
         {

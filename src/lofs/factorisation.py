@@ -20,11 +20,10 @@ from .adjunction import find_left_adjoint, find_right_adjoint
 from .errors import AdjointMissing, InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
     DEFAULT_MAX_CARRIER,
-    FinPreorder,
     MonotoneMap,
     _guard,
     _inclusion_rows,
-    _pointwise_rows,
+    _pointwise_preorder,
     _preimage_masks,
     _union,
     chain,
@@ -108,6 +107,19 @@ def _upper_bound_table(f):
     return _preimage_masks(f.assign, f.tgt.down)
 
 
+@lru_cache(maxsize=64)
+def _inclusion_order(masks):
+    """(up rows, down rows) of the inclusion order on the down-sets ``masks``.
+
+    ``masks`` ascend, so the last is the whole source; m ⊆ m2 iff the
+    complement of m2 lies in that of m, so the down rows are the
+    inclusion rows of the complements.  Many carriers share a source, so
+    the rows are kept per down-set tuple, at most 64 of them.
+    """
+    top = masks[-1]
+    return _inclusion_rows(masks), _inclusion_rows([top ^ m for m in masks])
+
+
 @lru_cache(maxsize=256)
 def _carrier(masks, B, labels, pre, max_carrier):
     """(K, pairs, index, right part) for the maps into B with table ``pre``.
@@ -117,15 +129,20 @@ def _carrier(masks, B, labels, pre, max_carrier):
     itself.  ``labels`` (those of B) is part of the key only: preorder
     equality ignores labels, and the right part keeps B as its codomain,
     so a labelled B never meets another caller's B.
+
+    K and the right part are built trusted.  K is the pointwise order of
+    two preorders, inclusion of down-sets and B, on pairs that lie in
+    both; the right part is its second projection, which is monotone.
     """
     vectors = [
         (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
     ]
     _guard("factorisation carrier", len(vectors), max_carrier)
     pairs = tuple((masks[i], b) for i, b in vectors)
-    K = FinPreorder(len(pairs), _pointwise_rows(vectors, (_inclusion_rows(masks), B.up)))
+    inc_up, inc_down = _inclusion_order(masks)
+    K = _pointwise_preorder(vectors, (inc_up, B.up), (inc_down, B.down))
     index = {p: i for i, p in enumerate(pairs)}
-    return K, pairs, index, MonotoneMap(K, B, [b for _, b in pairs])
+    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in pairs))
 
 
 def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
@@ -143,20 +160,25 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
     upper-bound table, ``max_carrier``) and bounded at 256 entries.
     Many maps of a sweep share one key, so each distinct K and right
-    part is built and validated once while it stays cached.  The cached
-    values are immutable and built by the same code from the same key,
-    so results and their order are unchanged.  An exception is not
-    cached, and a smaller ``max_carrier`` is a different key, so the
-    guard still raises.  The left part and the returned object
-    are built per call, on the caller's own f.
+    part is built once while it stays cached.  The cached values are
+    immutable and built by the same code from the same key, so results
+    and their order are unchanged.  An exception is not cached, and a
+    smaller ``max_carrier`` is a different key, so the guard still
+    raises.  The left part and the returned object are built per call,
+    on the caller's own f.
+
+    Nothing here is validated again: f was validated where it entered,
+    and K and both parts are valid by construction.  The left part
+    a ↦ (↓a, f(a)) lands in K, since f(a) bounds f[↓a] for a monotone f,
+    and it is monotone, since a <= a2 gives ↓a ⊆ ↓a2 and f(a) <= f(a2).
     """
     A, B = f.src, f.tgt
     masks = down_set_masks(A, max_carrier)
     K, pairs, index, rho = _carrier(
         masks, B, B.labels, tuple(_upper_bound_table(f)), max_carrier
     )
-    lam = MonotoneMap(A, K, [index[(A.down[a], f.assign[a])] for a in range(A.n)])
-    return FactorisationData(f, K, lam, rho, pairs, index)
+    lam = tuple(index[(A.down[a], f.assign[a])] for a in range(A.n))
+    return FactorisationData(f, K, MonotoneMap._checked(A, K, lam), rho, pairs, index)
 
 
 def _k_assign(source, target, h, k):
@@ -302,14 +324,17 @@ def canonical_diag(sq, s, p):
 
     Fills the square (up to pointwise equivalence over genuine preorders)
     and is least: every filler sits pointwise above it.  The composite is
-    computed on assignment tuples and validated once, as one map; the
-    middle map is monotone by construction, so it is not built.
+    computed on assignment tuples and built trusted, as one map: s and p
+    are validated witnesses and the middle map K(h, k) is monotone by
+    construction, so the composite is monotone and the middle map is
+    not built.
     """
     if s.fact.f != sq.j or p.fact.f != sq.g:
         raise ShapeMismatch("witnesses do not match the square")
     middle = _k_assign(s.fact, p.fact, sq.h, sq.k)
     retract = p.p.assign
-    return MonotoneMap(s.s.src, p.p.tgt, [retract[middle[v]] for v in s.s.assign])
+    diag = tuple(retract[middle[v]] for v in s.s.assign)
+    return MonotoneMap._checked(s.s.src, p.p.tgt, diag)
 
 
 def fibrant_replacement(A, max_carrier=DEFAULT_MAX_CARRIER):

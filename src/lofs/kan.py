@@ -20,13 +20,10 @@ from .order import (
     _least_vector,
     _monotone_within,
     _preimage_masks,
-    _sup_table,
     _union,
-    _unreflected_pair,
     arrow_canonical_key,
     chain,
     enumerate_preorders,
-    hom_maps,
     is_complete_lattice,
     monotone_assignments,
     sup_mask,
@@ -52,22 +49,30 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
 
     When the codomain is a complete lattice the minimum is computed
     directly as g(y) = sup {f(x) : j(x) <= y}, which is below every
-    candidate by the upper-bound argument; otherwise the monotone maps
-    are scanned by :func:`_scanned_extension`.
+    candidate by the upper-bound argument, with one ``sup_mask`` per
+    point of cod j; otherwise the monotone maps are scanned by
+    :func:`_scanned_extension`.
     """
     if j.src != f.src:
         raise ShapeMismatch("extension needs dom j = dom f")
     A = f.tgt
     if not is_complete_lattice(A):
         return _scanned_extension(j, f, max_carrier)
-    sups = _sup_table(A)
     fbits = [1 << v for v in f.assign]
     below = _preimage_masks(j.assign, j.tgt.down)
-    return _restricting(j, f, [sups[_union(fbits, m)] for m in below])
+    return _restricting(j, f, [sup_mask(A, _union(fbits, m)) for m in below])
 
 
 def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
-    """:func:`lan_extension` by a scan of the monotone maps, for any codomain.
+    """:func:`lan_extension` by a scan of the monotone maps, for any codomain."""
+    best = _least_extension(j, f.assign, f.tgt, max_carrier)
+    if best is None:
+        return None
+    return _restricting(j, f, best)
+
+
+def _least_extension(j, assign, A, max_carrier):
+    """The least monotone g with f <= g ∘ j, f = ``assign``, as a tuple, or None.
 
     The scan only enumerates maps with g(y) an upper bound of
     f[{x : j(x) <= y}]: for a monotone g that is the same condition as
@@ -85,22 +90,22 @@ def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
     the restriction test still runs per call: results are unchanged.  A
     smaller ``max_carrier`` is a different key, so its guard still raises.
     """
-    A = f.tgt
     bounds = [(1 << A.n) - 1] * j.tgt.n
     for x in range(j.src.n):
         for y in _bits(j.tgt.up[j.assign[x]]):
-            bounds[y] &= A.up[f.assign[x]]
-    best = _least_within(j.tgt, A, tuple(bounds), max_carrier)
-    if best is None:
-        return None
-    return _restricting(j, f, best)
+            bounds[y] &= A.up[assign[x]]
+    return _least_within(j.tgt, A, tuple(bounds), max_carrier)
+
+
+def _restricts(j, assign, ext, A):
+    """Whether the extension ``ext`` restricts along j to ``assign``, up to ≡."""
+    return all(A.equiv(ext[v], fx) for v, fx in zip(j.assign, assign))
 
 
 def _restricting(j, f, assign):
     """The extension with ``assign`` as a witness, if it restricts back to f."""
-    A = f.tgt
-    ext = MonotoneMap(j.tgt, A, assign)
-    if not all(A.equiv(ext.assign[v], fx) for v, fx in zip(j.assign, f.assign)):
+    ext = MonotoneMap(j.tgt, f.tgt, assign)
+    if not _restricts(j, f.assign, ext.assign, f.tgt):
         return None
     return ExtensionWitness(j, f, ext)
 
@@ -118,60 +123,69 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
 
     ``generators`` is a GeneratorFamily or any iterable of maps; only the
     members matter.  Equivalent to the comparison map of each generator
-    against A -> point carrying a RALI witness.
+    against A -> point carrying a RALI witness.  Every map f is walked as
+    an assignment tuple of the hom set, and no map is built.
 
-    Completeness of A is decided once per call.  Over a complete A a
-    member's check reads only its source X and the masks
-    jb[x] = {x' : j(x') <= j(x)}, so each distinct (X, jb) is checked
-    once and later members with that key are skipped: the verdict is the
-    conjunction over members, and skipped members would repeat a check
-    that passed.  Over any other A every extension takes the scan of
-    ``_scanned_extension``, which is what ``lan_extension`` would pick.
-    Either way ``max_carrier`` bounds every hom set into A.
+    Completeness of A is decided once per call.  Over a complete A the
+    least extension is the sup formula of ``lan_extension``, and it
+    restricts back to f iff f(x) ≡ sup f[jb[x]] for each x, where
+    jb[x] = {x' : j(x') <= j(x)}.  Since x lies in jb[x], that holds iff
+    f(x) is an upper bound of f[jb[x]], so no sup is computed.  A
+    monotone f already gives f(x') <= f(x) for x' <= x, so only the
+    pairs (x', x) with x' in jb[x] and x' ≰ x are tested, one bit each;
+    a full j has none.  The test reads only the source X and those
+    pairs, so each distinct (X, pairs) is checked once and later members
+    with that key are skipped: the verdict is the conjunction over
+    members, and skipped members would repeat a check that passed.
+    Over any other A every f takes the scan of ``_least_extension``,
+    which is what ``lan_extension`` would pick, and its restriction is
+    tested on the least tuple.  Either way ``max_carrier`` bounds every
+    hom set into A.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
-    sups = _sup_table(A) if complete else None
     passed = set()
     for j in members:
+        X = j.src
         if not complete:
-            for f in hom_maps(j.src, A, max_carrier):
-                if _scanned_extension(j, f, max_carrier) is None:
+            for f in monotone_assignments(X, A, max_carrier):
+                best = _least_extension(j, f, A, max_carrier)
+                if best is None or not _restricts(j, f, best, A):
                     return False
             continue
-        # complete codomain: the sup formula is monotone, minimal and an
-        # extension candidate by construction, so only the restriction
-        # condition needs evaluating per map
-        X = j.src
         below = _preimage_masks(j.assign, j.tgt.down)
-        jb = tuple(below[y] for y in j.assign)
-        if (X, jb) in passed:
+        pairs = tuple(
+            (a, x) for x, y in enumerate(j.assign) for a in _bits(below[y] & ~X.down[x])
+        )
+        if (X, pairs) in passed:
             continue
         for f in monotone_assignments(X, A, max_carrier):
-            for x in range(X.n):
-                mask = 0
-                m = jb[x]
-                while m:
-                    low = m & -m
-                    mask |= 1 << f[low.bit_length() - 1]
-                    m ^= low
-                if not A.equiv(sups[mask], f[x]):
-                    return False
-        passed.add((X, jb))
+            if not all(A.up[f[a]] >> f[x] & 1 for a, x in pairs):
+                return False
+        passed.add((X, pairs))
     return True
 
 
-@lru_cache(maxsize=16)
-def all_embeddings(max_size, posets_only=False):
+def all_embeddings(max_size, posets_only=False, max_carrier=DEFAULT_MAX_CARRIER):
     """All order-embeddings between preorders of size <= max_size.
 
     One representative per arrow-isomorphism class; Kan injectivity only
-    depends on that class.  Deterministic order.  Cached per
-    (max_size, posets_only), at most 16 families.
+    depends on that class.  Deterministic order.  Memoised in
+    ``_embeddings`` per (max_size, posets_only, max_carrier), however the
+    call spells them, at most 16 families; a smaller ``max_carrier`` is
+    a different key, so the guard of each hom set still raises.
+    """
+    return _embeddings(max_size, posets_only, max_carrier)
 
-    Fullness (which decides being an order-embedding) is tested on each
-    monotone assignment tuple, so only the full ones, about one in
-    twenty at max_size 4, become validated maps.
+
+@lru_cache(maxsize=16)
+def _embeddings(max_size, posets_only, max_carrier):
+    """:func:`all_embeddings`, searching only the full assignments.
+
+    Fullness (which decides being an order-embedding) prunes the search
+    of ``_monotone_within`` itself, so only the full assignments, about
+    one in twenty at max_size 4, are ever completed.  Each is a map by
+    construction (monotone and full), so it is built trusted.
     """
     reps = [
         p
@@ -181,30 +195,33 @@ def all_embeddings(max_size, posets_only=False):
     seen = {}
     for X in reps:
         for Y in reps:
-            for assign in monotone_assignments(X, Y):
-                if _unreflected_pair(assign, X.up, Y.up) is not None:
-                    continue
-                f = MonotoneMap(X, Y, assign)
+            anything = ((1 << Y.n) - 1,) * X.n
+            for assign in _monotone_within(X, Y, anything, max_carrier, full=True):
+                f = MonotoneMap._checked(X, Y, assign)
                 key = arrow_canonical_key(f)
                 if key not in seen:
                     seen[key] = f
     return tuple(seen[k] for k in sorted(seen))
 
 
-def classify_injectives(max_size, generator_size=None, posets_only=False):
+def classify_injectives(
+    max_size, generator_size=None, posets_only=False, max_carrier=DEFAULT_MAX_CARRIER
+):
     """Pair every preorder of size <= max_size with its two predicates.
 
     Rows are (preorder, kan_injective, is_complete_lattice) over the
     family of all embeddings between preorders of size <= generator_size
     (default min(max_size, 4)).  The two booleans agree on every row.
+    ``max_carrier`` bounds every hom set searched, for the family and
+    for each row.
     """
     if generator_size is None:
         generator_size = min(max_size, 4)
-    family = all_embeddings(generator_size, posets_only=posets_only)
+    family = all_embeddings(generator_size, posets_only, max_carrier)
     rows = []
     for n in range(max_size + 1):
         for A in enumerate_preorders(n):
-            rows.append((A, kan_injective(A, family), is_complete_lattice(A)))
+            rows.append((A, kan_injective(A, family, max_carrier), is_complete_lattice(A)))
     return rows
 
 

@@ -103,13 +103,17 @@ def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     assignments and the squares are enumerated once here and shared by
     both preorders and ``_boundaries``; they are the very lists those
     two functions would enumerate, so the map is unchanged.
+
+    All three are built trusted.  Both preorders are pointwise orders on
+    validated coordinates (``_pointwise_preorder``), and the map is
+    monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
     assigns = monotone_assignments(j.tgt, g.src, max_carrier)
     sqs = squares(j, g, max_carrier)
-    return MonotoneMap(
+    return MonotoneMap._checked(
         _hom_preorder(j.tgt, g.src, assigns),
         _square_preorder(j, g, sqs),
-        _boundaries(j, g, assigns, sqs),
+        tuple(_boundaries(j, g, assigns, sqs)),
     )
 
 

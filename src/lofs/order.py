@@ -144,8 +144,12 @@ class FinPreorder:
     def _checked(cls, up, down, labels=None):
         """The preorder on rows that already form one, with ``labels``.
 
-        ``up`` and ``down`` are the rows of a validated preorder, or the
-        two swapped (its opposite), so only the labels are checked.
+        Trusted: only the labels are checked.  ``up`` and ``down`` are
+        tuples from one of two sources: a validated preorder's rows (or
+        the two swapped, its opposite), or the up and down rows of a
+        pointwise order on validated coordinates, from
+        ``_pointwise_preorder``.  Anything else enters through the
+        validating constructor.
         """
         self = object.__new__(cls)
         self._set(up, down, labels)
@@ -271,6 +275,21 @@ class MonotoneMap:
                         f"assign[{i}]={v!r} is not an integer"
                     ) from None
             raise
+        self._set(src, tgt, assign)
+
+    @classmethod
+    def _checked(cls, src, tgt, assign):
+        """The map with the assignment tuple ``assign``, unchecked.
+
+        Trusted: only for an ``assign`` that is monotone src -> tgt by an
+        argument stated where it is built (an enumerated hom set, a
+        composite of monotone maps, a projection of a pointwise order).
+        """
+        self = object.__new__(cls)
+        self._set(src, tgt, assign)
+        return self
+
+    def _set(self, src, tgt, assign):
         self.src = src
         self.tgt = tgt
         self.assign = assign
@@ -332,6 +351,16 @@ class Square:
         # the sides line up, and composites of monotone maps are monotone
         if tuple(g.assign[v] for v in h.assign) != tuple(k.assign[v] for v in j.assign):
             raise InvariantViolation("square does not commute")
+        self._set(j, g, h, k)
+
+    @classmethod
+    def _checked(cls, j, g, h, k):
+        """The square (h, k) : j -> g, unchecked: for sides known to commute."""
+        self = object.__new__(cls)
+        self._set(j, g, h, k)
+        return self
+
+    def _set(self, j, g, h, k):
         self.j = j
         self.g = g
         self.h = h
@@ -471,12 +500,6 @@ def inf_mask(X, mask):
     return _least_member(lb, X.down)
 
 
-@lru_cache(maxsize=None)
-def _sup_table(X):
-    """sup_mask for every subset; only sensible for small carriers."""
-    return tuple(sup_mask(X, m) for m in range(1 << X.n))
-
-
 def is_complete_lattice(X):
     """Every subset (including the empty one) has a sup up to equivalence.
 
@@ -528,12 +551,19 @@ def monotone_assignments(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
     return _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n, max_carrier)
 
 
-def _monotone_within(X, Y, allowed, max_carrier):
+def _monotone_within(X, Y, allowed, max_carrier, full=False):
     """The monotone assignments a with a[i] in ``allowed[i]`` for each i.
 
     The same recursion, order and size guard as ``monotone_assignments``,
     which is the case where every mask is full: the masks only prune
     branches, so the survivors keep their lexicographic order.
+
+    With ``full`` only the full assignments survive: for j < i, index i
+    also loses ``Y.up[a[j]]`` when j ≰ i and ``Y.down[a[j]]`` when
+    i ≰ j, which is fullness on the pair (j, i) in both directions.  A
+    partial assignment that fails it is dropped before it grows, and the
+    survivors are the full ones among all monotone assignments, in the
+    same order.
     """
     if X.n == 0:
         return [()]
@@ -552,8 +582,12 @@ def _monotone_within(X, Y, allowed, max_carrier):
         for j in range(i):
             if (X.up[j] >> i) & 1:
                 mask &= Y.up[assign[j]]
+            elif full:
+                mask &= ~Y.up[assign[j]]
             if (X.up[i] >> j) & 1:
                 mask &= Y.down[assign[j]]
+            elif full:
+                mask &= ~Y.down[assign[j]]
             if not mask:
                 return
         for v in _bits(mask):
@@ -633,16 +667,30 @@ def _inclusion_rows(masks):
     return rows
 
 
+def _pointwise_preorder(vectors, ups, downs):
+    """The pointwise order on ``vectors``, built trusted.
+
+    ``ups[c]`` and ``downs[c]`` are the rows of the validated preorder
+    coordinate c lives in.  A pointwise order of preorders is a preorder,
+    and its down rows are the pointwise rows of the down tables, so both
+    come from ``_pointwise_rows`` and nothing is validated again.
+    """
+    return FinPreorder._checked(
+        tuple(_pointwise_rows(vectors, ups)), tuple(_pointwise_rows(vectors, downs))
+    )
+
+
 def _hom_preorder(X, Y, assigns):
     """``hom_poset`` on its assignment list, already enumerated."""
-    return FinPreorder(len(assigns), _pointwise_rows(assigns, (Y.up,) * X.n))
+    return _pointwise_preorder(assigns, (Y.up,) * X.n, (Y.down,) * X.n)
 
 
 def _square_preorder(j, g, sqs):
     """``sq_hom_poset`` on its square list, already enumerated."""
     vectors = [s.h.assign + s.k.assign for s in sqs]
     ups = (g.src.up,) * j.src.n + (g.tgt.up,) * j.tgt.n
-    return FinPreorder(len(sqs), _pointwise_rows(vectors, ups))
+    downs = (g.src.down,) * j.src.n + (g.tgt.down,) * j.tgt.n
+    return _pointwise_preorder(vectors, ups, downs)
 
 
 def hom_poset(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
@@ -664,10 +712,12 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     The k assignments are grouped by k∘j once, so each h meets only the
     k with k∘j = g∘h instead of testing every (h, k) pair; each group
     keeps the lexicographic order of the k, so the output order is the
-    one of the full scan.  Each h and each k map is built (and validated)
-    once, however many squares share it.  Each hom set is bounded by
-    ``max_carrier``, their product by 64 * ``max_carrier`` and the
-    squares found by ``max_carrier``.
+    one of the full scan.  Each h and each k map is built once, however
+    many squares share it, and all are built trusted: h and k come from
+    the enumerated hom sets, so they are monotone, and each square pairs
+    an h with a k of the same k∘j = g∘h, so it commutes.  Each hom set
+    is bounded by ``max_carrier``, their product by 64 * ``max_carrier``
+    and the squares found by ``max_carrier``.
 
     The enumeration is memoised in ``_squares``, keyed by (j, g, the
     labels of their four preorders, ``max_carrier``) and bounded at 16
@@ -703,12 +753,12 @@ def _squares(j, g, labels, max_carrier):
         group = by_kj.get(tuple(g.assign[v] for v in h))
         if not group:
             continue
-        hmap = MonotoneMap(j.src, g.src, h)
+        hmap = MonotoneMap._checked(j.src, g.src, h)
         for k in group:
             kmap = kmaps.get(k)
             if kmap is None:
-                kmap = kmaps[k] = MonotoneMap(j.tgt, g.tgt, k)
-            out.append(Square(j, g, hmap, kmap))
+                kmap = kmaps[k] = MonotoneMap._checked(j.tgt, g.tgt, k)
+            out.append(Square._checked(j, g, hmap, kmap))
     _guard("commuting squares", len(out), max_carrier)
     return tuple(out)
 

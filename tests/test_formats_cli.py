@@ -224,6 +224,16 @@ class TestCli:
         assert cli.main(["--max-carrier", "7776", "kan-injective", c6, a5]) == 0
         assert json.loads(capsys.readouterr().out) == {"kan-injective": True}
 
+    def test_classify_honours_max_carrier(self, capsys):
+        assert cli.main(["--max-carrier", "1", "classify", "--max-size", "3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "lofs: 2^1 candidate maps: 2 exceeds the bound 1\n"
+        assert cli.main(["classify", "--max-size", "3"]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["--max-carrier", "4096", "classify", "--max-size", "3"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_filter_space(self, tmp_path, capsys):
         sp = write(
             tmp_path,

@@ -11,7 +11,10 @@ from lofs.kan import (
 )
 from lofs.lifting import GeneratorFamily, kz_orthogonal
 from lofs.order import (
+    DEFAULT_MAX_CARRIER,
     MonotoneMap,
+    _monotone_within,
+    _unreflected_pair,
     antichain,
     arrow_canonical_key,
     chain,
@@ -200,6 +203,11 @@ class TestKanInjectivity:
                 kan_injective(A, [identity(chain(1))], max_carrier=1)
             assert (info.value.requested, info.value.bound) == (A.n, 1)
 
+    def test_long_complete_chain(self):
+        # the verdict reads no sup of a subset, so no 2^22 sups are built
+        assert kan_injective(chain(22), [identity(chain(1))])
+        assert kan_injective(chain(22), [MonotoneMap(chain(2), chain(3), [0, 2])])
+
     def test_agrees_with_kz_route(self):
         pool = [p for n in range(4) for p in enumerate_preorders(n)]
         generators = all_embeddings(2)
@@ -228,6 +236,24 @@ class TestAllEmbeddings:
                     (f.src, f.tgt, f.assign) for f in expected
                 ]
 
+    def test_full_search_keeps_exactly_the_full_assignments(self):
+        pool = reps(4)
+        for X in pool:
+            for Y in pool:
+                expected = [
+                    a for a in monotone_assignments(X, Y)
+                    if _unreflected_pair(a, X.up, Y.up) is None
+                ]
+                anything = ((1 << Y.n) - 1,) * X.n
+                found = _monotone_within(X, Y, anything, DEFAULT_MAX_CARRIER, full=True)
+                assert found == expected
+
+    def test_bound_reaches_the_search(self):
+        with pytest.raises(SizeLimitExceeded) as info:
+            all_embeddings(3, max_carrier=1)
+        assert (info.value.requested, info.value.bound) == (2, 1)
+        assert all_embeddings(3) is all_embeddings(3, False, DEFAULT_MAX_CARRIER)
+
 
 class TestClassification:
     def test_size_two_rows(self):
@@ -247,6 +273,23 @@ class TestClassification:
                 assert inj
             if A == antichain(2):
                 assert not inj
+
+    def test_bound_reaches_the_family_and_every_row(self):
+        with pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(3, max_carrier=1)
+        assert (info.value.requested, info.value.bound) == (2, 1)
+        # rows of size <= 1 have hom sets of at most one map, so only the
+        # family's search meets the bound here
+        with pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(1, generator_size=2, max_carrier=1)
+        assert (info.value.requested, info.value.bound) == (2, 1)
+        family = all_embeddings(3)  # its largest hom set has 3^3 = 27 candidates
+        with pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(4, generator_size=3, max_carrier=27)
+        assert info.value.requested == 4 ** 3
+        rows = classify_injectives(3, max_carrier=DEFAULT_MAX_CARRIER)
+        assert rows == classify_injectives(3)
+        assert [kan_injective(A, family) for A, _, _ in rows] == [r[1] for r in rows]
 
 
 class TestChainStages:

@@ -13,10 +13,17 @@ from lofs.errors import (
     ShapeMismatch,
     SizeLimitExceeded,
 )
-from lofs.factorisation import factorise
+from lofs.factorisation import (
+    algebra_structure,
+    canonical_diag,
+    coalgebra_structure,
+    factorise,
+)
+from lofs.lifting import canonical_map
 from lofs.order import (
     FinPreorder,
     MonotoneMap,
+    Square,
     antichain,
     arrow_canonical_key,
     canonical_form,
@@ -477,6 +484,23 @@ class TestSizeGuards:
         assert raises == [("order.py", True)]
 
 
+def assert_rebuilds(P):
+    """A preorder built trusted equals its validating rebuild, down rows included."""
+    rebuilt = FinPreorder(P.n, P.up)
+    assert (P.n, P.up, P.down, hash(P)) == (
+        rebuilt.n, rebuilt.up, rebuilt.down, hash(rebuilt)
+    )
+
+
+def assert_map_rebuilds(f):
+    """A map built trusted equals its validating rebuild; returns the rebuild."""
+    rebuilt = MonotoneMap(f.src, f.tgt, f.assign)
+    assert (f.src, f.tgt, f.assign, hash(f)) == (
+        rebuilt.src, rebuilt.tgt, rebuilt.assign, hash(rebuilt)
+    )
+    return rebuilt
+
+
 class TestCheckedRows:
     def test_opposite_and_labels_match_the_validated_constructor(self):
         for n in range(5):
@@ -493,6 +517,49 @@ class TestCheckedRows:
                 assert (named.n, named.up, named.down, named.labels) == (
                     expected.n, expected.up, expected.down, expected.labels
                 )
+
+    def test_factorisation_matches_its_validating_rebuild(self):
+        # every map between representatives of size <= 3, and every 7th
+        # map with an end of size 4
+        seen = 0
+        for X in reps(4):
+            for Y in reps(4):
+                for a in monotone_assignments(X, Y):
+                    if max(X.n, Y.n) == 4:
+                        seen += 1
+                        if seen % 7:
+                            continue
+                    fact = factorise(MonotoneMap(X, Y, a))
+                    assert_rebuilds(fact.K)
+                    assert_map_rebuilds(fact.lam)
+                    assert_map_rebuilds(fact.rho)
+                    assert [fact.pairs[i] for i in fact.lam.assign] == [
+                        (X.down[x], a[x]) for x in range(X.n)
+                    ]
+                    assert fact.rho.assign == tuple(b for _, b in fact.pairs)
+
+    def test_lifting_values_match_their_validating_rebuild(self):
+        # arrow classes of size <= 2 against arrow classes of size <= 3
+        large = arrow_classes(3)
+        algebras = {g: algebra_structure(g) for g in large}
+        for j in arrow_classes(2):
+            s = coalgebra_structure(j)
+            for g in large:
+                c = canonical_map(j, g)
+                assert_rebuilds(c.src)
+                assert_rebuilds(c.tgt)
+                assert_map_rebuilds(c)
+                sqs = squares(j, g)
+                sides = {}
+                for sq in sqs:
+                    for side in (sq.h, sq.k):
+                        if id(side) not in sides:
+                            sides[id(side)] = assert_map_rebuilds(side)
+                    assert sq == Square(j, g, sides[id(sq.h)], sides[id(sq.k)])
+                p = algebras[g]
+                if s is not None and p is not None:
+                    for sq in sqs:
+                        assert_map_rebuilds(canonical_diag(sq, s, p))
 
     def test_labels_are_still_checked(self):
         P = chain(2)

@@ -899,10 +899,10 @@ def test_memos_never_hand_out_another_callers_labels():
     assert all(sq.j is named and sq.g is g for sq in squares(named, g))
 
 
-UNBOUNDED = {"order._canonical", "order._sup_table"}
+UNBOUNDED = {"order._canonical"}
 
 
-def test_only_the_four_named_caches_are_unbounded():
+def test_only_the_canonical_forms_are_memoised_without_a_bound():
     found = {}
     for info in pkgutil.iter_modules(lofs.__path__):
         if info.name == "__main__":  # importing it runs the CLI
@@ -913,8 +913,8 @@ def test_only_the_four_named_caches_are_unbounded():
             if hasattr(obj, "cache_info") and getattr(inner, "__module__", None) == module.__name__:
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
-        "cli.build_parser", "factorisation._carrier", "kan._least_within",
-        "order._enumeration", "order._squares",
+        "cli.build_parser", "factorisation._carrier", "factorisation._inclusion_order",
+        "kan._embeddings", "kan._least_within", "order._enumeration", "order._squares",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
