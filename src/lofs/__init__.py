@@ -76,15 +76,10 @@ from .order import (
     diamond,
     enumerate_preorders,
     hom_maps,
-    hom_poset,
     identity,
     indiscrete,
     is_complete_lattice,
     is_full,
-    is_isomorphic,
-    is_order_embedding,
-    is_poset,
-    sq_hom_poset,
     squares,
     two_cell,
     vee,

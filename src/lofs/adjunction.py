@@ -155,16 +155,19 @@ def _section_choices(f, exact):
 def find_rali(f, exact=True):
     """A RALI witness on f, or None.
 
-    The section is assembled pointwise from minima; monotonicity is
-    automatic because minima over shrinking sets only grow.  With
-    ``exact=False`` the section equation is only required up to pointwise
-    equivalence, the right notion for comparison maps between preorder
-    hom-objects; the two coincide when the codomain is a poset.
+    The section is assembled pointwise from minima and built trusted: it
+    is monotone because minima over shrinking sets only grow (b <= b2
+    shrinks {a : b <= f(a)} to {a : b2 <= f(a)}, and every choice is a
+    minimum of its set).  ``RaliWitness`` still checks the section
+    equation and the counit.  With ``exact=False`` the section equation
+    is only required up to pointwise equivalence, the right notion for
+    comparison maps between preorder hom-objects; the two coincide when
+    the codomain is a poset.
     """
     choices = _section_choices(f, exact)
     if any(not c for c in choices):
         return None
-    return RaliWitness(f, MonotoneMap(f.tgt, f.src, [c[0] for c in choices]))
+    return RaliWitness(f, MonotoneMap._checked(f.tgt, f.src, tuple(c[0] for c in choices)))
 
 
 def find_lari(f):

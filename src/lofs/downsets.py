@@ -11,11 +11,12 @@ exists exactly on the complete lattices.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
-    _inclusion_rows,
     _union,
     down_set_masks,
 )
@@ -40,9 +41,51 @@ class DownSetLattice:
         return self._index[mask]
 
 
+def _inclusion_rows(masks):
+    """Up-rows of the inclusion order on ``masks``.
+
+    Row i is the mask of {i2 : masks[i] ⊆ masks[i2]}: an AND, over the
+    members x of masks[i], of the column mask {i2 : x in masks[i2]}.
+    """
+    has = {}  # member bit -> mask of the masks containing it
+    bit = 1
+    for m in masks:
+        while m:
+            low = m & -m
+            has[low] = has.get(low, 0) | bit
+            m ^= low
+        bit <<= 1
+    rows = []
+    full = bit - 1
+    for m in masks:
+        r = full
+        while m:
+            low = m & -m
+            r &= has[low]
+            m ^= low
+        rows.append(r)
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _inclusion_order(masks):
+    """(up rows, down rows) of the inclusion order on the down-sets ``masks``.
+
+    ``masks`` ascend, so the last is the whole source; m ⊆ m2 iff the
+    complement of m2 lies in that of m, so the down rows are the
+    inclusion rows of the complements.  Inclusion is a partial order, so
+    the rows form one by construction.  Many carriers share a source, so
+    the rows are kept per down-set tuple, at most 64 of them, as tuples.
+    ``downsets`` and ``factorisation.factorise`` both read them.
+    """
+    top = masks[-1]
+    return tuple(_inclusion_rows(masks)), tuple(_inclusion_rows([top ^ m for m in masks]))
+
+
 def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
+    """The down-set lattice of X, its order built trusted (``_inclusion_order``)."""
     masks = down_set_masks(X, max_carrier)
-    return DownSetLattice(FinPreorder(len(masks), _inclusion_rows(masks)), masks)
+    return DownSetLattice(FinPreorder._checked(*_inclusion_order(masks)), masks)
 
 
 def unit(X, dl=None):

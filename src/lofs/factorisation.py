@@ -22,7 +22,6 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     _guard,
-    _inclusion_rows,
     _pointwise_preorder,
     _preimage_masks,
     _union,
@@ -33,7 +32,7 @@ from .order import (
     is_full,
     maps_equivalent,
 )
-from .downsets import downsets
+from .downsets import _inclusion_order, downsets
 
 
 class FactorisationData:
@@ -105,19 +104,6 @@ class AlgebraWitness:
 def _upper_bound_table(f):
     """pre[b] = mask of {a : f(a) <= b}; membership is mask ⊆ pre[b]."""
     return _preimage_masks(f.assign, f.tgt.down)
-
-
-@lru_cache(maxsize=64)
-def _inclusion_order(masks):
-    """(up rows, down rows) of the inclusion order on the down-sets ``masks``.
-
-    ``masks`` ascend, so the last is the whole source; m ⊆ m2 iff the
-    complement of m2 lies in that of m, so the down rows are the
-    inclusion rows of the complements.  Many carriers share a source, so
-    the rows are kept per down-set tuple, at most 64 of them.
-    """
-    top = masks[-1]
-    return _inclusion_rows(masks), _inclusion_rows([top ^ m for m in masks])
 
 
 @lru_cache(maxsize=256)

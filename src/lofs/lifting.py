@@ -9,6 +9,9 @@ data: links are plain squares between members.
 Fillers are the fibres of the comparison c : hom(cod j, dom g) -> Sq(j, g),
 d ↦ (d ∘ j, g ∘ d): exactly over a square, up to pointwise equivalence
 over its class.  A KZ-lifting operation is a RALI section of c.
+``canonical_map``, ``has_lifting`` and ``lifting_structure`` read c from
+``_comparison``, the one place that enumerates the hom set and the
+squares of a pair.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from .order import (
     MonotoneMap,
     Square,
     _bits,
-    _hom_preorder,
     _least_vector,
     _pointwise_leq,
+    _pointwise_preorder,
     _preimage_masks,
-    _square_preorder,
     compose,
     monotone_assignments,
     squares,
@@ -82,38 +84,51 @@ class LiftingStructure:
         return self.fillers[(member_idx, h.assign, k.assign)]
 
 
-def _boundaries(j, g, assigns, sqs):
-    """The comparison map c on assignment tuples: c(d) for each d in ``assigns``.
+def _comparison(j, g, max_carrier):
+    """(hom assignments, squares, c): the comparison map on assignment tuples.
 
-    c(d) is the index in ``sqs`` of the boundary square (d ∘ j, g ∘ d).
-    ``sqs`` lists every square j -> g, so every boundary has an index.
+    The hom set cod j -> dom g is enumerated first and the squares
+    second, so every caller trips the same guard first.  c[d] is the
+    index in the squares of the boundary square (d ∘ j, g ∘ d); the
+    squares list every square j -> g, so every boundary has an index.
     """
+    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
+    sqs = squares(j, g, max_carrier)
     index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
-    return [
+    c = tuple(
         index[(tuple(d[v] for v in j.assign), tuple(g.assign[v] for v in d))]
         for d in assigns
-    ]
+    )
+    return assigns, sqs, c
+
+
+def _hom_preorder(X, Y, assigns):
+    """The pointwise order on the assignments X -> Y in ``assigns``."""
+    return _pointwise_preorder(assigns, (Y.up,) * X.n, (Y.down,) * X.n)
+
+
+def _square_preorder(j, g, sqs):
+    """The squares ``sqs`` j -> g, ordered by their h and k pointwise."""
+    vectors = [s.h.assign + s.k.assign for s in sqs]
+    ups = (g.src.up,) * j.src.n + (g.tgt.up,) * j.tgt.n
+    downs = (g.src.down,) * j.src.n + (g.tgt.down,) * j.tgt.n
+    return _pointwise_preorder(vectors, ups, downs)
 
 
 def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     """The comparison d ↦ (d ∘ j, g ∘ d) into the square preorder.
 
-    Its source is ``hom_poset(cod j, dom g)`` and its target
-    ``sq_hom_poset(j, g)``, both in canonical element order.  The hom
-    assignments and the squares are enumerated once here and shared by
-    both preorders and ``_boundaries``; they are the very lists those
-    two functions would enumerate, so the map is unchanged.
+    Its source is the hom preorder cod j -> dom g and its target the
+    square preorder, elements in the order of ``_comparison``, whose map
+    c it is.
 
     All three are built trusted.  Both preorders are pointwise orders on
     validated coordinates (``_pointwise_preorder``), and the map is
     monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
-    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
-    sqs = squares(j, g, max_carrier)
+    assigns, sqs, c = _comparison(j, g, max_carrier)
     return MonotoneMap._checked(
-        _hom_preorder(j.tgt, g.src, assigns),
-        _square_preorder(j, g, sqs),
-        tuple(_boundaries(j, g, assigns, sqs)),
+        _hom_preorder(j.tgt, g.src, assigns), _square_preorder(j, g, sqs), c
     )
 
 
@@ -124,11 +139,9 @@ def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     always implies this predicate; over posets that is the strict notion.
     So the comparison map must hit every class of squares.
     """
-    sqs = squares(j, g, max_carrier)
-    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
+    _, sqs, c = _comparison(j, g, max_carrier)
     order = _square_preorder(j, g, sqs)
-    classes = [order.class_mask(i) for i in range(order.n)]
-    return all(_preimage_masks(_boundaries(j, g, assigns, sqs), classes))
+    return all(_preimage_masks(c, [order.class_mask(i) for i in range(order.n)]))
 
 
 def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
@@ -137,22 +150,20 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     From the fibre of the comparison map over each square, the least
     filler is chosen when one exists, else the lexicographic-first
     (recorded by the ``canonical`` flag), and only that one is built as
-    a map.  The selection is then validated against the monotonicity and
-    link-naturality invariants; KZ situations never hit the flag and
-    always validate.  Each member's squares and its hom set
-    cod j -> dom g are enumerated once; the squares are shared with
-    that check.
+    a map, trusted: it comes from the enumerated hom set.  The selection
+    is then validated against the monotonicity and link-naturality
+    invariants; KZ situations never hit the flag and always validate.
+    Each member's ``_comparison`` is read once; its squares are shared
+    with that check, which builds a member's square preorder only when
+    it reaches the member.
     """
     fillers = {}
     canonical = True
     member_squares = []
     for idx, j in enumerate(family.members):
-        sqs = squares(j, g, max_carrier)
-        assigns = monotone_assignments(j.tgt, g.src, max_carrier)
+        assigns, sqs, c = _comparison(j, g, max_carrier)
         member_squares.append(sqs)
-        fibres = _preimage_masks(
-            _boundaries(j, g, assigns, sqs), [1 << i for i in range(len(sqs))]
-        )
+        fibres = _preimage_masks(c, [1 << i for i in range(len(sqs))])
         for sq, fibre in zip(sqs, fibres):
             if not fibre:
                 return None
@@ -161,7 +172,7 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
             if best is None:
                 canonical = False
                 best = 0
-            fillers[(idx, sq.h.assign, sq.k.assign)] = MonotoneMap(
+            fillers[(idx, sq.h.assign, sq.k.assign)] = MonotoneMap._checked(
                 j.tgt, g.src, cands[best]
             )
     out = LiftingStructure(g, family, fillers, canonical)
@@ -174,7 +185,8 @@ def _coherent(structure, member_squares):
     """Monotone in the square, member by member, and natural across links.
 
     ``member_squares[i]`` is ``squares(members[i], g)``.  The pairs of
-    squares to compare are the related pairs of their preorder.
+    squares to compare are the related pairs of their preorder, built
+    when the check reaches member i.
     """
     g, family = structure.g, structure.family
     for idx, sqs in enumerate(member_squares):

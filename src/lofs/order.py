@@ -145,10 +145,11 @@ class FinPreorder:
         """The preorder on rows that already form one, with ``labels``.
 
         Trusted: only the labels are checked.  ``up`` and ``down`` are
-        tuples from one of two sources: a validated preorder's rows (or
-        the two swapped, its opposite), or the up and down rows of a
+        tuples from one of three sources: a validated preorder's rows (or
+        the two swapped, its opposite), the up and down rows of a
         pointwise order on validated coordinates, from
-        ``_pointwise_preorder``.  Anything else enters through the
+        ``_pointwise_preorder``, or the inclusion order of down-sets, from
+        ``downsets._inclusion_order``.  Anything else enters through the
         validating constructor.
         """
         self = object.__new__(cls)
@@ -298,9 +299,6 @@ class MonotoneMap:
     def __call__(self, i):
         return self.assign[i]
 
-    def is_injective(self):
-        return len(set(self.assign)) == self.src.n
-
     def __eq__(self, other):
         return (
             isinstance(other, MonotoneMap)
@@ -437,11 +435,6 @@ def vee():
 # predicates
 
 
-def is_poset(X):
-    """Antisymmetry of the relation."""
-    return X.is_poset
-
-
 def is_full(f):
     """f(a) <= f(a') implies a <= a' (order is reflected, not just preserved)."""
     return _unreflected_pair(f.assign, f.src.up, f.tgt.up) is None
@@ -471,15 +464,6 @@ def _unreflected_pair(assign, src_up, tgt_up):
     return None
 
 
-def is_order_embedding(f):
-    """Full and injective on equivalence classes.
-
-    Fullness alone decides it: f(a) ~ f(b) gives a <= b and b <= a by
-    reflection, so a full map is already injective on classes.
-    """
-    return is_full(f)
-
-
 def sup_mask(X, mask):
     """A least upper bound of the subset ``mask`` up to equivalence.
 
@@ -490,14 +474,6 @@ def sup_mask(X, mask):
     for i in _bits(mask):
         ub &= X.up[i]
     return _least_member(ub, X.up)
-
-
-def inf_mask(X, mask):
-    """Dual of :func:`sup_mask`: a greatest lower bound up to equivalence."""
-    lb = (1 << X.n) - 1
-    for i in _bits(mask):
-        lb &= X.down[i]
-    return _least_member(lb, X.down)
 
 
 def is_complete_lattice(X):
@@ -641,32 +617,6 @@ def _pointwise_rows(vectors, ups):
     return rows
 
 
-def _inclusion_rows(masks):
-    """Up-rows of the inclusion order on ``masks``.
-
-    Row i is the mask of {i2 : masks[i] ⊆ masks[i2]}: an AND, over the
-    members x of masks[i], of the column mask {i2 : x in masks[i2]}.
-    """
-    has = {}  # member bit -> mask of the masks containing it
-    bit = 1
-    for m in masks:
-        while m:
-            low = m & -m
-            has[low] = has.get(low, 0) | bit
-            m ^= low
-        bit <<= 1
-    rows = []
-    full = bit - 1
-    for m in masks:
-        r = full
-        while m:
-            low = m & -m
-            r &= has[low]
-            m ^= low
-        rows.append(r)
-    return rows
-
-
 def _pointwise_preorder(vectors, ups, downs):
     """The pointwise order on ``vectors``, built trusted.
 
@@ -678,32 +628,6 @@ def _pointwise_preorder(vectors, ups, downs):
     return FinPreorder._checked(
         tuple(_pointwise_rows(vectors, ups)), tuple(_pointwise_rows(vectors, downs))
     )
-
-
-def _hom_preorder(X, Y, assigns):
-    """``hom_poset`` on its assignment list, already enumerated."""
-    return _pointwise_preorder(assigns, (Y.up,) * X.n, (Y.down,) * X.n)
-
-
-def _square_preorder(j, g, sqs):
-    """``sq_hom_poset`` on its square list, already enumerated."""
-    vectors = [s.h.assign + s.k.assign for s in sqs]
-    ups = (g.src.up,) * j.src.n + (g.tgt.up,) * j.tgt.n
-    downs = (g.src.down,) * j.src.n + (g.tgt.down,) * j.tgt.n
-    return _pointwise_preorder(vectors, ups, downs)
-
-
-def hom_poset(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
-    """The preorder of all monotone maps X -> Y under the pointwise order.
-
-    Element i is ``monotone_assignments(X, Y)[i]``; the enumeration order
-    (lexicographic on assignment vectors) is the canonical one.  The rows
-    come from ``_pointwise_rows``, which gives the relation of the
-    pairwise comparison in one pass per coordinate; callers that already
-    hold the assignments (``lifting.canonical_map``) share them through
-    ``_hom_preorder``.
-    """
-    return _hom_preorder(X, Y, monotone_assignments(X, Y, max_carrier))
 
 
 def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
@@ -722,7 +646,8 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     The enumeration is memoised in ``_squares``, keyed by (j, g, the
     labels of their four preorders, ``max_carrier``) and bounded at 16
     square sets, so a caller that lists the squares of a pair and then
-    asks ``canonical_map`` about the same pair enumerates them once.  A
+    asks ``lifting._comparison`` about the same pair enumerates them
+    once.  A
     cached set is an immutable tuple built by the same code from the
     same key, and each call returns a fresh list of it, so the squares,
     their order and every error are unchanged, and mutating one result
@@ -737,9 +662,11 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
 def _squares(j, g, labels, max_carrier):
     """``squares`` as a tuple.
 
-    ``labels`` is part of the key only: map and preorder equality ignore
-    labels, and every square holds j and g, so a labelled pair never
-    receives squares built on another caller's labels.
+    ``lifting._comparison`` reads it through ``squares``, so the lifting
+    functions share the enumeration with every other caller.  ``labels``
+    is part of the key only: map and preorder equality ignore labels, and
+    every square holds j and g, so a labelled pair never receives squares
+    built on another caller's labels.
     """
     hs = monotone_assignments(j.src, g.src, max_carrier)
     ks = monotone_assignments(j.tgt, g.tgt, max_carrier)
@@ -761,20 +688,6 @@ def _squares(j, g, labels, max_carrier):
             out.append(Square._checked(j, g, hmap, kmap))
     _guard("commuting squares", len(out), max_carrier)
     return tuple(out)
-
-
-def sq_hom_poset(j, g, max_carrier=DEFAULT_MAX_CARRIER):
-    """The preorder of commuting squares j -> g, ordered componentwise.
-
-    Element i is ``squares(j, g)[i]``; a square lies below another when
-    both its h and its k do, pointwise.  The rows come from
-    ``_pointwise_rows`` over the concatenated (h, k) vectors, which is the
-    same relation as comparing every pair; callers that already hold the
-    squares (``canonical_map``, ``has_lifting`` and the coherence check
-    of the lifting structures in ``lifting``) share them through
-    ``_square_preorder``.
-    """
-    return _square_preorder(j, g, squares(j, g, max_carrier))
 
 
 # ---------------------------------------------------------------------------
@@ -842,40 +755,6 @@ def canonical_key(X):
 
 def canonical_form(X):
     return FinPreorder(X.n, _canonical(X)[0])
-
-
-def is_isomorphic(X, Y):
-    """Brute force over bijections, pruned by refinement colors."""
-    if X.n != Y.n:
-        return False
-    n = X.n
-    inv_x, inv_y = _refinement(X), _refinement(Y)
-    if sorted(inv_x) != sorted(inv_y):
-        return False
-    cands = [[j for j in range(n) if inv_y[j] == inv_x[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cands[i]))
-    assign = {}
-
-    def rec(pos):
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in cands[i]:
-            if j in assign.values():
-                continue
-            ok = True
-            for i2, j2 in assign.items():
-                if X.leq(i, i2) != Y.leq(j, j2) or X.leq(i2, i) != Y.leq(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                if rec(pos + 1):
-                    return True
-                del assign[i]
-        return False
-
-    return rec(0)
 
 
 def arrow_canonical_key(f):

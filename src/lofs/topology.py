@@ -96,11 +96,6 @@ def open_masks(X):
     return _open_lattice(X).masks
 
 
-def open_set_poset(X):
-    """The opens of X ordered by inclusion, elements aligned with open_masks."""
-    return _open_lattice(X).carrier
-
-
 def _directed_sups(P):
     """(d, sup d) for every nonempty directed subset d of the poset P.
 
@@ -260,4 +255,4 @@ def is_top_coalgebra(f):
 
 def is_embedding(f):
     """Subspace embedding of finite spaces: injective and order-reflecting."""
-    return f.is_injective() and is_full(f)
+    return len(set(f.assign)) == f.src.n and is_full(f)

@@ -1,0 +1,50 @@
+"""Brute-force oracles that only the tests use.
+
+``is_isomorphic`` searches bijections, pruned by the refinement colors
+that canonical forms use, and ``inf_mask`` is the dual of
+``order.sup_mask``.  The library decides neither question itself.
+"""
+
+from lofs.order import _bits, _least_member, _refinement
+
+
+def is_isomorphic(X, Y):
+    """Brute force over bijections, pruned by refinement colors."""
+    if X.n != Y.n:
+        return False
+    n = X.n
+    inv_x, inv_y = _refinement(X), _refinement(Y)
+    if sorted(inv_x) != sorted(inv_y):
+        return False
+    cands = [[j for j in range(n) if inv_y[j] == inv_x[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    assign = {}
+
+    def rec(pos):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in cands[i]:
+            if j in assign.values():
+                continue
+            ok = True
+            for i2, j2 in assign.items():
+                if X.leq(i, i2) != Y.leq(j, j2) or X.leq(i2, i) != Y.leq(j2, j):
+                    ok = False
+                    break
+            if ok:
+                assign[i] = j
+                if rec(pos + 1):
+                    return True
+                del assign[i]
+        return False
+
+    return rec(0)
+
+
+def inf_mask(X, mask):
+    """Dual of ``order.sup_mask``: a greatest lower bound up to equivalence."""
+    lb = (1 << X.n) - 1
+    for i in _bits(mask):
+        lb &= X.down[i]
+    return _least_member(lb, X.down)

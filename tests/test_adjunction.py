@@ -20,9 +20,9 @@ from lofs.order import (
     hom_maps,
     identity,
     is_full,
-    is_isomorphic,
     two_cell,
 )
+from oracles import is_isomorphic
 
 
 def small_maps(max_size=3):

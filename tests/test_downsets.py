@@ -13,9 +13,9 @@ from lofs.order import (
     indiscrete,
     is_complete_lattice,
     is_full,
-    is_isomorphic,
     sup_mask,
 )
+from oracles import is_isomorphic
 
 # The down-set monad is the factorisation at the point: its multiplication
 # and algebras are those of X -> 1, and its functor is the factorisation's

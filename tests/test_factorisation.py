@@ -27,11 +27,11 @@ from lofs.order import (
     indiscrete,
     is_complete_lattice,
     is_full,
-    is_isomorphic,
     maps_equivalent,
     monotone_assignments,
     squares,
 )
+from oracles import is_isomorphic
 
 ONE = chain(1)
 

@@ -16,6 +16,7 @@ from lofs.order import (
     enumerate_preorders,
     identity,
     monotone_assignments,
+    squares,
 )
 from lofs.topology import FiniteSpace, f_lower_star
 
@@ -223,6 +224,23 @@ class TestCli:
         assert capsys.readouterr().err == "lofs: 6^5 candidate maps: 7776 exceeds the bound 4096\n"
         assert cli.main(["--max-carrier", "7776", "kan-injective", c6, a5]) == 0
         assert json.loads(capsys.readouterr().out) == {"kan-injective": True}
+
+    def test_lift_and_kz_trip_the_hom_set_guard_first(self, tmp_path, capsys):
+        # at the bound 8 the hom set cod j -> dom g has 3^3 candidates and
+        # the pair has 12 commuting squares, so both guards would fire;
+        # every lifting command enumerates the hom set first
+        j = MonotoneMap(antichain(1), antichain(3), [0])
+        g = MonotoneMap(antichain(3), antichain(2), [0, 0, 1])
+        jp = write(tmp_path, "j.json", formats.map_to_obj(j))
+        gp = write(tmp_path, "g.json", formats.map_to_obj(g))
+        fam = write(tmp_path, "fam.json", [formats.map_to_obj(j)])
+        with pytest.raises(SizeLimitExceeded, match=r"^commuting squares: 12 exceeds the bound 8$"):
+            squares(j, g, 8)
+        for argv in (["lift", fam, gp], ["--witness", "lift", fam, gp], ["kz", jp, gp]):
+            assert cli.main(["--max-carrier", "8"] + argv) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "lofs: 3^3 candidate maps: 27 exceeds the bound 8\n"
 
     def test_classify_honours_max_carrier(self, capsys):
         assert cli.main(["--max-carrier", "1", "classify", "--max-size", "3"]) == 2

@@ -23,7 +23,7 @@ from lofs.order import (
     hom_maps,
     identity,
     is_complete_lattice,
-    is_order_embedding,
+    is_full,
     monotone_assignments,
     two_cell,
 )
@@ -228,7 +228,7 @@ class TestAllEmbeddings:
                 for X in pool:
                     for Y in pool:
                         for f in hom_maps(X, Y):
-                            if is_order_embedding(f):
+                            if is_full(f):
                                 seen.setdefault(arrow_canonical_key(f), f)
                 expected = [seen[k] for k in sorted(seen)]
                 got = all_embeddings(m, posets_only)

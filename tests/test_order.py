@@ -6,7 +6,9 @@ import pickle
 import pytest
 
 import lofs
+from lofs import cli, formats
 from lofs.adjunction import comma
+from lofs.downsets import downsets
 from lofs.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -19,8 +21,9 @@ from lofs.factorisation import (
     coalgebra_structure,
     factorise,
 )
-from lofs.lifting import canonical_map
+from lofs.lifting import GeneratorFamily, canonical_map, kz_orthogonal, lifting_structure
 from lofs.order import (
+    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     Square,
@@ -35,22 +38,18 @@ from lofs.order import (
     down_set_masks,
     enumerate_preorders,
     hom_maps,
-    hom_poset,
     identity,
     indiscrete,
     is_complete_lattice,
     is_full,
-    is_isomorphic,
-    is_order_embedding,
-    is_poset,
     monotone_assignments,
-    sq_hom_poset,
     squares,
     sup_mask,
     two_cell,
     vee,
 )
-from lofs.topology import scott_opens
+from lofs.topology import _open_lattice, scott_opens
+from oracles import is_isomorphic
 
 
 def reps(max_size, posets_only=False):
@@ -115,6 +114,16 @@ def arrow_classes(max_size):
             for f in hom_maps(X, Y):
                 seen.setdefault(arrow_canonical_key(f), f)
     return [seen[k] for k in sorted(seen)]
+
+
+def hom_preorder(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
+    """The maps X -> Y ordered pointwise: the comparison map's source for id X, id Y."""
+    return canonical_map(identity(X), identity(Y), max_carrier).src
+
+
+def square_preorder(j, g):
+    """The preorder of the squares j -> g: the comparison map's target."""
+    return canonical_map(j, g).tgt
 
 
 def pairwise_rows(vectors, leqs):
@@ -192,7 +201,7 @@ class TestMaps:
 
 class TestHomPoset:
     def test_from_point(self):
-        assert is_isomorphic(hom_poset(chain(1), chain(2)), chain(2))
+        assert is_isomorphic(hom_preorder(chain(1), chain(2)), chain(2))
 
     def test_chain_to_chain(self):
         # brute-force oracle: 3 of the 4 assignments are monotone
@@ -204,24 +213,24 @@ class TestHomPoset:
         ]
         assert len(naive) == 3
         assert monotone_assignments(c2, c2) == [(0, 0), (0, 1), (1, 1)]
-        assert is_isomorphic(hom_poset(c2, c2), chain(3))
+        assert is_isomorphic(hom_preorder(c2, c2), chain(3))
 
     def test_to_terminal(self):
-        assert is_isomorphic(hom_poset(antichain(2), chain(1)), chain(1))
+        assert is_isomorphic(hom_preorder(antichain(2), chain(1)), chain(1))
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitExceeded):
-            hom_poset(antichain(3), diamond(), max_carrier=8)
+        with pytest.raises(SizeLimitExceeded, match=r"^4\^3 candidate maps: 64 exceeds the bound 8$"):
+            hom_preorder(antichain(3), diamond(), max_carrier=8)
 
     def test_point_hom_recovers_object(self):
         for Y in reps(4):
-            assert is_isomorphic(hom_poset(chain(1), Y), Y)
+            assert is_isomorphic(hom_preorder(chain(1), Y), Y)
 
     def test_two_cell_agrees_with_hom_order(self):
         for X in reps(2):
             for Y in reps(2):
                 maps = hom_maps(X, Y)
-                hp = hom_poset(X, Y)
+                hp = hom_preorder(X, Y)
                 for i, f in enumerate(maps):
                     for j, g in enumerate(maps):
                         assert hp.leq(i, j) == two_cell(f, g)
@@ -230,7 +239,7 @@ class TestHomPoset:
 class TestSquares:
     def test_identity_j_matches_hom(self):
         g = MonotoneMap(diamond(), chain(2), [0, 0, 1, 1])
-        sq = sq_hom_poset(identity(diamond()), g)
+        sq = square_preorder(identity(diamond()), g)
         assert sq.n == len(hom_maps(diamond(), diamond()))
 
     def test_membership_by_evaluation(self):
@@ -245,7 +254,7 @@ class TestSquares:
 
     def test_terminal_g(self):
         j = MonotoneMap(antichain(2), diamond(), [1, 2])
-        assert sq_hom_poset(j, identity(chain(1))).n == 1
+        assert square_preorder(j, identity(chain(1))).n == 1
 
 
 class TestPointwiseRows:
@@ -254,7 +263,7 @@ class TestPointwiseRows:
             for Y in reps(3):
                 assigns = monotone_assignments(X, Y)
                 expected = pairwise_rows(assigns, [Y.leq] * X.n)
-                assert list(hom_poset(X, Y).up) == expected
+                assert list(hom_preorder(X, Y).up) == expected
 
     def test_sq_hom_poset_matches_pairwise(self):
         # every class of size <= 3 meets a quarter of the classes of size
@@ -267,7 +276,17 @@ class TestPointwiseRows:
             sqs = squares(j, g)
             vectors = [s.h.assign + s.k.assign for s in sqs]
             leqs = [g.src.leq] * j.src.n + [g.tgt.leq] * j.tgt.n
-            assert list(sq_hom_poset(j, g).up) == pairwise_rows(vectors, leqs)
+            assert list(square_preorder(j, g).up) == pairwise_rows(vectors, leqs)
+
+
+def cli_check(tmp_path, capsys, predicate, obj):
+    """The exit code of ``lofs check`` on ``obj``, whose verdict it prints."""
+    path = tmp_path / "doc.json"
+    path.write_text(formats.dumps(obj))
+    code = cli.main(["check", predicate, str(path)])
+    out = capsys.readouterr().out
+    assert out == formats.dumps({"predicate": predicate, "result": code == 0})
+    return code
 
 
 class TestPredicates:
@@ -297,13 +316,15 @@ class TestPredicates:
                             if is_full(gf):
                                 assert is_full(f)
 
-    def test_order_embedding_examples(self):
-        assert is_order_embedding(MonotoneMap(antichain(2), diamond(), [1, 2]))
-        assert not is_order_embedding(MonotoneMap(antichain(2), chain(2), [0, 1]))
+    def test_order_embedding_examples(self, tmp_path, capsys):
+        for assign, Y, code in (([1, 2], diamond(), 0), ([0, 1], chain(2), 1)):
+            obj = formats.map_to_obj(MonotoneMap(antichain(2), Y, assign))
+            assert cli_check(tmp_path, capsys, "order-embedding", obj) == code
 
-    def test_poset(self):
-        assert is_poset(diamond())
-        assert not is_poset(indiscrete(2))
+    def test_poset(self, tmp_path, capsys):
+        for P, code in ((diamond(), 0), (indiscrete(2), 1)):
+            obj = formats.preorder_to_obj(P)
+            assert cli_check(tmp_path, capsys, "poset", obj) == code
 
     def test_sup_mask(self):
         d = diamond()
@@ -483,6 +504,35 @@ class TestSizeGuards:
                     raises.append((path.name, id(node) in in_guard))
         assert raises == [("order.py", True)]
 
+    def test_every_export_is_read_inside_the_package(self):
+        # a name that lofs/__init__.py exports is read by some other module
+        # of the package, or is one of the paper's own notions (lifting
+        # against a family, the composition of structures, Kan extensions,
+        # the simple-adjunction factorisations) or an example constructor
+        keep = {
+            "has_lifting", "compose_structures", "lan_extension", "find_lari",
+            "LariWitness", "comma", "collage", "laxlimit_awfs", "laxcolimit_awfs",
+            "antichain", "diamond", "indiscrete", "vee",
+        }
+        package = pathlib.Path(lofs.__file__).parent
+        init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+        exported = {
+            alias.asname or alias.name
+            for node in ast.walk(init)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        read = set()
+        for path in package.glob("*.py"):
+            if path.name != "__init__.py":
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        read.add(node.attr)
+        assert keep <= exported
+        assert sorted(exported - read - keep) == []
+
 
 def assert_rebuilds(P):
     """A preorder built trusted equals its validating rebuild, down rows included."""
@@ -560,6 +610,19 @@ class TestCheckedRows:
                 if s is not None and p is not None:
                     for sq in sqs:
                         assert_map_rebuilds(canonical_diag(sq, s, p))
+                w = kz_orthogonal(j, g)
+                if w is not None:
+                    assert_map_rebuilds(w.left_adjoint)
+                st = lifting_structure(GeneratorFamily([j]), g)
+                if st is not None:
+                    for d in st.fillers.values():
+                        assert_map_rebuilds(d)
+
+    def test_down_set_lattices_match_their_validating_rebuild(self):
+        for n in range(5):
+            for P in enumerate_preorders(n, up_to_iso=False):
+                assert_rebuilds(downsets(P).carrier)
+                assert_rebuilds(_open_lattice(P).carrier)
 
     def test_labels_are_still_checked(self):
         P = chain(2)

@@ -50,7 +50,8 @@ from lofs.factorisation import (  # noqa: E402
 from lofs.kan import _least_within, lan_extension  # noqa: E402
 from lofs.lifting import (  # noqa: E402
     GeneratorFamily,
-    _boundaries,
+    _comparison,
+    canonical_map,
     has_lifting,
     lifting_structure,
 )
@@ -74,22 +75,20 @@ from lofs.order import (  # noqa: E402
     hom_maps,
     identity,
     indiscrete,
-    inf_mask,
     is_full,
     maps_equivalent,
     monotone_assignments,
-    sq_hom_poset,
     squares,
     sup_mask,
     two_cell,
 )
 from lofs.topology import (  # noqa: E402
+    _open_lattice,
     f_lower_star,
     filter_map,
     filter_mult,
     filter_space,
     open_masks,
-    open_set_poset,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
@@ -571,7 +570,7 @@ def test_comma_and_inclusion_rows_match_pairwise(f):
     )
     dl = downsets(A)
     assert dl.carrier.up == naive_inclusion_rows(dl.masks)
-    assert open_set_poset(B).up == naive_inclusion_rows(open_masks(B))
+    assert _open_lattice(B).carrier.up == naive_inclusion_rows(open_masks(B))
     fs = filter_space(B)
     assert fs.sets == naive_inclusion_rows(fs.opens)
     assert fs.filters.up == naive_inclusion_rows(fs.sets)
@@ -644,13 +643,12 @@ def test_first_unreflected_pair_on_every_small_map():
 
 @PROPERTY
 @given(preorders(max_n=5), st.integers(0, 31))
-def test_restrict_quotient_sup_inf_match_loops(X, mask):
+def test_restrict_quotient_sup_match_loops(X, mask):
     mask &= (1 << X.n) - 1
     assert X.restrict(mask).up == naive_restrict_rows(X, mask)
     Q, cls = X.quotient()
     assert Q.up == naive_quotient_rows(X)
     assert sup_mask(X, mask) == naive_sup(X, mask)
-    assert inf_mask(X, mask) == naive_sup(FinPreorder(X.n, X.down), mask)
 
 
 @PROPERTY
@@ -777,10 +775,9 @@ def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
     """
     if j is None or g is None:
         return
-    sqs = squares(j, g)
-    assigns = monotone_assignments(j.tgt, g.src)
-    c = _boundaries(j, g, assigns, sqs)
-    order = sq_hom_poset(j, g)
+    assigns, sqs, c = _comparison(j, g, DEFAULT_MAX_CARRIER)
+    assert assigns == monotone_assignments(j.tgt, g.src) and sqs == squares(j, g)
+    order = canonical_map(j, g).tgt
     exact = _preimage_masks(c, [1 << i for i in range(len(sqs))])
     up_to_equiv = _preimage_masks(c, [order.class_mask(i) for i in range(len(sqs))])
     for i, sq in enumerate(sqs):
@@ -913,7 +910,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
             if hasattr(obj, "cache_info") and getattr(inner, "__module__", None) == module.__name__:
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
-        "cli.build_parser", "factorisation._carrier", "factorisation._inclusion_order",
+        "cli.build_parser", "downsets._inclusion_order", "factorisation._carrier",
         "kan._embeddings", "kan._least_within", "order._enumeration", "order._squares",
     }
     assert bounded <= set(found)

@@ -16,7 +16,6 @@ from lofs.order import (
     identity,
     indiscrete,
     is_complete_lattice,
-    is_isomorphic,
     vee,
 )
 from lofs.topology import (
@@ -34,6 +33,7 @@ from lofs.topology import (
     scott_opens,
     way_below,
 )
+from oracles import inf_mask, is_isomorphic
 
 ONE = chain(1)
 DIA = diamond()
@@ -192,8 +192,6 @@ class TestFilterMonad:
                 )
 
     def test_algebra_is_infimum_of_generating_open(self):
-        from lofs.order import inf_mask
-
         X = FiniteSpace(DIA)
         fs = filter_space(X)
         alpha = filter_algebra(X)
