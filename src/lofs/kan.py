@@ -17,6 +17,8 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     MonotoneMap,
     _bits,
+    _hom_guard,
+    _least_member,
     _least_vector,
     _monotone_within,
     _preimage_masks,
@@ -50,8 +52,9 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
     When the codomain is a complete lattice the minimum is computed
     directly as g(y) = sup {f(x) : j(x) <= y}, which is below every
     candidate by the upper-bound argument, with one ``sup_mask`` per
-    point of cod j; otherwise the monotone maps are scanned by
-    :func:`_scanned_extension`.
+    point of cod j; otherwise :func:`_scanned_extension` takes the same
+    pointwise sups where they exist and scans the monotone maps where
+    they do not.
     """
     if j.src != f.src:
         raise ShapeMismatch("extension needs dom j = dom f")
@@ -64,7 +67,7 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
 
 
 def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
-    """:func:`lan_extension` by a scan of the monotone maps, for any codomain."""
+    """:func:`lan_extension` through ``_least_extension``, for any codomain."""
     best = _least_extension(j, f.assign, f.tgt, max_carrier)
     if best is None:
         return None
@@ -74,27 +77,37 @@ def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
 def _least_extension(j, assign, A, max_carrier):
     """The least monotone g with f <= g ∘ j, f = ``assign``, as a tuple, or None.
 
-    The scan only enumerates maps with g(y) an upper bound of
-    f[{x : j(x) <= y}]: for a monotone g that is the same condition as
-    f <= g ∘ j, so the candidate list and its lexicographic order are
-    those of the full scan.  The least candidate is the first one inside
-    ``lower``, the pointwise meet of the down-sets of all candidates,
-    which is the first candidate below all of them.
+    For a monotone g, f <= g ∘ j says that g(y) lies in
+    bounds[y] = ⋂ {↑f(x) : j(x) <= y}, the upper bounds of
+    f[{x : j(x) <= y}].  When every bounds[y] has a least member, the
+    pointwise choice g(y) = sup f[{x : j(x) <= y}] (the least member of
+    bounds[y], lowest index in its class) is the answer, with no scan:
 
-    The scan is memoised in ``_least_within``, keyed by (cod j, A, the
-    bounds, ``max_carrier``) and bounded at 1,024 scans: maps f with the
-    same bounds share one scan, so ``kan_injective`` over a non-complete
-    A scans each distinct key once.  The cached value is the least
-    assignment tuple (or None), which carries no labels, so the
-    extension is still built per call on the caller's own preorders and
-    the restriction test still runs per call: results are unchanged.  A
-    smaller ``max_carrier`` is a different key, so its guard still raises.
+    - it is monotone, because y <= y' shrinks bounds[y'] inside
+      bounds[y], so g(y) lies below every member of bounds[y'];
+    - it lies within the bounds and below every candidate;
+    - so the least candidates are exactly the product of the classes of
+      its values, whose lexicographically first member is g itself, the
+      tuple the scan below would pick.
+
+    The hom-set guard on |A|^|cod j| is still called, under the same
+    conditions as the scan's, so a bound that stops the scan also stops
+    this path with the same message.  Only when some bounds[y] has no
+    least member does the scan of ``_least_within`` run.  The sets
+    {x : j(x) <= y} come from the per-member memo ``_member``.
     """
-    bounds = [(1 << A.n) - 1] * j.tgt.n
-    for x in range(j.src.n):
-        for y in _bits(j.tgt.up[j.assign[x]]):
-            bounds[y] &= A.up[assign[x]]
-    return _least_within(j.tgt, A, tuple(bounds), max_carrier)
+    anything = (1 << A.n) - 1
+    bounds = []
+    for m in _member(j)[0]:
+        b = anything
+        for x in _bits(m):
+            b &= A.up[assign[x]]
+        bounds.append(b)
+    least = [_least_member(b, A.up) for b in bounds]
+    if None in least:
+        return _least_within(j.tgt, A, tuple(bounds), max_carrier)
+    _hom_guard(j.tgt, A, max_carrier)
+    return tuple(least)
 
 
 def _restricts(j, assign, ext, A):
@@ -112,10 +125,44 @@ def _restricting(j, f, assign):
 
 @lru_cache(maxsize=1024)
 def _least_within(Y, A, bounds, max_carrier):
-    """The first monotone Y -> A within ``bounds`` below all others, or None."""
+    """The first monotone Y -> A within ``bounds`` below all others, or None.
+
+    The fallback of ``_least_extension`` when some bound set has no
+    least member, so that no pointwise sup exists there.  It enumerates
+    only maps with g(y) in ``bounds[y]``: for a monotone g that is the
+    same condition as f <= g ∘ j, so the candidate list and its
+    lexicographic order are those of the full scan.  The least candidate
+    is the first one inside ``lower``, the pointwise meet of the
+    down-sets of all candidates, which is the first candidate below all
+    of them.
+
+    Memoised by (cod j, A, the bounds, ``max_carrier``), at most 1,024
+    scans: maps f with the same bounds share one scan.  The value is an
+    assignment tuple (or None), which carries no labels, so the caller
+    builds its extension on its own preorders.  A smaller
+    ``max_carrier`` is a different key, so its guard still raises.
+    """
     cands = _monotone_within(Y, A, bounds, max_carrier)
     best = _least_vector(cands, A)
     return None if best is None else cands[best]
+
+
+@lru_cache(maxsize=2048)
+def _member(j):
+    """The per-member value ``(below, pairs)`` that Kan injectivity reads.
+
+    ``below[y]`` is the mask of {x : j(x) <= y}, and ``pairs`` lists the
+    (x', x) with j(x') <= j(x) but x' ≰ x, the pairs that j fails to
+    reflect; a full j has none.  Both depend only on the relations and
+    on j's assignment, so labels are not part of the key.  At most 2,048
+    members, more than the 1,589 classes of ``all_embeddings(4)``.
+    """
+    X = j.src
+    below = tuple(_preimage_masks(j.assign, j.tgt.down))
+    pairs = tuple(
+        (a, x) for x, y in enumerate(j.assign) for a in _bits(below[y] & ~X.down[x])
+    )
+    return below, pairs
 
 
 def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
@@ -124,23 +171,29 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     ``generators`` is a GeneratorFamily or any iterable of maps; only the
     members matter.  Equivalent to the comparison map of each generator
     against A -> point carrying a RALI witness.  Every map f is walked as
-    an assignment tuple of the hom set, and no map is built.
+    an assignment tuple of the hom set, and no map is built.  Each
+    member's sets {x : j(x) <= y} and pairs come from ``_member``.
 
     Completeness of A is decided once per call.  Over a complete A the
-    least extension is the sup formula of ``lan_extension``, and it
-    restricts back to f iff f(x) ≡ sup f[jb[x]] for each x, where
+    least extension is the pointwise sup Lan_j f(y) = sup f[{x : j(x) <= y}],
+    and it restricts back to f iff f(x) ≡ sup f[jb[x]] for each x, where
     jb[x] = {x' : j(x') <= j(x)}.  Since x lies in jb[x], that holds iff
     f(x) is an upper bound of f[jb[x]], so no sup is computed.  A
     monotone f already gives f(x') <= f(x) for x' <= x, so only the
-    pairs (x', x) with x' in jb[x] and x' ≰ x are tested, one bit each;
-    a full j has none.  The test reads only the source X and those
-    pairs, so each distinct (X, pairs) is checked once and later members
-    with that key are skipped: the verdict is the conjunction over
-    members, and skipped members would repeat a check that passed.
-    Over any other A every f takes the scan of ``_least_extension``,
-    which is what ``lan_extension`` would pick, and its restriction is
-    tested on the least tuple.  Either way ``max_carrier`` bounds every
-    hom set into A.
+    pairs (x', x) with x' in jb[x] and x' ≰ x are tested, one bit each.
+    A full j has no such pairs, so every f passes and nothing is
+    enumerated: only the hom-set guard on |A|^|X| is called, so the
+    bound stops the same requests as before.  The test reads only the
+    source X and the pairs, so each distinct (X, pairs) is checked once
+    and later members with that key are skipped: the verdict is the
+    conjunction over members, and skipped members would repeat a check
+    that passed.
+
+    Over any other A every f takes ``_least_extension``, which is what
+    ``lan_extension`` would pick: the pointwise sups where every bound
+    set has a least member, else the scan.  Its restriction is tested on
+    the least tuple.  Either way ``max_carrier`` bounds every hom set
+    into A.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
@@ -153,15 +206,15 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
                 if best is None or not _restricts(j, f, best, A):
                     return False
             continue
-        below = _preimage_masks(j.assign, j.tgt.down)
-        pairs = tuple(
-            (a, x) for x, y in enumerate(j.assign) for a in _bits(below[y] & ~X.down[x])
-        )
+        pairs = _member(j)[1]
         if (X, pairs) in passed:
             continue
-        for f in monotone_assignments(X, A, max_carrier):
-            if not all(A.up[f[a]] >> f[x] & 1 for a, x in pairs):
-                return False
+        if not pairs:
+            _hom_guard(X, A, max_carrier)
+        else:
+            for f in monotone_assignments(X, A, max_carrier):
+                if not all(A.up[f[a]] >> f[x] & 1 for a, x in pairs):
+                    return False
         passed.add((X, pairs))
     return True
 

@@ -35,6 +35,12 @@ def _guard(what, requested, bound):
         raise SizeLimitExceeded(what, requested, bound)
 
 
+def _hom_guard(X, Y, max_carrier):
+    """The guard on the |Y|^|X| candidate maps X -> Y, when both are non-empty."""
+    if X.n and Y.n:
+        _guard(f"{Y.n}^{X.n} candidate maps", Y.n ** X.n, max_carrier)
+
+
 def _bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -545,7 +551,7 @@ def _monotone_within(X, Y, allowed, max_carrier, full=False):
         return [()]
     if Y.n == 0:
         return []
-    _guard(f"{Y.n}^{X.n} candidate maps", Y.n ** X.n, max_carrier)
+    _hom_guard(X, Y, max_carrier)
     n = X.n
     out = []
     assign = [0] * n

@@ -2,6 +2,8 @@ import pytest
 
 from lofs.errors import ShapeMismatch, SizeLimitExceeded
 from lofs.kan import (
+    _least_extension,
+    _least_within,
     _scanned_extension,
     all_embeddings,
     chain_stage_report,
@@ -46,11 +48,10 @@ def arrow_classes(max_size):
     return [seen[k] for k in sorted(seen)]
 
 
-def naive_extension(j, f, maps):
-    """The least g in ``maps`` with f <= g ∘ j, by comparing all pairs,
-    if it restricts to f up to equivalence; else None."""
-    A = f.tgt
-    leq = A.leq
+def naive_least(j, f, maps):
+    """The first g in ``maps`` with f <= g ∘ j below all such g, by
+    comparing all pairs; else None."""
+    leq = f.tgt.leq
     cands = [
         g
         for g in maps
@@ -58,10 +59,49 @@ def naive_extension(j, f, maps):
     ]
     for g in cands:
         if all(all(leq(a, b) for a, b in zip(g, g2)) for g2 in cands):
-            if all(A.equiv(g[j.assign[x]], f.assign[x]) for x in range(j.src.n)):
-                return g
-            return None
+            return g
     return None
+
+
+def naive_restricting(j, f, g):
+    """``g`` if it is not None and restricts along j to f up to equivalence."""
+    if g is not None and all(
+        f.tgt.equiv(g[j.assign[x]], f.assign[x]) for x in range(j.src.n)
+    ):
+        return g
+    return None
+
+
+def naive_extension(j, f, maps):
+    """The least g in ``maps`` with f <= g ∘ j, by comparing all pairs,
+    if it restricts to f up to equivalence; else None."""
+    return naive_restricting(j, f, naive_least(j, f, maps))
+
+
+def naive_bounds(j, fa, A):
+    """For each y of cod j, the mask of the upper bounds of f[{x : j(x) <= y}]."""
+    return tuple(
+        sum(
+            1 << a
+            for a in range(A.n)
+            if all(A.leq(fa[x], a) for x in range(j.src.n) if j.tgt.leq(j.assign[x], y))
+        )
+        for y in range(j.tgt.n)
+    )
+
+
+def has_least(mask, A):
+    """Whether the subset ``mask`` of A has a member below all its members."""
+    members = [a for a in range(A.n) if mask >> a & 1]
+    return any(all(A.leq(a, b) for b in members) for a in members)
+
+
+def limit_or_value(call):
+    """``call()``, or the (what, requested, bound) of the limit it raises."""
+    try:
+        return call()
+    except SizeLimitExceeded as exc:
+        return (exc.what, exc.requested, exc.bound)
 
 
 def naive_kan_injective(A, members):
@@ -100,14 +140,14 @@ class TestLanExtension:
                 for Y in pool[:8]:
                     for ja in monotone_assignments(X, Y):
                         j = MonotoneMap(X, Y, ja)
+                        maps = monotone_assignments(Y, A)
                         for f in hom_maps(X, A):
                             fast = lan_extension(j, f)
-                            brute = _scanned_extension(j, f)
+                            brute = naive_extension(j, f, maps)
                             assert (fast is None) == (brute is None)
                             if fast is not None:
                                 assert all(
-                                    A.equiv(x, y)
-                                    for x, y in zip(fast.ext.assign, brute.ext.assign)
+                                    A.equiv(x, y) for x, y in zip(fast.ext.assign, brute)
                                 )
 
     def test_minimum_unique_up_to_equivalence(self):
@@ -132,16 +172,44 @@ class TestLanExtension:
 
 class TestPrunedScan:
     def test_matches_naive_scan(self):
-        # every arrow class j and every f, all carriers of size <= 3
+        # every arrow class j and every f, all carriers of size <= 3: the
+        # least extension is the naive least tuple, and the scan runs
+        # exactly when some bound set has no least member, so no sup
         objects = reps(3)
+        scans = sups = 0
         for j in arrow_classes(3):
             for A in objects:
                 maps = monotone_assignments(j.tgt, A)
                 for fa in monotone_assignments(j.src, A):
                     f = MonotoneMap(j.src, A, fa)
+                    least = naive_least(j, f, maps)
                     w = _scanned_extension(j, f)
-                    expected = naive_extension(j, f, maps)
-                    assert (None if w is None else w.ext.assign) == expected
+                    assert (None if w is None else w.ext.assign) == naive_restricting(
+                        j, f, least
+                    )
+                    missing = not all(has_least(b, A) for b in naive_bounds(j, fa, A))
+                    info = _least_within.cache_info()
+                    assert _least_extension(j, fa, A, DEFAULT_MAX_CARRIER) == least
+                    after = _least_within.cache_info()
+                    assert (after.hits + after.misses) - (info.hits + info.misses) == missing
+                    scans += missing
+                    sups += not missing
+        assert scans and sups
+
+    def test_both_paths_raise_the_scans_limit(self):
+        # at every small bound, the sup path and the scan give the value
+        # or the limit (what, requested, bound) of the scan over the bounds
+        objects = reps(3)
+        for j in arrow_classes(2):
+            for A in objects:
+                for fa in monotone_assignments(j.src, A):
+                    bounds = naive_bounds(j, fa, A)
+                    for bound in (1, 2, 3, 4, 7, 8, 9):
+                        got = limit_or_value(lambda: _least_extension(j, fa, A, bound))
+                        want = limit_or_value(
+                            lambda: _least_within.__wrapped__(j.tgt, A, bounds, bound)
+                        )
+                        assert got == want
 
     def test_size_guard_unchanged(self):
         j = identity(antichain(3))
@@ -202,6 +270,25 @@ class TestKanInjectivity:
             with pytest.raises(SizeLimitExceeded) as info:
                 kan_injective(A, [identity(chain(1))], max_carrier=1)
             assert (info.value.requested, info.value.bound) == (A.n, 1)
+
+    def test_enumeration_free_paths_keep_the_hom_set_guard(self):
+        # a full member over a complete object enumerates nothing, and the
+        # pointwise sup over a non-complete one scans nothing: each still
+        # raises the limit of the hom set it no longer walks
+        full = [identity(chain(2))]
+        assert limit_or_value(lambda: kan_injective(chain(3), full, max_carrier=8)) == (
+            "3^2 candidate maps", 9, 8
+        )
+        assert kan_injective(chain(3), full, max_carrier=9)
+        j = [MonotoneMap(chain(1), chain(3), [0])]
+        assert limit_or_value(lambda: kan_injective(antichain(2), j, max_carrier=7)) == (
+            "2^3 candidate maps", 8, 7
+        )
+        assert kan_injective(antichain(2), j, max_carrier=8)
+        # the source's hom set is still guarded first
+        assert limit_or_value(lambda: kan_injective(antichain(2), j, max_carrier=1)) == (
+            "2^1 candidate maps", 2, 1
+        )
 
     def test_long_complete_chain(self):
         # the verdict reads no sup of a subset, so no 2^22 sups are built

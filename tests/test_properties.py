@@ -911,7 +911,8 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
         "cli.build_parser", "downsets._inclusion_order", "factorisation._carrier",
-        "kan._embeddings", "kan._least_within", "order._enumeration", "order._squares",
+        "kan._embeddings", "kan._least_within", "kan._member", "order._enumeration",
+        "order._squares",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
