@@ -74,12 +74,56 @@ def _inclusion_order(masks):
     ``masks`` ascend, so the last is the whole source; m ⊆ m2 iff the
     complement of m2 lies in that of m, so the down rows are the
     inclusion rows of the complements.  Inclusion is a partial order, so
-    the rows form one by construction.  Many carriers share a source, so
+    the rows form one by construction.  Many lattices share a source, so
     the rows are kept per down-set tuple, at most 64 of them, as tuples.
-    ``downsets`` and ``factorisation.factorise`` both read them.
+    ``downsets`` reads them; ``factorisation.factorise`` reads the covers
+    of the same order instead (``_inclusion_covers``).
     """
     top = masks[-1]
     return tuple(_inclusion_rows(masks)), tuple(_inclusion_rows([top ^ m for m in masks]))
+
+
+@lru_cache(maxsize=64)
+def _inclusion_covers(masks):
+    """(upper covers, lower covers) of each down-set in ``masks``, by index.
+
+    ``masks`` are all the down-sets of one preorder, ascending, so the
+    last is the whole source.  ↓x, the least down-set holding x, is the
+    AND of the masks that contain x; x and y are equivalent iff ↓x = ↓y.
+    The upper covers of m are the sets m ∪ ↓x, one for each class that
+    is minimal outside m: x ∉ m and everything strictly below x lies in
+    m, so m ∪ ↓x adds exactly the class of x.  Every strictly larger
+    down-set contains such a class, so there are no others.  The lower
+    covers are the same relation read backwards.  That is O(|masks| ·
+    |source|) work, where a scan of the inclusion rows pair by pair
+    would be O(|masks|²).  Many carriers share a source, so the covers
+    are kept per down-set tuple, at most 64 of them, as tuples.
+    """
+    top = masks[-1]
+    least = [top] * top.bit_length()  # least[x] = ↓x
+    for m in masks:
+        r = m
+        while r:
+            low = r & -r
+            least[low.bit_length() - 1] &= m
+            r ^= low
+    classes = {}
+    for x, d in enumerate(least):
+        classes[d] = classes.get(d, 0) | 1 << x
+    # one (x's bit, strictly below x, ↓x) per class
+    steps = [(c & -c, d & ~c, d) for d, c in classes.items()]
+    index = {m: i for i, m in enumerate(masks)}
+    upper = []
+    lower = [[] for _ in masks]
+    for i, m in enumerate(masks):
+        ups = []
+        for bit, strict, d in steps:
+            if not (m & bit or strict & ~m):
+                c = index[m | d]
+                ups.append(c)
+                lower[c].append(i)
+        upper.append(tuple(ups))
+    return tuple(upper), tuple(tuple(c) for c in lower)
 
 
 def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):

@@ -20,9 +20,9 @@ from .adjunction import find_left_adjoint, find_right_adjoint
 from .errors import AdjointMissing, InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
     DEFAULT_MAX_CARRIER,
+    FinPreorder,
     MonotoneMap,
     _guard,
-    _pointwise_preorder,
     _preimage_masks,
     _union,
     chain,
@@ -32,7 +32,7 @@ from .order import (
     is_full,
     maps_equivalent,
 )
-from .downsets import _inclusion_order, downsets
+from .downsets import _inclusion_covers, downsets
 
 
 class FactorisationData:
@@ -116,31 +116,75 @@ def _carrier(masks, B, labels, pre, max_carrier):
     equality ignores labels, and the right part keeps B as its codomain,
     so a labelled B never meets another caller's B.
 
-    K and the right part are built trusted.  K is the pointwise order of
-    two preorders, inclusion of down-sets and B, on pairs that lie in
-    both; the right part is its second projection, which is monotone.
+    K is laid out in blocks.  The pairs (masks[i], b) with
+    masks[i] ⊆ pre[b] are listed in ascending order, so the elements of
+    down-set i are contiguous: ``blocks[i]`` is their mask, and
+    ``cols[b]`` is the mask of the elements whose second coordinate is
+    b.  The blocks are disjoint, so ORing the blocks of a set of
+    down-sets spreads that set exactly onto K, and ORing ``cols`` over
+    B.up[b] gives the elements whose bound lies above b.  The up row of
+    (i, b) is therefore ``above[i] & b_up[b]``, where ``above[i]`` is
+    the OR of the blocks of every down-set containing masks[i]: that is
+    the componentwise order, the relation the pointwise rows of
+    (inclusion, B) give, so K is unchanged.  ``above`` is built by cover
+    recursion: masks ascend, so index order extends inclusion, and
+    walking i downwards, ``above[i]`` is blocks[i] ORed with ``above``
+    of each upper cover of i (``downsets._inclusion_covers``).  The down
+    rows are built the same way from ``below``, the lower covers and
+    B.down.
+
+    K and the right part are built trusted.  K is the componentwise
+    order of two preorders on pairs that lie in both, so it is a
+    preorder, and its down rows are the transpose of its up rows; the
+    right part is its second projection, which is monotone.
     """
-    vectors = [
-        (i, b) for i, m in enumerate(masks) for b in range(B.n) if not (m & ~pre[b])
-    ]
-    _guard("factorisation carrier", len(vectors), max_carrier)
-    pairs = tuple((masks[i], b) for i, b in vectors)
-    inc_up, inc_down = _inclusion_order(masks)
-    K = _pointwise_preorder(vectors, (inc_up, B.up), (inc_down, B.down))
+    blocks = []
+    cols = [0] * B.n
+    pairs = []
+    vectors = []
+    bit = 1
+    for i, m in enumerate(masks):
+        start = bit
+        for b in range(B.n):
+            if not (m & ~pre[b]):
+                cols[b] |= bit
+                bit <<= 1
+                pairs.append((m, b))
+                vectors.append((i, b))
+        blocks.append(bit - start)
+    _guard("factorisation carrier", len(pairs), max_carrier)
+    upper, lower = _inclusion_covers(masks)
+    above = blocks[:]
+    for i in range(len(masks) - 1, -1, -1):
+        for c in upper[i]:
+            above[i] |= above[c]
+    below = blocks[:]
+    for i in range(len(masks)):
+        for c in lower[i]:
+            below[i] |= below[c]
+    b_up = [_union(cols, row) for row in B.up]
+    b_down = [_union(cols, row) for row in B.down]
+    K = FinPreorder._checked(
+        tuple(above[i] & b_up[b] for i, b in vectors),
+        tuple(below[i] & b_down[b] for i, b in vectors),
+    )
+    pairs = tuple(pairs)
     index = {p: i for i, p in enumerate(pairs)}
-    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in pairs))
+    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
 
 
 def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     """Factor f as (right part) ∘ (left part) through the pair preorder.
 
     The carrier K is ordered componentwise: (φ, b) <= (φ2, b2) iff φ ⊆ φ2
-    and b <= b2.  Its rows come from ``_pointwise_rows`` over the vectors
-    (index of φ in ``down_set_masks(A)``, b), with the inclusion rows of
-    the down-sets as the first coordinate's order: one AND of column
-    masks per element instead of comparing all O(|K|²) pairs.  That is
-    the same relation on the same ascending pair list, so K, both parts
-    and every error are unchanged.
+    and b <= b2.  ``_carrier`` lists the pairs ascending, so the pairs
+    of one down-set form a block, and builds each row as one AND of two
+    masks: the blocks of the down-sets above (or below) φ, gathered by
+    recursion over the covers of the inclusion order, and the elements
+    whose bound lies above (or below) b.  No pair of elements is
+    compared and no inclusion row is scanned.  That is the componentwise
+    relation on the same ascending pair list, so K, both parts and every
+    error are the same as a pairwise build would give.
 
     K, its pair list and index and the right part are memoised in
     ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
@@ -167,26 +211,29 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     return FactorisationData(f, K, MonotoneMap._checked(A, K, lam), rho, pairs, index)
 
 
-def _k_assign(source, target, h, k):
-    """Assignment of the carrier map (φ, b) ↦ (down-closure of h[φ], k(b)).
+def _k_at(source, target, h, k, points):
+    """The carrier map (φ, b) ↦ (down-closure of h[φ], k(b)) at ``points``.
 
-    Lands in the target carrier whenever the square commutes up to
+    ``points`` are elements of the source carrier; the result lists
+    their images in the target carrier, in the same order.  The map
+    lands in the target carrier whenever the square commutes up to
     pointwise equivalence.  The down-closure of h[φ] is one union of the
     rows down[h(x)] over the members x of φ.
     """
     down = [h.tgt.down[v] for v in h.assign]
-    assign = []
-    for m, b in source.pairs:
-        try:
-            assign.append(target.index(_union(down, m), k.assign[b]))
-        except KeyError:
-            raise InvariantViolation("functor action leaves the carrier") from None
-    return assign
+    out = []
+    try:
+        for v in points:
+            m, b = source.pairs[v]
+            out.append(target._index[(_union(down, m), k.assign[b])])
+    except KeyError:
+        raise InvariantViolation("functor action leaves the carrier") from None
+    return out
 
 
 def _k_action(source, target, h, k):
-    """The carrier map of :func:`_k_assign`, validated."""
-    return MonotoneMap(source.K, target.K, _k_assign(source, target, h, k))
+    """The carrier map of :func:`_k_at`, at every point, validated."""
+    return MonotoneMap(source.K, target.K, _k_at(source, target, h, k, range(source.K.n)))
 
 
 def k_on_square(sq, source=None, target=None, max_carrier=DEFAULT_MAX_CARRIER):
@@ -312,15 +359,18 @@ def canonical_diag(sq, s, p):
     and is least: every filler sits pointwise above it.  The composite is
     computed on assignment tuples and built trusted, as one map: s and p
     are validated witnesses and the middle map K(h, k) is monotone by
-    construction, so the composite is monotone and the middle map is
-    not built.
+    construction, so the composite is monotone.  The middle map is
+    neither built nor evaluated on the whole source carrier: only the
+    |cod j| points where the section s lands are read, so K(h, k) is
+    evaluated there alone (``_k_at``).  For a commuting square, and a
+    ``Square`` is exact, K(h, k) lands in the carrier at every point, so
+    evaluating fewer points skips no error that could be raised.
     """
     if s.fact.f != sq.j or p.fact.f != sq.g:
         raise ShapeMismatch("witnesses do not match the square")
-    middle = _k_assign(s.fact, p.fact, sq.h, sq.k)
     retract = p.p.assign
-    diag = tuple(retract[middle[v]] for v in s.s.assign)
-    return MonotoneMap._checked(s.s.src, p.p.tgt, diag)
+    middle = _k_at(s.fact, p.fact, sq.h, sq.k, s.s.assign)
+    return MonotoneMap._checked(s.s.src, p.p.tgt, tuple(retract[v] for v in middle))
 
 
 def fibrant_replacement(A, max_carrier=DEFAULT_MAX_CARRIER):

@@ -151,11 +151,13 @@ class FinPreorder:
         """The preorder on rows that already form one, with ``labels``.
 
         Trusted: only the labels are checked.  ``up`` and ``down`` are
-        tuples from one of three sources: a validated preorder's rows (or
+        tuples from one of four sources: a validated preorder's rows (or
         the two swapped, its opposite), the up and down rows of a
         pointwise order on validated coordinates, from
-        ``_pointwise_preorder``, or the inclusion order of down-sets, from
-        ``downsets._inclusion_order``.  Anything else enters through the
+        ``_pointwise_preorder``, the inclusion order of down-sets, from
+        ``downsets._inclusion_order``, or the factorisation carrier, the
+        same componentwise order built from its down-set blocks in
+        ``factorisation._carrier``.  Anything else enters through the
         validating constructor.
         """
         self = object.__new__(cls)
@@ -228,7 +230,7 @@ class FinPreorder:
         return FinPreorder(len(cls), rows), cls
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FinPreorder)
             and self.n == other.n
             and self.up == other.up
@@ -306,7 +308,7 @@ class MonotoneMap:
         return self.assign[i]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, MonotoneMap)
             and self.src == other.src
             and self.tgt == other.tgt
@@ -371,7 +373,7 @@ class Square:
         self.k = k
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Square)
             and self.j == other.j
             and self.g == other.g

@@ -1,4 +1,4 @@
-from lofs.downsets import check_lax_idempotent_P, downsets, unit
+from lofs.downsets import _inclusion_covers, check_lax_idempotent_P, downsets, unit
 from lofs.factorisation import algebra_structure, k_on_square, mult
 from lofs.order import (
     MonotoneMap,
@@ -8,6 +8,7 @@ from lofs.order import (
     chain,
     compose,
     diamond,
+    down_set_masks,
     enumerate_preorders,
     identity,
     indiscrete,
@@ -24,6 +25,23 @@ from oracles import is_isomorphic
 
 def reps(max_size):
     return [p for n in range(max_size + 1) for p in enumerate_preorders(n)]
+
+
+def naive_covers(masks):
+    """(upper, lower) covers by index, from the definition, pairwise.
+
+    c covers i when masks[i] ⊊ masks[c] and no mask lies strictly
+    between; each mask is compared only with the masks above it.
+    """
+    above = [
+        [c for c, m2 in enumerate(masks) if m != m2 and not (m & ~m2)] for m in masks
+    ]
+    upper = [
+        {c for c in up if not any(d != c and not (masks[d] & ~masks[c]) for d in up)}
+        for up in above
+    ]
+    lower = [{i for i in range(len(masks)) if c in upper[i]} for c in range(len(masks))]
+    return upper, lower
 
 
 def bang(X):
@@ -146,3 +164,21 @@ class TestLaxIdempotency:
     def test_all_up_to_size_4(self):
         for X in reps(4):
             assert check_lax_idempotent_P(X)
+
+
+class TestInclusionCovers:
+    def check(self, X):
+        masks = down_set_masks(X)
+        upper, lower = _inclusion_covers(masks)
+        naive_upper, naive_lower = naive_covers(masks)
+        assert [set(c) for c in upper] == naive_upper
+        assert [set(c) for c in lower] == naive_lower
+        assert all(len(set(c)) == len(c) for c in upper + lower)
+
+    def test_every_preorder_up_to_size_4(self):
+        for X in reps(4):
+            self.check(X)
+
+    def test_non_posets_and_a_large_antichain(self):
+        for X in [indiscrete(3), indiscrete(1), antichain(8)]:
+            self.check(X)

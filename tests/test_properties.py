@@ -553,6 +553,26 @@ def test_factorise_carrier_matches_pairwise_rows(f):
     assert fact.K.up == rows
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        MonotoneMap(antichain(7), chain(1), [0] * 7),
+        MonotoneMap(antichain(7), chain(2), [0] * 7),
+        MonotoneMap(antichain(7), chain(2), [1] * 7),
+        MonotoneMap(antichain(7), chain(2), [0, 1, 0, 1, 1, 0, 1]),
+    ],
+    ids=["to-point", "to-bottom", "to-top", "mixed"],
+)
+def test_large_carrier_matches_pairwise_rows(f):
+    fact = factorise(f)
+    pairs, rows = naive_factor_rows(f)
+    assert list(fact.pairs) == pairs
+    assert fact.K.up == rows
+    assert fact.K.down == tuple(
+        sum(1 << i for i, r in enumerate(rows) if r >> k & 1) for k in range(len(rows))
+    )
+
+
 @PROPERTY
 @given(maps(max_n=4))
 def test_comma_and_inclusion_rows_match_pairwise(f):
@@ -910,7 +930,8 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
             if hasattr(obj, "cache_info") and getattr(inner, "__module__", None) == module.__name__:
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
-        "cli.build_parser", "downsets._inclusion_order", "factorisation._carrier",
+        "cli.build_parser", "downsets._inclusion_covers", "downsets._inclusion_order",
+        "factorisation._carrier",
         "kan._embeddings", "kan._least_within", "kan._member", "order._enumeration",
         "order._squares",
     }
