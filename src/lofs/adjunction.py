@@ -16,7 +16,7 @@ from .order import (
     _bits,
     _guard,
     _least_member,
-    _pointwise_rows,
+    _pointwise_preorder,
     _preimage_masks,
 )
 
@@ -204,9 +204,10 @@ def comma(f, max_carrier=DEFAULT_MAX_CARRIER):
     pairs = [
         (a, b) for a in range(A.n) for b in range(B.n) if (B.up[f.assign[a]] >> b) & 1
     ]
-    carrier = FinPreorder(len(pairs), _pointwise_rows(pairs, (A.up, B.up)))
-    proj_a = MonotoneMap(carrier, A, [a for a, _ in pairs])
-    proj_b = MonotoneMap(carrier, B, [b for _, b in pairs])
+    # built trusted: a pointwise order on validated coordinates, and its projections
+    carrier = _pointwise_preorder(pairs, (A.up, B.up), (A.down, B.down))
+    proj_a = MonotoneMap._checked(carrier, A, tuple(a for a, _ in pairs))
+    proj_b = MonotoneMap._checked(carrier, B, tuple(b for _, b in pairs))
     return CommaObject(f, carrier, proj_a, proj_b, tuple(pairs))
 
 

@@ -3,8 +3,11 @@
 ``downsets(X)`` is the complete lattice of down-closed subsets ordered by
 inclusion, and the unit sends an element to its principal down-set.  The
 open-set lattice of a finite space is ``downsets`` of the opposite
-preorder.  The rest of the monad is the factorisation at the point: on
-X -> 1, ``factorisation.mult`` takes unions, ``k_on_square`` on the
+preorder.  The monad is the factorisation at the point: the lattice is
+the carrier of X -> 1, built by ``_carrier``, the one construction of
+every factorisation carrier, so every lattice of down-sets is ordered by
+the same recursion over the covers of inclusion (``_inclusion_covers``).
+On X -> 1, ``factorisation.mult`` takes unions, ``k_on_square`` on the
 square (f, id) is the functor, and ``factorisation.algebra_structure``
 exists exactly on the complete lattices.
 """
@@ -17,9 +20,14 @@ from .order import (
     DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
+    _bits,
+    _guard,
     _union,
+    chain,
     down_set_masks,
 )
+
+_POINT = chain(1)
 
 
 class DownSetLattice:
@@ -27,60 +35,19 @@ class DownSetLattice:
 
     ``masks[i]`` is the subset represented by carrier element ``i``; the
     masks are listed in ascending numeric order, which is the canonical
-    element order.
+    element order.  ``_index`` is the pair index of the carrier of
+    X -> 1, whose element i is the pair (masks[i], 0).
     """
 
     __slots__ = ("carrier", "masks", "_index")
 
-    def __init__(self, carrier, masks):
+    def __init__(self, carrier, masks, index):
         self.carrier = carrier
         self.masks = masks
-        self._index = {m: i for i, m in enumerate(masks)}
+        self._index = index
 
     def index(self, mask):
-        return self._index[mask]
-
-
-def _inclusion_rows(masks):
-    """Up-rows of the inclusion order on ``masks``.
-
-    Row i is the mask of {i2 : masks[i] ⊆ masks[i2]}: an AND, over the
-    members x of masks[i], of the column mask {i2 : x in masks[i2]}.
-    """
-    has = {}  # member bit -> mask of the masks containing it
-    bit = 1
-    for m in masks:
-        while m:
-            low = m & -m
-            has[low] = has.get(low, 0) | bit
-            m ^= low
-        bit <<= 1
-    rows = []
-    full = bit - 1
-    for m in masks:
-        r = full
-        while m:
-            low = m & -m
-            r &= has[low]
-            m ^= low
-        rows.append(r)
-    return rows
-
-
-@lru_cache(maxsize=64)
-def _inclusion_order(masks):
-    """(up rows, down rows) of the inclusion order on the down-sets ``masks``.
-
-    ``masks`` ascend, so the last is the whole source; m ⊆ m2 iff the
-    complement of m2 lies in that of m, so the down rows are the
-    inclusion rows of the complements.  Inclusion is a partial order, so
-    the rows form one by construction.  Many lattices share a source, so
-    the rows are kept per down-set tuple, at most 64 of them, as tuples.
-    ``downsets`` reads them; ``factorisation.factorise`` reads the covers
-    of the same order instead (``_inclusion_covers``).
-    """
-    top = masks[-1]
-    return tuple(_inclusion_rows(masks)), tuple(_inclusion_rows([top ^ m for m in masks]))
+        return self._index[mask, 0]
 
 
 @lru_cache(maxsize=64)
@@ -89,24 +56,25 @@ def _inclusion_covers(masks):
 
     ``masks`` are all the down-sets of one preorder, ascending, so the
     last is the whole source.  ↓x, the least down-set holding x, is the
-    AND of the masks that contain x; x and y are equivalent iff ↓x = ↓y.
+    first mask that holds x: it lies inside every mask holding x, so it
+    is numerically the smallest.  x and y are equivalent iff ↓x = ↓y.
     The upper covers of m are the sets m ∪ ↓x, one for each class that
     is minimal outside m: x ∉ m and everything strictly below x lies in
     m, so m ∪ ↓x adds exactly the class of x.  Every strictly larger
     down-set contains such a class, so there are no others.  The lower
     covers are the same relation read backwards.  That is O(|masks| ·
     |source|) work, where a scan of the inclusion rows pair by pair
-    would be O(|masks|²).  Many carriers share a source, so the covers
-    are kept per down-set tuple, at most 64 of them, as tuples.
+    would be O(|masks|²).  ``_carrier`` reads them, so they order every
+    lattice of down-sets and every factorisation carrier.  Many carriers
+    share a source, so the covers are kept per down-set tuple, at most
+    64 of them, as tuples.
     """
-    top = masks[-1]
-    least = [top] * top.bit_length()  # least[x] = ↓x
+    least = [0] * masks[-1].bit_length()  # least[x] = ↓x
+    seen = 0
     for m in masks:
-        r = m
-        while r:
-            low = r & -r
-            least[low.bit_length() - 1] &= m
-            r ^= low
+        for x in _bits(m & ~seen):
+            least[x] = m
+        seen |= m
     classes = {}
     for x, d in enumerate(least):
         classes[d] = classes.get(d, 0) | 1 << x
@@ -126,10 +94,86 @@ def _inclusion_covers(masks):
     return tuple(upper), tuple(tuple(c) for c in lower)
 
 
+@lru_cache(maxsize=256)
+def _carrier(masks, B, labels, pre, max_carrier):
+    """(K, pairs, index, right part) for the maps into B with table ``pre``.
+
+    Everything here is a function of the source's down-set ``masks``,
+    the upper-bound table ``pre`` and the codomain, not of the map
+    itself.  ``labels`` (those of B) is part of the key only: preorder
+    equality ignores labels, and the right part keeps B as its codomain,
+    so a labelled B never meets another caller's B.  At the point, with
+    ``pre`` the whole source, K is the inclusion order of the down-sets:
+    ``downsets`` reads it there.
+
+    K is laid out in blocks.  The pairs (masks[i], b) with
+    masks[i] ⊆ pre[b] are listed in ascending order, so the elements of
+    down-set i are contiguous: ``blocks[i]`` is their mask, and
+    ``cols[b]`` is the mask of the elements whose second coordinate is
+    b.  The blocks are disjoint, so ORing the blocks of a set of
+    down-sets spreads that set exactly onto K, and ORing ``cols`` over
+    B.up[b] gives the elements whose bound lies above b.  The up row of
+    (i, b) is therefore ``above[i] & b_up[b]``, where ``above[i]`` is
+    the OR of the blocks of every down-set containing masks[i]: that is
+    the componentwise order, the relation the pointwise rows of
+    (inclusion, B) give, so K is unchanged.  ``above`` is built by cover
+    recursion: masks ascend, so index order extends inclusion, and
+    walking i downwards, ``above[i]`` is blocks[i] ORed with ``above``
+    of each upper cover of i (``_inclusion_covers``).  The down rows
+    are built the same way from ``below``, the lower covers and B.down.
+
+    K and the right part are built trusted.  K is the componentwise
+    order of two preorders on pairs that lie in both, so it is a
+    preorder, and its down rows are the transpose of its up rows; the
+    right part is its second projection, which is monotone.
+    """
+    blocks = []
+    cols = [0] * B.n
+    pairs = []
+    vectors = []
+    bit = 1
+    for i, m in enumerate(masks):
+        start = bit
+        for b in range(B.n):
+            if not (m & ~pre[b]):
+                cols[b] |= bit
+                bit <<= 1
+                pairs.append((m, b))
+                vectors.append((i, b))
+        blocks.append(bit - start)
+    _guard("factorisation carrier", len(pairs), max_carrier)
+    upper, lower = _inclusion_covers(masks)
+    above = blocks[:]
+    for i in range(len(masks) - 1, -1, -1):
+        for c in upper[i]:
+            above[i] |= above[c]
+    below = blocks[:]
+    for i in range(len(masks)):
+        for c in lower[i]:
+            below[i] |= below[c]
+    b_up = [_union(cols, row) for row in B.up]
+    b_down = [_union(cols, row) for row in B.down]
+    K = FinPreorder._checked(
+        tuple(above[i] & b_up[b] for i, b in vectors),
+        tuple(below[i] & b_down[b] for i, b in vectors),
+    )
+    pairs = tuple(pairs)
+    index = {p: i for i, p in enumerate(pairs)}
+    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
+
+
 def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
-    """The down-set lattice of X, its order built trusted (``_inclusion_order``)."""
+    """The down-set lattice of X: the carrier of X -> 1.
+
+    Built by ``_carrier`` at the point, with the whole source as its one
+    upper bound: the lattice is K of X -> 1, and shares its memo entry
+    when the point is unlabelled.  ``down_set_masks`` guards the number
+    of down-sets first, and K has one element per down-set, so the
+    carrier's own guard never fires.
+    """
     masks = down_set_masks(X, max_carrier)
-    return DownSetLattice(FinPreorder._checked(*_inclusion_order(masks)), masks)
+    K, _, index, _ = _carrier(masks, _POINT, None, masks[-1:], max_carrier)
+    return DownSetLattice(K, masks, index)
 
 
 def unit(X, dl=None):

@@ -14,15 +14,12 @@ hold on the nose.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .adjunction import find_left_adjoint, find_right_adjoint
+from .downsets import _carrier, downsets
 from .errors import AdjointMissing, InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
     DEFAULT_MAX_CARRIER,
-    FinPreorder,
     MonotoneMap,
-    _guard,
     _preimage_masks,
     _union,
     chain,
@@ -32,7 +29,6 @@ from .order import (
     is_full,
     maps_equivalent,
 )
-from .downsets import _inclusion_covers, downsets
 
 
 class FactorisationData:
@@ -106,89 +102,23 @@ def _upper_bound_table(f):
     return _preimage_masks(f.assign, f.tgt.down)
 
 
-@lru_cache(maxsize=256)
-def _carrier(masks, B, labels, pre, max_carrier):
-    """(K, pairs, index, right part) for the maps into B with table ``pre``.
-
-    Everything here is a function of the source's down-set ``masks``,
-    the upper-bound table ``pre`` and the codomain, not of the map
-    itself.  ``labels`` (those of B) is part of the key only: preorder
-    equality ignores labels, and the right part keeps B as its codomain,
-    so a labelled B never meets another caller's B.
-
-    K is laid out in blocks.  The pairs (masks[i], b) with
-    masks[i] ⊆ pre[b] are listed in ascending order, so the elements of
-    down-set i are contiguous: ``blocks[i]`` is their mask, and
-    ``cols[b]`` is the mask of the elements whose second coordinate is
-    b.  The blocks are disjoint, so ORing the blocks of a set of
-    down-sets spreads that set exactly onto K, and ORing ``cols`` over
-    B.up[b] gives the elements whose bound lies above b.  The up row of
-    (i, b) is therefore ``above[i] & b_up[b]``, where ``above[i]`` is
-    the OR of the blocks of every down-set containing masks[i]: that is
-    the componentwise order, the relation the pointwise rows of
-    (inclusion, B) give, so K is unchanged.  ``above`` is built by cover
-    recursion: masks ascend, so index order extends inclusion, and
-    walking i downwards, ``above[i]`` is blocks[i] ORed with ``above``
-    of each upper cover of i (``downsets._inclusion_covers``).  The down
-    rows are built the same way from ``below``, the lower covers and
-    B.down.
-
-    K and the right part are built trusted.  K is the componentwise
-    order of two preorders on pairs that lie in both, so it is a
-    preorder, and its down rows are the transpose of its up rows; the
-    right part is its second projection, which is monotone.
-    """
-    blocks = []
-    cols = [0] * B.n
-    pairs = []
-    vectors = []
-    bit = 1
-    for i, m in enumerate(masks):
-        start = bit
-        for b in range(B.n):
-            if not (m & ~pre[b]):
-                cols[b] |= bit
-                bit <<= 1
-                pairs.append((m, b))
-                vectors.append((i, b))
-        blocks.append(bit - start)
-    _guard("factorisation carrier", len(pairs), max_carrier)
-    upper, lower = _inclusion_covers(masks)
-    above = blocks[:]
-    for i in range(len(masks) - 1, -1, -1):
-        for c in upper[i]:
-            above[i] |= above[c]
-    below = blocks[:]
-    for i in range(len(masks)):
-        for c in lower[i]:
-            below[i] |= below[c]
-    b_up = [_union(cols, row) for row in B.up]
-    b_down = [_union(cols, row) for row in B.down]
-    K = FinPreorder._checked(
-        tuple(above[i] & b_up[b] for i, b in vectors),
-        tuple(below[i] & b_down[b] for i, b in vectors),
-    )
-    pairs = tuple(pairs)
-    index = {p: i for i, p in enumerate(pairs)}
-    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
-
-
 def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     """Factor f as (right part) ∘ (left part) through the pair preorder.
 
     The carrier K is ordered componentwise: (φ, b) <= (φ2, b2) iff φ ⊆ φ2
-    and b <= b2.  ``_carrier`` lists the pairs ascending, so the pairs
-    of one down-set form a block, and builds each row as one AND of two
-    masks: the blocks of the down-sets above (or below) φ, gathered by
-    recursion over the covers of the inclusion order, and the elements
-    whose bound lies above (or below) b.  No pair of elements is
-    compared and no inclusion row is scanned.  That is the componentwise
-    relation on the same ascending pair list, so K, both parts and every
-    error are the same as a pairwise build would give.
+    and b <= b2.  ``downsets._carrier`` lists the pairs ascending, so the
+    pairs of one down-set form a block, and builds each row as one AND
+    of two masks: the blocks of the down-sets above (or below) φ,
+    gathered by recursion over the covers of the inclusion order, and
+    the elements whose bound lies above (or below) b.  No pair of
+    elements is compared and no inclusion row is scanned.  That is the
+    componentwise relation on the same ascending pair list, so K, both
+    parts and every error are the same as a pairwise build would give.
 
     K, its pair list and index and the right part are memoised in
     ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
-    upper-bound table, ``max_carrier``) and bounded at 256 entries.
+    upper-bound table, ``max_carrier``) and bounded at 256 entries; the
+    lattices of ``downsets`` are entries of the same memo, at the point.
     Many maps of a sweep share one key, so each distinct K and right
     part is built once while it stays cached.  The cached values are
     immutable and built by the same code from the same key, so results

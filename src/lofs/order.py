@@ -151,14 +151,14 @@ class FinPreorder:
         """The preorder on rows that already form one, with ``labels``.
 
         Trusted: only the labels are checked.  ``up`` and ``down`` are
-        tuples from one of four sources: a validated preorder's rows (or
-        the two swapped, its opposite), the up and down rows of a
+        tuples from one of three sources: a validated preorder's rows (or
+        the two swapped, its opposite, or renumbered by ``_renumbered``
+        for ``restrict`` and ``quotient``), the up and down rows of a
         pointwise order on validated coordinates, from
-        ``_pointwise_preorder``, the inclusion order of down-sets, from
-        ``downsets._inclusion_order``, or the factorisation carrier, the
-        same componentwise order built from its down-set blocks in
-        ``factorisation._carrier``.  Anything else enters through the
-        validating constructor.
+        ``_pointwise_preorder``, or the factorisation carrier, the
+        componentwise order built from its down-set blocks in
+        ``downsets._carrier``, which is also every lattice of down-sets.
+        Anything else enters through the validating constructor.
         """
         self = object.__new__(cls)
         self._set(up, down, labels)
@@ -210,24 +210,38 @@ class FinPreorder:
         """All non-reflexive related pairs (i, j) with i <= j."""
         return [(i, j) for i in range(self.n) for j in _bits(self.up[i]) if i != j]
 
+    def _renumbered(self, bits, elems, labels=None):
+        """The order on ``elems`` with element e renumbered to ``bits[e]``.
+
+        Built trusted: row e is the union of ``bits`` over up[e] (and
+        down[e]), so with ``bits`` the new positions of a subset, 0
+        elsewhere, it is the restriction, and with ``bits`` the class of
+        each element and one member per class, the poset reflection.
+        Either is a preorder when this one is.
+        """
+        return FinPreorder._checked(
+            tuple(_union(bits, self.up[e]) for e in elems),
+            tuple(_union(bits, self.down[e]) for e in elems),
+            labels,
+        )
+
     def restrict(self, mask):
         """Induced sub-preorder on the elements of ``mask`` (ascending)."""
         elems = list(_bits(mask))
         pos = [0] * self.n
         for p, e in enumerate(elems):
             pos[e] = 1 << p
-        rows = [_union(pos, self.up[e] & mask) for e in elems]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[e] for e in elems)
-        return FinPreorder(len(elems), rows, labels)
+        labels = None if self.labels is None else tuple(self.labels[e] for e in elems)
+        return self._renumbered(pos, elems, labels)
 
     def quotient(self):
         """Poset reflection: (quotient poset, class masks)."""
         cls = self.classes()
-        reps = [next(_bits(c)) for c in cls]
-        rows = _preimage_masks(reps, [self.up[r] for r in reps])
-        return FinPreorder(len(cls), rows), cls
+        of = [0] * self.n
+        for c, m in enumerate(cls):
+            for x in _bits(m):
+                of[x] = 1 << c
+        return self._renumbered(of, [next(_bits(m)) for m in cls]), cls
 
     def __eq__(self, other):
         return self is other or (

@@ -624,6 +624,47 @@ class TestCheckedRows:
                 assert_rebuilds(downsets(P).carrier)
                 assert_rebuilds(_open_lattice(P).carrier)
 
+    def test_quotient_and_restrict_match_their_validating_rebuild(self):
+        # every labelled preorder of size <= 4, restricted to every subset
+        for n in range(5):
+            for P in enumerate_preorders(n, up_to_iso=False):
+                Q, cls = P.quotient()
+                firsts = [(c & -c).bit_length() - 1 for c in cls]
+                expected = FinPreorder(len(cls), [
+                    sum(1 << d for d, y in enumerate(firsts) if P.leq(x, y)) for x in firsts
+                ])
+                assert (Q.n, Q.up, Q.down, Q.labels, hash(Q)) == (
+                    expected.n, expected.up, expected.down, None, hash(expected)
+                )
+                named = FinPreorder(n, P.up, [f"e{i}" for i in range(n)])
+                for mask in range(1 << n):
+                    R = named.restrict(mask)
+                    elems = [e for e in range(n) if mask >> e & 1]
+                    expected = FinPreorder(len(elems), [
+                        sum(1 << q for q, y in enumerate(elems) if P.leq(x, y)) for x in elems
+                    ], [f"e{e}" for e in elems])
+                    assert (R.n, R.up, R.down, R.labels, hash(R)) == (
+                        expected.n, expected.up, expected.down, expected.labels, hash(expected)
+                    )
+
+    def test_comma_matches_its_validating_rebuild(self):
+        for f in arrow_classes(3):
+            cm = comma(f)
+            A, B = f.src, f.tgt
+            expected = FinPreorder(len(cm.pairs), [
+                sum(
+                    1 << q
+                    for q, (a2, b2) in enumerate(cm.pairs)
+                    if A.leq(a, a2) and B.leq(b, b2)
+                )
+                for a, b in cm.pairs
+            ])
+            assert (cm.carrier.n, cm.carrier.up, cm.carrier.down, hash(cm.carrier)) == (
+                expected.n, expected.up, expected.down, hash(expected)
+            )
+            assert_map_rebuilds(cm.proj_a)
+            assert_map_rebuilds(cm.proj_b)
+
     def test_labels_are_still_checked(self):
         P = chain(2)
         for labels in (["a"], ["a", "a"], ["a", "b", "c"]):

@@ -33,7 +33,7 @@ from lofs.adjunction import (  # noqa: E402
     find_right_adjoint,
 )
 from lofs.cli import _fullness_witness  # noqa: E402
-from lofs.downsets import check_lax_idempotent_P, downsets  # noqa: E402
+from lofs.downsets import _carrier, check_lax_idempotent_P, downsets  # noqa: E402
 from lofs.errors import (  # noqa: E402
     IndexOutOfRange,
     InvariantViolation,
@@ -41,7 +41,6 @@ from lofs.errors import (  # noqa: E402
     SizeLimitExceeded,
 )
 from lofs.factorisation import (  # noqa: E402
-    _carrier,
     _k_action,
     _upper_bound_table,
     factorise,
@@ -930,8 +929,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
             if hasattr(obj, "cache_info") and getattr(inner, "__module__", None) == module.__name__:
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
-        "cli.build_parser", "downsets._inclusion_covers", "downsets._inclusion_order",
-        "factorisation._carrier",
+        "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
         "kan._embeddings", "kan._least_within", "kan._member", "order._enumeration",
         "order._squares",
     }

@@ -110,10 +110,10 @@ class TestFilterSpace:
 
     def test_bound_below_the_lattice_raises_while_building(self, monkeypatch):
         # 2^13 opens; the guard fires before the lattice is ordered
-        def never(masks):
+        def never(*key):
             raise AssertionError("the open-set lattice was built")
 
-        monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_inclusion_rows", never)
+        monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_carrier", never)
         with pytest.raises(SizeLimitExceeded) as info:
             filter_space(FiniteSpace(antichain(13)), 100)
         assert str(info.value) == "down-sets of a 13-element preorder: 128 exceeds the bound 100"
