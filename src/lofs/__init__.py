@@ -70,6 +70,7 @@ from .order import (
     MonotoneMap,
     Square,
     antichain,
+    carrier_bound,
     chain,
     closure,
     compose,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .errors import InvariantViolation, ShapeMismatch
 from .order import (
-    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
+    _bound,
     _guard,
     _least_member,
     _pointwise_preorder,
@@ -197,10 +197,10 @@ def find_lari(f):
     return LariWitness(f, MonotoneMap(B, A, assign))
 
 
-def comma(f, max_carrier=DEFAULT_MAX_CARRIER):
+def comma(f):
     """The lax limit of f: pairs (a, b) with f(a) <= b."""
     A, B = f.src, f.tgt
-    _guard("comma candidate pairs", A.n * B.n, max_carrier)
+    _guard("comma candidate pairs", A.n * B.n, _bound.get())
     pairs = [
         (a, b) for a in range(A.n) for b in range(B.n) if (B.up[f.assign[a]] >> b) & 1
     ]
@@ -224,13 +224,13 @@ def collage(f):
     return Collage(f, carrier, copr_a, copr_b)
 
 
-def laxlimit_awfs(f, max_carrier=DEFAULT_MAX_CARRIER):
+def laxlimit_awfs(f):
     """Factor f through its lax limit: (left, right) with right ∘ left = f.
 
     The left part sends a to (a, f(a)) and always carries a LARI witness
     whose retraction is the first projection.
     """
-    cm = comma(f, max_carrier)
+    cm = comma(f)
     index = {p: i for i, p in enumerate(cm.pairs)}
     left = MonotoneMap(f.src, cm.carrier, [index[(a, f.assign[a])] for a in range(f.src.n)])
     return left, cm.proj_b

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     SizeLimitExceeded,
 )
-from .factorisation import _downset_iso, factorise
+from .factorisation import factorise
 from .kan import kan_injective, classify_injectives
 from .lifting import GeneratorFamily, kz_orthogonal, lifting_structure
 from .order import (
@@ -32,6 +32,7 @@ from .order import (
     MonotoneMap,
     _bits,
     _unreflected_pair,
+    carrier_bound,
     enumerate_preorders,
     is_complete_lattice,
     is_full,
@@ -76,11 +77,16 @@ def _equivalent_pair(P):
 
 
 def _complete_lattice_witness(P):
-    """Smallest subset without a least upper bound, by size then mask."""
-    for size in range(P.n + 1):
-        for mask in range(1 << P.n):
-            if mask.bit_count() == size and sup_mask(P, mask) is None:
-                return {"subset-without-sup": _names(P, mask)}
+    """Smallest subset without a least upper bound, by size then mask.
+
+    A singleton always has a sup, and a bottom plus binary sups make a
+    finite preorder complete (the argument of ``is_complete_lattice``),
+    so that subset is empty or a pair: the empty one is tested first,
+    then the pairs i < j by j and then i, which is ascending mask order.
+    """
+    for mask in [0] + [1 << i | 1 << j for j in range(P.n) for i in range(j)]:
+        if sup_mask(P, mask) is None:
+            return {"subset-without-sup": _names(P, mask)}
     return None
 
 
@@ -128,7 +134,7 @@ def _cmd_check(args):
 
 
 def _cmd_factor(args):
-    fact = factorise(_load_map(args.file), args.max_carrier)
+    fact = factorise(_load_map(args.file))
     if args.format == "dot":
         _emit(formats.hasse_dot(formats.labelled_carrier(fact)))
     else:
@@ -137,9 +143,16 @@ def _cmd_factor(args):
 
 
 def _cmd_fibrant(args):
+    """K(A -> point), its unit and the iso onto the down-set lattice.
+
+    The iso is the identity: K(A -> point) and ``downsets(A)`` are the
+    carrier that ``downsets._carrier`` builds from the same ascending
+    down-sets of A, so element i of both is the i-th down-set (see
+    ``factorisation.fibrant_replacement``).
+    """
     A = formats.load_preorder(args.file)
     point = FinPreorder(1, (1,), ("pt",))
-    fact = factorise(MonotoneMap(A, point, [0] * A.n), args.max_carrier)
+    fact = factorise(MonotoneMap(A, point, [0] * A.n))
     if args.format == "dot":
         _emit(formats.hasse_dot(formats.labelled_carrier(fact)))
         return 0
@@ -147,7 +160,7 @@ def _cmd_fibrant(args):
     payload = {
         "object": obj["K"],
         "unit": obj["lambda"],
-        "downset-iso": {"assign": list(_downset_iso(fact, args.max_carrier).assign)},
+        "downset-iso": {"assign": list(range(fact.K.n))},
     }
     _emit(formats.dumps(payload))
     return 0
@@ -156,7 +169,7 @@ def _cmd_fibrant(args):
 def _cmd_lift(args):
     family = _load(args.family, GeneratorFamily)
     g = _load_map(args.map)
-    st = lifting_structure(family, g, args.max_carrier)
+    st = lifting_structure(family, g)
     payload = {"exists": st is not None}
     if st is not None:
         payload["canonical"] = st.canonical
@@ -177,7 +190,7 @@ def _cmd_lift(args):
 def _cmd_kz(args):
     j = _load_map(args.j)
     g = _load_map(args.g)
-    w = kz_orthogonal(j, g, args.max_carrier)
+    w = kz_orthogonal(j, g)
     payload = {"exists": w is not None}
     if w is not None:
         payload["exact"] = w.exact
@@ -189,7 +202,7 @@ def _cmd_kz(args):
 def _cmd_kan_injective(args):
     A = formats.load_preorder(args.object)
     family = _load(args.family, GeneratorFamily)
-    result = kan_injective(A, family, args.max_carrier)
+    result = kan_injective(A, family)
     _emit(formats.dumps({"kan-injective": result}))
     return 0 if result else 1
 
@@ -199,10 +212,7 @@ def _cmd_classify(args):
     if max_size is None:
         max_size = 4 if args.max_size is None else args.max_size
     rows = classify_injectives(
-        max_size,
-        generator_size=args.generator_size,
-        posets_only=args.posets_only,
-        max_carrier=args.max_carrier,
+        max_size, generator_size=args.generator_size, posets_only=args.posets_only
     )
     payload = [
         {
@@ -218,7 +228,7 @@ def _cmd_classify(args):
 
 def _cmd_filter_space(args):
     X = _load(args.file, FiniteSpace)
-    fs = filter_space(X, args.max_carrier)
+    fs = filter_space(X)
     labels = ["{" + ",".join(_names(X.points, u)) + "}^" for u in fs.opens]
     filters = FinPreorder._checked(fs.filters.up, fs.filters.down, labels)
     if args.format == "dot":
@@ -346,9 +356,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one ``lofs`` command under its ``--max-carrier`` bound; the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with carrier_bound(args.max_carrier):
+            return args.fn(args)
     except _INVALID as exc:
         print(f"lofs: invalid object: {exc}", file=sys.stderr)
         return 3

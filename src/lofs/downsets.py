@@ -17,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .order import (
-    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
+    _bound,
     _guard,
     _union,
     chain,
@@ -95,14 +95,16 @@ def _inclusion_covers(masks):
 
 
 @lru_cache(maxsize=256)
-def _carrier(masks, B, labels, pre, max_carrier):
+def _carrier(masks, B, labels, pre, bound):
     """(K, pairs, index, right part) for the maps into B with table ``pre``.
 
     Everything here is a function of the source's down-set ``masks``,
     the upper-bound table ``pre`` and the codomain, not of the map
     itself.  ``labels`` (those of B) is part of the key only: preorder
     equality ignores labels, and the right part keeps B as its codomain,
-    so a labelled B never meets another caller's B.  At the point, with
+    so a labelled B never meets another caller's B.  ``bound`` is the
+    carrier bound, taken from the context by the caller, so a smaller
+    bound is a different key and its guard still raises.  At the point, with
     ``pre`` the whole source, K is the inclusion order of the down-sets:
     ``downsets`` reads it there.
 
@@ -141,7 +143,7 @@ def _carrier(masks, B, labels, pre, max_carrier):
                 pairs.append((m, b))
                 vectors.append((i, b))
         blocks.append(bit - start)
-    _guard("factorisation carrier", len(pairs), max_carrier)
+    _guard("factorisation carrier", len(pairs), bound)
     upper, lower = _inclusion_covers(masks)
     above = blocks[:]
     for i in range(len(masks) - 1, -1, -1):
@@ -162,7 +164,7 @@ def _carrier(masks, B, labels, pre, max_carrier):
     return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
 
 
-def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
+def downsets(X):
     """The down-set lattice of X: the carrier of X -> 1.
 
     Built by ``_carrier`` at the point, with the whole source as its one
@@ -171,8 +173,8 @@ def downsets(X, max_carrier=DEFAULT_MAX_CARRIER):
     of down-sets first, and K has one element per down-set, so the
     carrier's own guard never fires.
     """
-    masks = down_set_masks(X, max_carrier)
-    K, _, index, _ = _carrier(masks, _POINT, None, masks[-1:], max_carrier)
+    masks = down_set_masks(X)
+    K, _, index, _ = _carrier(masks, _POINT, None, masks[-1:], _bound.get())
     return DownSetLattice(K, masks, index)
 
 
@@ -182,7 +184,7 @@ def unit(X, dl=None):
     return MonotoneMap(X, dl.carrier, [dl.index(X.down[x]) for x in range(X.n)])
 
 
-def check_lax_idempotent_P(X, max_carrier=DEFAULT_MAX_CARRIER):
+def check_lax_idempotent_P(X):
     """Pointwise inequality (down-set functor of the unit) <= (unit of the down-set lattice).
 
     True for every X; the check evaluates both maps on every down-set.
@@ -192,7 +194,7 @@ def check_lax_idempotent_P(X, max_carrier=DEFAULT_MAX_CARRIER):
     the left side on m is the union of those rows over the principal
     down-sets of the members of m.
     """
-    dl = downsets(X, max_carrier)
+    dl = downsets(X)
     below = dl.carrier.down
     principal = [below[dl.index(X.down[x])] for x in range(X.n)]
     return not any(_union(principal, m) & ~below[i] for i, m in enumerate(dl.masks))

@@ -18,8 +18,8 @@ from .adjunction import find_left_adjoint, find_right_adjoint
 from .downsets import _carrier, downsets
 from .errors import AdjointMissing, InvariantViolation, ShapeMismatch, SizeLimitExceeded
 from .order import (
-    DEFAULT_MAX_CARRIER,
     MonotoneMap,
+    _bound,
     _preimage_masks,
     _union,
     chain,
@@ -102,7 +102,7 @@ def _upper_bound_table(f):
     return _preimage_masks(f.assign, f.tgt.down)
 
 
-def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
+def factorise(f):
     """Factor f as (right part) ∘ (left part) through the pair preorder.
 
     The carrier K is ordered componentwise: (φ, b) <= (φ2, b2) iff φ ⊆ φ2
@@ -117,13 +117,13 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
 
     K, its pair list and index and the right part are memoised in
     ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
-    upper-bound table, ``max_carrier``) and bounded at 256 entries; the
+    upper-bound table, the carrier bound) and bounded at 256 entries; the
     lattices of ``downsets`` are entries of the same memo, at the point.
     Many maps of a sweep share one key, so each distinct K and right
     part is built once while it stays cached.  The cached values are
     immutable and built by the same code from the same key, so results
     and their order are unchanged.  An exception is not cached, and a
-    smaller ``max_carrier`` is a different key, so the guard still
+    smaller carrier bound is a different key, so the guard still
     raises.  The left part and the returned object are built per call,
     on the caller's own f.
 
@@ -133,10 +133,8 @@ def factorise(f, max_carrier=DEFAULT_MAX_CARRIER):
     and it is monotone, since a <= a2 gives ↓a ⊆ ↓a2 and f(a) <= f(a2).
     """
     A, B = f.src, f.tgt
-    masks = down_set_masks(A, max_carrier)
-    K, pairs, index, rho = _carrier(
-        masks, B, B.labels, tuple(_upper_bound_table(f)), max_carrier
-    )
+    pre = tuple(_upper_bound_table(f))
+    K, pairs, index, rho = _carrier(down_set_masks(A), B, B.labels, pre, _bound.get())
     lam = tuple(index[(A.down[a], f.assign[a])] for a in range(A.n))
     return FactorisationData(f, K, MonotoneMap._checked(A, K, lam), rho, pairs, index)
 
@@ -166,20 +164,20 @@ def _k_action(source, target, h, k):
     return MonotoneMap(source.K, target.K, _k_at(source, target, h, k, range(source.K.n)))
 
 
-def k_on_square(sq, source=None, target=None, max_carrier=DEFAULT_MAX_CARRIER):
+def k_on_square(sq, source=None, target=None):
     """Functor action on a commuting square (h, k) : f -> g.
 
     Sends (φ, b) to (down-closure of h[φ], k(b)); natural on both sides
     and functorial in the square.
     """
-    source = source or factorise(sq.j, max_carrier)
-    target = target or factorise(sq.g, max_carrier)
+    source = source or factorise(sq.j)
+    target = target or factorise(sq.g)
     if source.f != sq.j or target.f != sq.g:
         raise ShapeMismatch("square does not match the given factorisations")
     return _k_action(source, target, sq.h, sq.k)
 
 
-def mult(f, max_carrier=DEFAULT_MAX_CARRIER):
+def mult(f):
     """The multiplication component on f: K(right part) -> Kf.
 
     Defined by the left adjoint of the unit component of the right-part
@@ -188,8 +186,8 @@ def mult(f, max_carrier=DEFAULT_MAX_CARRIER):
     the computed adjoint and returned, being the representative that also
     satisfies the naturality square on the nose.
     """
-    Ff = factorise(f, max_carrier)
-    Frho = factorise(Ff.rho, max_carrier)
+    Ff = factorise(f)
+    Frho = factorise(Ff.rho)
     adjoint = find_left_adjoint(Frho.lam)
     if adjoint is None:
         raise AdjointMissing("multiplication adjoint missing: this is a bug")
@@ -203,15 +201,15 @@ def mult(f, max_carrier=DEFAULT_MAX_CARRIER):
     return MonotoneMap(Frho.K, Ff.K, assign)
 
 
-def comult(f, max_carrier=DEFAULT_MAX_CARRIER):
+def comult(f):
     """The comultiplication component on f: Kf -> K(left part).
 
     Defined dually by the right adjoint of the counit component of the
     left-part factorisation; the closed form (φ, b) ↦ (φ, (φ, b)) is
     asserted equivalent to it and returned.
     """
-    Ff = factorise(f, max_carrier)
-    Flam = factorise(Ff.lam, max_carrier)
+    Ff = factorise(f)
+    Flam = factorise(Ff.lam)
     adjoint = find_right_adjoint(Flam.rho)
     if adjoint is None:
         raise AdjointMissing("comultiplication adjoint missing: this is a bug")
@@ -224,7 +222,7 @@ def comult(f, max_carrier=DEFAULT_MAX_CARRIER):
     return MonotoneMap(Ff.K, Flam.K, assign)
 
 
-def coalgebra_structure(f, max_carrier=DEFAULT_MAX_CARRIER):
+def coalgebra_structure(f):
     """The coalgebra witness on f, or None.
 
     A witness forces fullness (apply the section to a pair with related
@@ -233,7 +231,7 @@ def coalgebra_structure(f, max_carrier=DEFAULT_MAX_CARRIER):
     """
     if not is_full(f):
         return None
-    fact = factorise(f, max_carrier)
+    fact = factorise(f)
     pre = _upper_bound_table(f)
     s = MonotoneMap(
         f.tgt, fact.K, [fact.index(pre[b], b) for b in range(f.tgt.n)]
@@ -241,7 +239,7 @@ def coalgebra_structure(f, max_carrier=DEFAULT_MAX_CARRIER):
     return CoalgebraWitness(fact, s)
 
 
-def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER):
+def algebra_structure(g):
     """The algebra witness on g, or None.
 
     The structure map, when it exists, is the left adjoint of the left
@@ -251,7 +249,7 @@ def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER):
     checked elementwise whenever the double factorisation fits the
     carrier bound.
     """
-    fact = factorise(g, max_carrier)
+    fact = factorise(g)
     p = find_left_adjoint(fact.lam)
     if p is None:
         return None
@@ -259,13 +257,13 @@ def algebra_structure(g, max_carrier=DEFAULT_MAX_CARRIER):
         return None
     witness = AlgebraWitness(fact, p)
     try:
-        _check_multiplication_law(witness, max_carrier)
+        _check_multiplication_law(witness)
     except SizeLimitExceeded:
         pass
     return witness
 
 
-def _check_multiplication_law(witness, max_carrier=DEFAULT_MAX_CARRIER):
+def _check_multiplication_law(witness):
     """p ∘ (multiplication) = p ∘ K(p, id) elementwise, up to equivalence.
 
     The square (p, id) only commutes up to equivalence on preorders, so
@@ -273,8 +271,8 @@ def _check_multiplication_law(witness, max_carrier=DEFAULT_MAX_CARRIER):
     """
     fact = witness.fact
     g = fact.f
-    pi = mult(g, max_carrier)
-    Frho = factorise(fact.rho, max_carrier)
+    pi = mult(g)
+    Frho = factorise(fact.rho)
     kp = _k_action(Frho, fact, witness.p, identity(g.tgt))
     lhs = compose(pi, witness.p)
     rhs = compose(kp, witness.p)
@@ -303,22 +301,17 @@ def canonical_diag(sq, s, p):
     return MonotoneMap._checked(s.s.src, p.p.tgt, tuple(retract[v] for v in middle))
 
 
-def fibrant_replacement(A, max_carrier=DEFAULT_MAX_CARRIER):
+def fibrant_replacement(A):
     """Factor A -> point and exhibit the middle object as the down-set lattice.
 
     Returns (carrier, left part, iso) where iso is an order-isomorphism
     onto ``downsets(A).carrier`` carrying the left part to the principal
-    down-set unit.
+    down-set unit.  The iso (φ, pt) ↦ φ is the identity, built trusted:
+    K(A -> point) and ``downsets(A)`` are the carrier ``_carrier`` builds
+    from the same ascending down-set masks of A, with the whole of A as
+    the one upper bound, so element i of both stands for the i-th
+    down-set and both are ordered by inclusion.
     """
-    fact = factorise(MonotoneMap(A, chain(1), [0] * A.n), max_carrier)
-    return fact.K, fact.lam, _downset_iso(fact, max_carrier)
-
-
-def _downset_iso(fact, max_carrier=DEFAULT_MAX_CARRIER):
-    """The iso (φ, pt) ↦ φ from the carrier of A -> point onto the down-sets of A.
-
-    Read off the pairs of ``fact``, so a caller that factorised A -> point
-    with its own labels gets the iso without a second factorisation.
-    """
-    dl = downsets(fact.f.src, max_carrier)
-    return MonotoneMap(fact.K, dl.carrier, [dl.index(m) for m, _ in fact.pairs])
+    fact = factorise(MonotoneMap(A, chain(1), [0] * A.n))
+    iso = MonotoneMap._checked(fact.K, downsets(A).carrier, tuple(range(fact.K.n)))
+    return fact.K, fact.lam, iso

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 from .errors import ShapeMismatch
 from .order import (
-    DEFAULT_MAX_CARRIER,
     MonotoneMap,
     _bits,
+    _bound,
     _hom_guard,
     _least_member,
     _least_vector,
@@ -46,7 +46,7 @@ class ExtensionWitness:
         return f"ExtensionWitness(ext={list(self.ext.assign)})"
 
 
-def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
+def lan_extension(j, f):
     """The least g with f <= g ∘ j, if it restricts back to f; else None.
 
     When the codomain is a complete lattice the minimum is computed
@@ -60,21 +60,21 @@ def lan_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
         raise ShapeMismatch("extension needs dom j = dom f")
     A = f.tgt
     if not is_complete_lattice(A):
-        return _scanned_extension(j, f, max_carrier)
+        return _scanned_extension(j, f)
     fbits = [1 << v for v in f.assign]
     below = _preimage_masks(j.assign, j.tgt.down)
     return _restricting(j, f, [sup_mask(A, _union(fbits, m)) for m in below])
 
 
-def _scanned_extension(j, f, max_carrier=DEFAULT_MAX_CARRIER):
+def _scanned_extension(j, f):
     """:func:`lan_extension` through ``_least_extension``, for any codomain."""
-    best = _least_extension(j, f.assign, f.tgt, max_carrier)
+    best = _least_extension(j, f.assign, f.tgt)
     if best is None:
         return None
     return _restricting(j, f, best)
 
 
-def _least_extension(j, assign, A, max_carrier):
+def _least_extension(j, assign, A):
     """The least monotone g with f <= g ∘ j, f = ``assign``, as a tuple, or None.
 
     For a monotone g, f <= g ∘ j says that g(y) lies in
@@ -105,8 +105,8 @@ def _least_extension(j, assign, A, max_carrier):
         bounds.append(b)
     least = [_least_member(b, A.up) for b in bounds]
     if None in least:
-        return _least_within(j.tgt, A, tuple(bounds), max_carrier)
-    _hom_guard(j.tgt, A, max_carrier)
+        return _least_within(j.tgt, A, tuple(bounds), _bound.get())
+    _hom_guard(j.tgt, A)
     return tuple(least)
 
 
@@ -124,7 +124,7 @@ def _restricting(j, f, assign):
 
 
 @lru_cache(maxsize=1024)
-def _least_within(Y, A, bounds, max_carrier):
+def _least_within(Y, A, bounds, bound):
     """The first monotone Y -> A within ``bounds`` below all others, or None.
 
     The fallback of ``_least_extension`` when some bound set has no
@@ -136,13 +136,14 @@ def _least_within(Y, A, bounds, max_carrier):
     down-sets of all candidates, which is the first candidate below all
     of them.
 
-    Memoised by (cod j, A, the bounds, ``max_carrier``), at most 1,024
-    scans: maps f with the same bounds share one scan.  The value is an
-    assignment tuple (or None), which carries no labels, so the caller
-    builds its extension on its own preorders.  A smaller
-    ``max_carrier`` is a different key, so its guard still raises.
+    Memoised by (cod j, A, the bounds, the carrier bound ``bound``), at
+    most 1,024 scans: maps f with the same bounds share one scan.  The
+    value is an assignment tuple (or None), which carries no labels, so
+    the caller builds its extension on its own preorders.  ``bound`` is
+    in the key only, taken from the context by the caller, where the
+    scan's guard reads it, so a smaller bound still raises.
     """
-    cands = _monotone_within(Y, A, bounds, max_carrier)
+    cands = _monotone_within(Y, A, bounds)
     best = _least_vector(cands, A)
     return None if best is None else cands[best]
 
@@ -165,7 +166,7 @@ def _member(j):
     return below, pairs
 
 
-def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
+def kan_injective(A, generators):
     """Whether every map into A extends minimally along every generator.
 
     ``generators`` is a GeneratorFamily or any iterable of maps; only the
@@ -192,7 +193,7 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     Over any other A every f takes ``_least_extension``, which is what
     ``lan_extension`` would pick: the pointwise sups where every bound
     set has a least member, else the scan.  Its restriction is tested on
-    the least tuple.  Either way ``max_carrier`` bounds every hom set
+    the least tuple.  Either way the carrier bound limits every hom set
     into A.
     """
     members = getattr(generators, "members", generators)
@@ -201,8 +202,8 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
     for j in members:
         X = j.src
         if not complete:
-            for f in monotone_assignments(X, A, max_carrier):
-                best = _least_extension(j, f, A, max_carrier)
+            for f in monotone_assignments(X, A):
+                best = _least_extension(j, f, A)
                 if best is None or not _restricts(j, f, best, A):
                     return False
             continue
@@ -210,35 +211,36 @@ def kan_injective(A, generators, max_carrier=DEFAULT_MAX_CARRIER):
         if (X, pairs) in passed:
             continue
         if not pairs:
-            _hom_guard(X, A, max_carrier)
+            _hom_guard(X, A)
         else:
-            for f in monotone_assignments(X, A, max_carrier):
+            for f in monotone_assignments(X, A):
                 if not all(A.up[f[a]] >> f[x] & 1 for a, x in pairs):
                     return False
         passed.add((X, pairs))
     return True
 
 
-def all_embeddings(max_size, posets_only=False, max_carrier=DEFAULT_MAX_CARRIER):
+def all_embeddings(max_size, posets_only=False):
     """All order-embeddings between preorders of size <= max_size.
 
     One representative per arrow-isomorphism class; Kan injectivity only
     depends on that class.  Deterministic order.  Memoised in
-    ``_embeddings`` per (max_size, posets_only, max_carrier), however the
-    call spells them, at most 16 families; a smaller ``max_carrier`` is
-    a different key, so the guard of each hom set still raises.
+    ``_embeddings`` per (max_size, posets_only, the carrier bound),
+    however the call spells them, at most 16 families; a smaller bound
+    is a different key, so the guard of each hom set still raises.
     """
-    return _embeddings(max_size, posets_only, max_carrier)
+    return _embeddings(max_size, posets_only, _bound.get())
 
 
 @lru_cache(maxsize=16)
-def _embeddings(max_size, posets_only, max_carrier):
+def _embeddings(max_size, posets_only, bound):
     """:func:`all_embeddings`, searching only the full assignments.
 
     Fullness (which decides being an order-embedding) prunes the search
     of ``_monotone_within`` itself, so only the full assignments, about
     one in twenty at max_size 4, are ever completed.  Each is a map by
-    construction (monotone and full), so it is built trusted.
+    construction (monotone and full), so it is built trusted.  ``bound``
+    is in the key only: the hom-set guards read it from the context.
     """
     reps = [
         p
@@ -249,7 +251,7 @@ def _embeddings(max_size, posets_only, max_carrier):
     for X in reps:
         for Y in reps:
             anything = ((1 << Y.n) - 1,) * X.n
-            for assign in _monotone_within(X, Y, anything, max_carrier, full=True):
+            for assign in _monotone_within(X, Y, anything, full=True):
                 f = MonotoneMap._checked(X, Y, assign)
                 key = arrow_canonical_key(f)
                 if key not in seen:
@@ -257,24 +259,22 @@ def _embeddings(max_size, posets_only, max_carrier):
     return tuple(seen[k] for k in sorted(seen))
 
 
-def classify_injectives(
-    max_size, generator_size=None, posets_only=False, max_carrier=DEFAULT_MAX_CARRIER
-):
+def classify_injectives(max_size, generator_size=None, posets_only=False):
     """Pair every preorder of size <= max_size with its two predicates.
 
     Rows are (preorder, kan_injective, is_complete_lattice) over the
     family of all embeddings between preorders of size <= generator_size
     (default min(max_size, 4)).  The two booleans agree on every row.
-    ``max_carrier`` bounds every hom set searched, for the family and
+    The carrier bound limits every hom set searched, for the family and
     for each row.
     """
     if generator_size is None:
         generator_size = min(max_size, 4)
-    family = all_embeddings(generator_size, posets_only, max_carrier)
+    family = all_embeddings(generator_size, posets_only)
     rows = []
     for n in range(max_size + 1):
         for A in enumerate_preorders(n):
-            rows.append((A, kan_injective(A, family, max_carrier), is_complete_lattice(A)))
+            rows.append((A, kan_injective(A, family), is_complete_lattice(A)))
     return rows
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from .adjunction import find_rali
 from .errors import InvariantViolation, ShapeMismatch
 from .order import (
-    DEFAULT_MAX_CARRIER,
     MonotoneMap,
     Square,
     _bits,
@@ -84,7 +83,7 @@ class LiftingStructure:
         return self.fillers[(member_idx, h.assign, k.assign)]
 
 
-def _comparison(j, g, max_carrier):
+def _comparison(j, g):
     """(hom assignments, squares, c): the comparison map on assignment tuples.
 
     The hom set cod j -> dom g is enumerated first and the squares
@@ -92,8 +91,8 @@ def _comparison(j, g, max_carrier):
     index in the squares of the boundary square (d ∘ j, g ∘ d); the
     squares list every square j -> g, so every boundary has an index.
     """
-    assigns = monotone_assignments(j.tgt, g.src, max_carrier)
-    sqs = squares(j, g, max_carrier)
+    assigns = monotone_assignments(j.tgt, g.src)
+    sqs = squares(j, g)
     index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
     c = tuple(
         index[(tuple(d[v] for v in j.assign), tuple(g.assign[v] for v in d))]
@@ -115,7 +114,7 @@ def _square_preorder(j, g, sqs):
     return _pointwise_preorder(vectors, ups, downs)
 
 
-def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
+def canonical_map(j, g):
     """The comparison d ↦ (d ∘ j, g ∘ d) into the square preorder.
 
     Its source is the hom preorder cod j -> dom g and its target the
@@ -126,25 +125,25 @@ def canonical_map(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     validated coordinates (``_pointwise_preorder``), and the map is
     monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
-    assigns, sqs, c = _comparison(j, g, max_carrier)
+    assigns, sqs, c = _comparison(j, g)
     return MonotoneMap._checked(
         _hom_preorder(j.tgt, g.src, assigns), _square_preorder(j, g, sqs), c
     )
 
 
-def has_lifting(j, g, max_carrier=DEFAULT_MAX_CARRIER):
+def has_lifting(j, g):
     """Every commuting square from j to g admits at least one filler.
 
     Fillers are taken up to pointwise equivalence so that KZ-orthogonality
     always implies this predicate; over posets that is the strict notion.
     So the comparison map must hit every class of squares.
     """
-    _, sqs, c = _comparison(j, g, max_carrier)
+    _, sqs, c = _comparison(j, g)
     order = _square_preorder(j, g, sqs)
     return all(_preimage_masks(c, [order.class_mask(i) for i in range(order.n)]))
 
 
-def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
+def lifting_structure(family, g):
     """A coherent lifting structure on g, or None.
 
     From the fibre of the comparison map over each square, the least
@@ -161,7 +160,7 @@ def lifting_structure(family, g, max_carrier=DEFAULT_MAX_CARRIER):
     canonical = True
     member_squares = []
     for idx, j in enumerate(family.members):
-        assigns, sqs, c = _comparison(j, g, max_carrier)
+        assigns, sqs, c = _comparison(j, g)
         member_squares.append(sqs)
         fibres = _preimage_masks(c, [1 << i for i in range(len(sqs))])
         for sq, fibre in zip(sqs, fibres):
@@ -205,7 +204,7 @@ def _coherent(structure, member_squares):
     return True
 
 
-def kz_orthogonal(j, g, max_carrier=DEFAULT_MAX_CARRIER):
+def kz_orthogonal(j, g):
     """The RALI witness on the comparison map, or None.
 
     When it exists, the section picks the least filler of each square;
@@ -213,10 +212,10 @@ def kz_orthogonal(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     equation is read up to equivalence of the square preorder, which is
     on-the-nose whenever that preorder is a poset.
     """
-    return find_rali(canonical_map(j, g, max_carrier), exact=False)
+    return find_rali(canonical_map(j, g), exact=False)
 
 
-def compose_structures(sf, sg, max_carrier=DEFAULT_MAX_CARRIER):
+def compose_structures(sf, sg):
     """Compose lifting structures along composable underlying maps.
 
     The composite filler for (h, k) against g ∘ f fills g on
@@ -229,7 +228,7 @@ def compose_structures(sf, sg, max_carrier=DEFAULT_MAX_CARRIER):
         raise ShapeMismatch("underlying maps do not compose")
     gf = compose(f, g)
     fillers = {}
-    member_squares = [squares(j, gf, max_carrier) for j in sf.family.members]
+    member_squares = [squares(j, gf) for j in sf.family.members]
     for idx, sqs in enumerate(member_squares):
         for sq in sqs:
             dg = sg.filler(idx, compose(sq.h, f), sq.k)
@@ -241,16 +240,16 @@ def compose_structures(sf, sg, max_carrier=DEFAULT_MAX_CARRIER):
     return out
 
 
-def coproduct_family_check(fam1, fam2, g, max_carrier=DEFAULT_MAX_CARRIER):
+def coproduct_family_check(fam1, fam2, g):
     """Structures for a coproduct family are pairs of structures.
 
     True iff a structure for fam1 + fam2 exists exactly when structures
     for both parts exist, and in that case the combined fillers restrict
     to the two component structures.
     """
-    both = lifting_structure(fam1 + fam2, g, max_carrier)
-    s1 = lifting_structure(fam1, g, max_carrier)
-    s2 = lifting_structure(fam2, g, max_carrier)
+    both = lifting_structure(fam1 + fam2, g)
+    s1 = lifting_structure(fam1, g)
+    s2 = lifting_structure(fam2, g)
     if (both is not None) != (s1 is not None and s2 is not None):
         return False
     if both is None:

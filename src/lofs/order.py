@@ -10,6 +10,8 @@ a pure function, so shared values are safe to use concurrently.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from functools import lru_cache
 
@@ -23,6 +25,26 @@ from .errors import (
 DEFAULT_MAX_CARRIER = 4096
 DEFAULT_ENUM_BOUND = 5
 
+# the carrier bound of the current thread or task; set only by carrier_bound
+_bound = contextvars.ContextVar("lofs_carrier_bound", default=DEFAULT_MAX_CARRIER)
+
+
+@contextlib.contextmanager
+def carrier_bound(n):
+    """Bound every carrier, hom set and square set built inside the block by n.
+
+    The one way to set the carrier bound, which is ``DEFAULT_MAX_CARRIER``
+    outside every block: the size guards read it from the context, so no
+    call below the block can drop it.  As with any ``ContextVar``, the
+    value holds for the current thread or asyncio task, and the previous
+    bound is restored when the block exits, also by an exception.
+    """
+    token = _bound.set(n)
+    try:
+        yield
+    finally:
+        _bound.reset(token)
+
 
 def _guard(what, requested, bound):
     """Raise ``SizeLimitExceeded`` when ``requested`` exceeds ``bound``.
@@ -35,10 +57,10 @@ def _guard(what, requested, bound):
         raise SizeLimitExceeded(what, requested, bound)
 
 
-def _hom_guard(X, Y, max_carrier):
+def _hom_guard(X, Y):
     """The guard on the |Y|^|X| candidate maps X -> Y, when both are non-empty."""
     if X.n and Y.n:
-        _guard(f"{Y.n}^{X.n} candidate maps", Y.n ** X.n, max_carrier)
+        _guard(f"{Y.n}^{X.n} candidate maps", Y.n ** X.n, _bound.get())
 
 
 def _bits(mask):
@@ -514,15 +536,22 @@ def is_complete_lattice(X):
     return True
 
 
-@lru_cache(maxsize=256)
-def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
+def down_set_masks(X):
     """All down-closed subsets of X as bitmasks, ascending.
 
     Enumerates order ideals of the poset reflection and expands classes,
     so the cost is O(result * classes) rather than 2^n.  The result is an
     immutable tuple that depends only on X's relation, so it is cached
-    (bounded): a sweep over many maps asks again for few sources.
+    (bounded) in ``_down_set_masks``, keyed by X and the carrier bound:
+    a sweep over many maps asks again for few sources, and a smaller
+    bound is a different key, so its guard still raises.
     """
+    return _down_set_masks(X, _bound.get())
+
+
+@lru_cache(maxsize=256)
+def _down_set_masks(X, bound):
+    """:func:`down_set_masks` under the carrier bound ``bound``."""
     Q, cls = X.quotient()
     k = Q.n
     # process classes in a linear extension of the quotient
@@ -532,7 +561,7 @@ def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
         below = Q.down[c] & ~(1 << c)
         grown = [m | (1 << c) for m in ideals if not (below & ~m)]
         ideals += grown
-        _guard(f"down-sets of a {X.n}-element preorder", len(ideals), max_carrier)
+        _guard(f"down-sets of a {X.n}-element preorder", len(ideals), bound)
     return tuple(sorted(_union(cls, m) for m in ideals))
 
 
@@ -540,16 +569,16 @@ def down_set_masks(X, max_carrier=DEFAULT_MAX_CARRIER):
 # hom objects
 
 
-def monotone_assignments(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
+def monotone_assignments(X, Y):
     """All monotone assignment vectors X -> Y, lexicographic.
 
-    The raw candidate space |Y|^|X| is bounded by ``max_carrier`` before
-    enumeration starts.
+    The raw candidate space |Y|^|X| is limited by the carrier bound
+    before enumeration starts.
     """
-    return _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n, max_carrier)
+    return _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n)
 
 
-def _monotone_within(X, Y, allowed, max_carrier, full=False):
+def _monotone_within(X, Y, allowed, full=False):
     """The monotone assignments a with a[i] in ``allowed[i]`` for each i.
 
     The same recursion, order and size guard as ``monotone_assignments``,
@@ -567,7 +596,7 @@ def _monotone_within(X, Y, allowed, max_carrier, full=False):
         return [()]
     if Y.n == 0:
         return []
-    _hom_guard(X, Y, max_carrier)
+    _hom_guard(X, Y)
     n = X.n
     out = []
     assign = [0] * n
@@ -596,8 +625,8 @@ def _monotone_within(X, Y, allowed, max_carrier, full=False):
     return out
 
 
-def hom_maps(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
-    return [MonotoneMap(X, Y, a) for a in monotone_assignments(X, Y, max_carrier)]
+def hom_maps(X, Y):
+    return [MonotoneMap(X, Y, a) for a in monotone_assignments(X, Y)]
 
 
 def _pointwise_leq(Y, a, b):
@@ -652,7 +681,7 @@ def _pointwise_preorder(vectors, ups, downs):
     )
 
 
-def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
+def squares(j, g):
     """All commuting squares (h, k) : j -> g, lexicographic on (h, k).
 
     The k assignments are grouped by k∘j once, so each h meets only the
@@ -662,37 +691,38 @@ def squares(j, g, max_carrier=DEFAULT_MAX_CARRIER):
     many squares share it, and all are built trusted: h and k come from
     the enumerated hom sets, so they are monotone, and each square pairs
     an h with a k of the same k∘j = g∘h, so it commutes.  Each hom set
-    is bounded by ``max_carrier``, their product by 64 * ``max_carrier``
-    and the squares found by ``max_carrier``.
+    is limited by the carrier bound, their product by 64 times it and
+    the squares found by it.
 
     The enumeration is memoised in ``_squares``, keyed by (j, g, the
-    labels of their four preorders, ``max_carrier``) and bounded at 16
+    labels of their four preorders, the carrier bound) and bounded at 16
     square sets, so a caller that lists the squares of a pair and then
     asks ``lifting._comparison`` about the same pair enumerates them
     once.  A
     cached set is an immutable tuple built by the same code from the
     same key, and each call returns a fresh list of it, so the squares,
     their order and every error are unchanged, and mutating one result
-    changes no other.  A smaller ``max_carrier`` is a different key, so
-    its guards still raise.
+    changes no other.  A smaller bound is a different key, so its guards
+    still raise.
     """
     labels = (j.src.labels, j.tgt.labels, g.src.labels, g.tgt.labels)
-    return list(_squares(j, g, labels, max_carrier))
+    return list(_squares(j, g, labels, _bound.get()))
 
 
 @lru_cache(maxsize=16)
-def _squares(j, g, labels, max_carrier):
-    """``squares`` as a tuple.
+def _squares(j, g, labels, bound):
+    """``squares`` as a tuple, under the carrier bound ``bound``.
 
     ``lifting._comparison`` reads it through ``squares``, so the lifting
     functions share the enumeration with every other caller.  ``labels``
     is part of the key only: map and preorder equality ignore labels, and
     every square holds j and g, so a labelled pair never receives squares
-    built on another caller's labels.
+    built on another caller's labels.  The hom-set guards read the
+    bound from the context, where ``squares`` took it.
     """
-    hs = monotone_assignments(j.src, g.src, max_carrier)
-    ks = monotone_assignments(j.tgt, g.tgt, max_carrier)
-    _guard("square search space", len(hs) * len(ks), 64 * max_carrier)
+    hs = monotone_assignments(j.src, g.src)
+    ks = monotone_assignments(j.tgt, g.tgt)
+    _guard("square search space", len(hs) * len(ks), 64 * bound)
     by_kj = {}
     for k in ks:
         by_kj.setdefault(tuple(k[v] for v in j.assign), []).append(k)
@@ -708,7 +738,7 @@ def _squares(j, g, labels, max_carrier):
             if kmap is None:
                 kmap = kmaps[k] = MonotoneMap._checked(j.tgt, g.tgt, k)
             out.append(Square._checked(j, g, hmap, kmap))
-    _guard("commuting squares", len(out), max_carrier)
+    _guard("commuting squares", len(out), bound)
     return tuple(out)
 
 
@@ -811,7 +841,8 @@ def _one_point_extensions(P, posets_only):
             yield FinPreorder(
                 n + 1, tuple(r | new if r >> x & 1 else r for r in up) + (up[x] | new,)
             )
-    for D in down_set_masks(P):
+    # the enumeration is memoised without a carrier bound, so it reads none
+    for D in _down_set_masks(P, DEFAULT_MAX_CARRIER):
         yield FinPreorder(
             n + 1, tuple(r | new if D >> i & 1 else r for i, r in enumerate(up)) + (new,)
         )

@@ -24,7 +24,6 @@ from .adjunction import find_right_adjoint
 from .downsets import downsets
 from .errors import NotAPoset
 from .order import (
-    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     _bits,
@@ -82,13 +81,13 @@ def _points(X):
     return X.points if isinstance(X, FiniteSpace) else X
 
 
-def _open_lattice(X, max_carrier=DEFAULT_MAX_CARRIER):
+def _open_lattice(X):
     """The opens of X by inclusion: the down-sets of the opposite preorder.
 
-    ``max_carrier`` bounds the number of opens while they are built.
+    The carrier bound limits the number of opens while they are built.
     """
     P = _points(X)
-    return downsets(FinPreorder._checked(P.down, P.up), max_carrier)
+    return downsets(FinPreorder._checked(P.down, P.up))
 
 
 def open_masks(X):
@@ -163,14 +162,14 @@ def is_continuous_lattice(L):
     return all(sup_mask(P, below_of[y]) == y for y in range(P.n))
 
 
-def filter_space(X, max_carrier=DEFAULT_MAX_CARRIER):
+def filter_space(X):
     """The space of filters of the open-set lattice of X.
 
     Filters are listed by their generating open, in open order; the order
     on filters is inclusion of member sets.  There is one filter per
-    open, so ``max_carrier`` bounds the opens while they are built.
+    open, so the carrier bound limits the opens while they are built.
     """
-    return FilterSpace(_open_lattice(X, max_carrier))
+    return FilterSpace(_open_lattice(X))
 
 
 def filter_unit(X, fs=None):
@@ -205,7 +204,7 @@ def filter_mult(X, fs=None, ffs=None):
     return MonotoneMap(ffs.filters, fs.filters, assign)
 
 
-def filter_algebra(X, max_carrier=DEFAULT_MAX_CARRIER):
+def filter_algebra(X):
     """The algebra map FX -> X, or None.
 
     An algebra is a right adjoint of the unit sending each principal
@@ -215,14 +214,14 @@ def filter_algebra(X, max_carrier=DEFAULT_MAX_CARRIER):
     lattices.
     """
     P = _points(X)
-    fs = filter_space(X, max_carrier)
+    fs = filter_space(X)
     eta = filter_unit(X, fs)
     alpha = find_right_adjoint(eta)
     if alpha is None:
         return None
     if not maps_equivalent(compose(eta, alpha), identity(P)):
         return None
-    ffs = filter_space(FiniteSpace(fs.filters), max_carrier)
+    ffs = filter_space(FiniteSpace(fs.filters))
     m = filter_mult(X, fs, ffs)
     falpha = filter_map(alpha, ffs, fs)
     if not maps_equivalent(compose(m, alpha), compose(falpha, alpha)):

@@ -1,11 +1,20 @@
-"""Brute-force oracles that only the tests use.
+"""Brute-force oracles and helpers that only the tests use.
 
 ``is_isomorphic`` searches bijections, pruned by the refinement colors
 that canonical forms use, and ``inf_mask`` is the dual of
 ``order.sup_mask``.  The library decides neither question itself.
+``subset_without_sup_scan`` is the scan of every subset by size that the
+``--witness`` of ``check complete-lattice`` replaced, and ``under``
+runs one call under a carrier bound.
 """
 
-from lofs.order import _bits, _least_member, _refinement
+from lofs.order import _bits, _least_member, _refinement, carrier_bound, sup_mask
+
+
+def under(bound, call, *args):
+    """``call(*args)`` under the carrier bound ``bound``."""
+    with carrier_bound(bound):
+        return call(*args)
 
 
 def is_isomorphic(X, Y):
@@ -48,3 +57,12 @@ def inf_mask(X, mask):
     for i in _bits(mask):
         lb &= X.down[i]
     return _least_member(lb, X.down)
+
+
+def subset_without_sup_scan(P):
+    """The first subset of P without a sup, by size then mask, or None."""
+    for size in range(P.n + 1):
+        for mask in range(1 << P.n):
+            if mask.bit_count() == size and sup_mask(P, mask) is None:
+                return mask
+    return None

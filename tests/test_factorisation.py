@@ -17,6 +17,7 @@ from lofs.order import (
     MonotoneMap,
     Square,
     antichain,
+    carrier_bound,
     chain,
     closure,
     compose,
@@ -169,8 +170,9 @@ class TestComultMult:
             fact = factorise(f)
             frho = factorise(fact.rho)
             try:
-                frho2 = factorise(frho.rho, max_carrier=1024)
-                pi_rho = mult(fact.rho, max_carrier=1024)
+                with carrier_bound(1024):
+                    frho2 = factorise(frho.rho)
+                    pi_rho = mult(fact.rho)
             except SizeLimitExceeded:
                 skipped += 1
                 continue
@@ -194,7 +196,9 @@ class TestComultMult:
 
 def _coalgebra_bruteforce(f):
     fact = factorise(f)
-    for s in monotone_assignments(f.tgt, fact.K, max_carrier=1 << 20):
+    with carrier_bound(1 << 20):
+        candidates = monotone_assignments(f.tgt, fact.K)
+    for s in candidates:
         if tuple(fact.rho.assign[v] for v in s) != tuple(range(f.tgt.n)):
             continue
         if tuple(s[v] for v in f.assign) == fact.lam.assign:
@@ -206,7 +210,9 @@ def _algebra_bruteforce(g):
     """Oracle: monotone retractions satisfying all laws up to equivalence."""
     fact = factorise(g)
     A = g.src
-    for p in monotone_assignments(fact.K, A, max_carrier=1 << 20):
+    with carrier_bound(1 << 20):
+        candidates = monotone_assignments(fact.K, A)
+    for p in candidates:
         pm = MonotoneMap(fact.K, A, p)
         if not maps_equivalent(compose(fact.lam, pm), identity(A)):
             continue

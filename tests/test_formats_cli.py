@@ -10,6 +10,7 @@ from lofs.order import (
     FinPreorder,
     MonotoneMap,
     antichain,
+    carrier_bound,
     chain,
     closure,
     diamond,
@@ -225,6 +226,35 @@ class TestCli:
         assert cli.main(["--max-carrier", "7776", "kan-injective", c6, a5]) == 0
         assert json.loads(capsys.readouterr().out) == {"kan-injective": True}
 
+    def test_top_coalgebra_honours_a_smaller_max_carrier(self, tmp_path, capsys):
+        # the opens of the 5-point discrete space are its 32 subsets
+        path = write(tmp_path, "f.json", formats.map_to_obj(identity(antichain(5))))
+        assert cli.main(["--max-carrier", "8", "check", "top-coalgebra", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "lofs: down-sets of a 5-element preorder: 16 exceeds the bound 8\n"
+        assert cli.main(["check", "top-coalgebra", path]) == 0
+
+    def test_top_coalgebra_honours_a_larger_max_carrier(self, tmp_path, capsys):
+        # 2^13 = 8192 opens: above the default bound, within 10000
+        f = MonotoneMap(antichain(13), chain(1), [0] * 13)
+        path = write(tmp_path, "f.json", formats.map_to_obj(f))
+        assert cli.main(["check", "top-coalgebra", path]) == 2
+        assert capsys.readouterr().err == (
+            "lofs: down-sets of a 13-element preorder: 8192 exceeds the bound 4096\n"
+        )
+        assert cli.main(["--max-carrier", "10000", "check", "top-coalgebra", path]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"predicate": "top-coalgebra", "result": False}
+        assert out.err == ""
+
+    def test_the_bound_of_one_command_ends_with_it(self, tmp_path, capsys):
+        path = write(tmp_path, "f.json", formats.map_to_obj(identity(chain(3))))
+        assert cli.main(["--max-carrier", "1", "factor", path]) == 2
+        capsys.readouterr()
+        assert factorise(identity(chain(3))).K.n == 9
+        assert len(monotone_assignments(chain(5), chain(5))) == 126
+
     def test_lift_and_kz_trip_the_hom_set_guard_first(self, tmp_path, capsys):
         # at the bound 8 the hom set cod j -> dom g has 3^3 candidates and
         # the pair has 12 commuting squares, so both guards would fire;
@@ -234,8 +264,10 @@ class TestCli:
         jp = write(tmp_path, "j.json", formats.map_to_obj(j))
         gp = write(tmp_path, "g.json", formats.map_to_obj(g))
         fam = write(tmp_path, "fam.json", [formats.map_to_obj(j)])
-        with pytest.raises(SizeLimitExceeded, match=r"^commuting squares: 12 exceeds the bound 8$"):
-            squares(j, g, 8)
+        with carrier_bound(8), pytest.raises(
+            SizeLimitExceeded, match=r"^commuting squares: 12 exceeds the bound 8$"
+        ):
+            squares(j, g)
         for argv in (["lift", fam, gp], ["--witness", "lift", fam, gp], ["kz", jp, gp]):
             assert cli.main(["--max-carrier", "8"] + argv) == 2
             out = capsys.readouterr()

@@ -19,6 +19,7 @@ from lofs.order import (
     _unreflected_pair,
     antichain,
     arrow_canonical_key,
+    carrier_bound,
     chain,
     diamond,
     enumerate_preorders,
@@ -189,7 +190,7 @@ class TestPrunedScan:
                     )
                     missing = not all(has_least(b, A) for b in naive_bounds(j, fa, A))
                     info = _least_within.cache_info()
-                    assert _least_extension(j, fa, A, DEFAULT_MAX_CARRIER) == least
+                    assert _least_extension(j, fa, A) == least
                     after = _least_within.cache_info()
                     assert (after.hits + after.misses) - (info.hits + info.misses) == missing
                     scans += missing
@@ -205,18 +206,20 @@ class TestPrunedScan:
                 for fa in monotone_assignments(j.src, A):
                     bounds = naive_bounds(j, fa, A)
                     for bound in (1, 2, 3, 4, 7, 8, 9):
-                        got = limit_or_value(lambda: _least_extension(j, fa, A, bound))
-                        want = limit_or_value(
-                            lambda: _least_within.__wrapped__(j.tgt, A, bounds, bound)
-                        )
+                        with carrier_bound(bound):
+                            got = limit_or_value(lambda: _least_extension(j, fa, A))
+                            want = limit_or_value(
+                                lambda: _least_within.__wrapped__(j.tgt, A, bounds, bound)
+                            )
                         assert got == want
 
     def test_size_guard_unchanged(self):
         j = identity(antichain(3))
         f = MonotoneMap(antichain(3), DIA, [0, 0, 0])
-        with pytest.raises(SizeLimitExceeded):
-            _scanned_extension(j, f, max_carrier=63)
-        assert _scanned_extension(j, f, max_carrier=64) is not None
+        with carrier_bound(63), pytest.raises(SizeLimitExceeded):
+            _scanned_extension(j, f)
+        with carrier_bound(64):
+            assert _scanned_extension(j, f) is not None
 
 
 class TestGroupedKanInjectivity:
@@ -264,11 +267,12 @@ class TestKanInjectivity:
         with pytest.raises(SizeLimitExceeded) as info:
             kan_injective(chain(6), [j])
         assert (info.value.requested, info.value.bound) == (7776, 4096)
-        assert kan_injective(chain(6), [j], max_carrier=10**6)
+        with carrier_bound(10**6):
+            assert kan_injective(chain(6), [j])
         # one bound whether A is complete or not
         for A in (DIA, antichain(2)):
-            with pytest.raises(SizeLimitExceeded) as info:
-                kan_injective(A, [identity(chain(1))], max_carrier=1)
+            with carrier_bound(1), pytest.raises(SizeLimitExceeded) as info:
+                kan_injective(A, [identity(chain(1))])
             assert (info.value.requested, info.value.bound) == (A.n, 1)
 
     def test_enumeration_free_paths_keep_the_hom_set_guard(self):
@@ -276,19 +280,24 @@ class TestKanInjectivity:
         # pointwise sup over a non-complete one scans nothing: each still
         # raises the limit of the hom set it no longer walks
         full = [identity(chain(2))]
-        assert limit_or_value(lambda: kan_injective(chain(3), full, max_carrier=8)) == (
-            "3^2 candidate maps", 9, 8
-        )
-        assert kan_injective(chain(3), full, max_carrier=9)
+        with carrier_bound(8):
+            assert limit_or_value(lambda: kan_injective(chain(3), full)) == (
+                "3^2 candidate maps", 9, 8
+            )
+        with carrier_bound(9):
+            assert kan_injective(chain(3), full)
         j = [MonotoneMap(chain(1), chain(3), [0])]
-        assert limit_or_value(lambda: kan_injective(antichain(2), j, max_carrier=7)) == (
-            "2^3 candidate maps", 8, 7
-        )
-        assert kan_injective(antichain(2), j, max_carrier=8)
+        with carrier_bound(7):
+            assert limit_or_value(lambda: kan_injective(antichain(2), j)) == (
+                "2^3 candidate maps", 8, 7
+            )
+        with carrier_bound(8):
+            assert kan_injective(antichain(2), j)
         # the source's hom set is still guarded first
-        assert limit_or_value(lambda: kan_injective(antichain(2), j, max_carrier=1)) == (
-            "2^1 candidate maps", 2, 1
-        )
+        with carrier_bound(1):
+            assert limit_or_value(lambda: kan_injective(antichain(2), j)) == (
+                "2^1 candidate maps", 2, 1
+            )
 
     def test_long_complete_chain(self):
         # the verdict reads no sup of a subset, so no 2^22 sups are built
@@ -332,14 +341,16 @@ class TestAllEmbeddings:
                     if _unreflected_pair(a, X.up, Y.up) is None
                 ]
                 anything = ((1 << Y.n) - 1,) * X.n
-                found = _monotone_within(X, Y, anything, DEFAULT_MAX_CARRIER, full=True)
+                found = _monotone_within(X, Y, anything, full=True)
                 assert found == expected
 
     def test_bound_reaches_the_search(self):
-        with pytest.raises(SizeLimitExceeded) as info:
-            all_embeddings(3, max_carrier=1)
+        with carrier_bound(1), pytest.raises(SizeLimitExceeded) as info:
+            all_embeddings(3)
         assert (info.value.requested, info.value.bound) == (2, 1)
-        assert all_embeddings(3) is all_embeddings(3, False, DEFAULT_MAX_CARRIER)
+        family = all_embeddings(3)
+        with carrier_bound(DEFAULT_MAX_CARRIER):
+            assert family is all_embeddings(3, False)
 
 
 class TestClassification:
@@ -362,19 +373,20 @@ class TestClassification:
                 assert not inj
 
     def test_bound_reaches_the_family_and_every_row(self):
-        with pytest.raises(SizeLimitExceeded) as info:
-            classify_injectives(3, max_carrier=1)
+        with carrier_bound(1), pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(3)
         assert (info.value.requested, info.value.bound) == (2, 1)
         # rows of size <= 1 have hom sets of at most one map, so only the
         # family's search meets the bound here
-        with pytest.raises(SizeLimitExceeded) as info:
-            classify_injectives(1, generator_size=2, max_carrier=1)
+        with carrier_bound(1), pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(1, generator_size=2)
         assert (info.value.requested, info.value.bound) == (2, 1)
         family = all_embeddings(3)  # its largest hom set has 3^3 = 27 candidates
-        with pytest.raises(SizeLimitExceeded) as info:
-            classify_injectives(4, generator_size=3, max_carrier=27)
+        with carrier_bound(27), pytest.raises(SizeLimitExceeded) as info:
+            classify_injectives(4, generator_size=3)
         assert info.value.requested == 4 ** 3
-        rows = classify_injectives(3, max_carrier=DEFAULT_MAX_CARRIER)
+        with carrier_bound(DEFAULT_MAX_CARRIER):
+            rows = classify_injectives(3)
         assert rows == classify_injectives(3)
         assert [kan_injective(A, family) for A, _, _ in rows] == [r[1] for r in rows]
 

@@ -23,7 +23,6 @@ from lofs.factorisation import (
 )
 from lofs.lifting import GeneratorFamily, canonical_map, kz_orthogonal, lifting_structure
 from lofs.order import (
-    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     Square,
@@ -31,6 +30,7 @@ from lofs.order import (
     arrow_canonical_key,
     canonical_form,
     canonical_key,
+    carrier_bound,
     chain,
     closure,
     compose,
@@ -49,7 +49,7 @@ from lofs.order import (
     vee,
 )
 from lofs.topology import _open_lattice, scott_opens
-from oracles import is_isomorphic
+from oracles import is_isomorphic, under
 
 
 def reps(max_size, posets_only=False):
@@ -116,9 +116,9 @@ def arrow_classes(max_size):
     return [seen[k] for k in sorted(seen)]
 
 
-def hom_preorder(X, Y, max_carrier=DEFAULT_MAX_CARRIER):
+def hom_preorder(X, Y):
     """The maps X -> Y ordered pointwise: the comparison map's source for id X, id Y."""
-    return canonical_map(identity(X), identity(Y), max_carrier).src
+    return canonical_map(identity(X), identity(Y)).src
 
 
 def square_preorder(j, g):
@@ -220,7 +220,7 @@ class TestHomPoset:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded, match=r"^4\^3 candidate maps: 64 exceeds the bound 8$"):
-            hom_preorder(antichain(3), diamond(), max_carrier=8)
+            under(8, hom_preorder, antichain(3), diamond())
 
     def test_point_hom_recovers_object(self):
         for Y in reps(4):
@@ -438,22 +438,23 @@ class TestSizeGuards:
     # one call per guard: (call, what, requested, bound)
     CASES = {
         "down_set_masks": (
-            lambda: down_set_masks(antichain(13), 100),
+            lambda: under(100, down_set_masks, antichain(13)),
             "down-sets of a 13-element preorder", 128, 100,
         ),
         "_monotone_within": (
             lambda: monotone_assignments(chain(5), chain(6)), "6^5 candidate maps", 7776, 4096,
         ),
         "_squares search space": (
-            lambda: squares(identity(antichain(4)), identity(antichain(4)), 256),
+            lambda: under(256, squares, identity(antichain(4)), identity(antichain(4))),
             "square search space", 256 * 256, 64 * 256,
         ),
         "_squares result": (
             # 3 h times 4 free k per h, while each hom set has at most 2^3 candidates
-            lambda: squares(
+            lambda: under(
+                8,
+                squares,
                 MonotoneMap(antichain(1), antichain(3), [0]),
                 MonotoneMap(antichain(3), antichain(2), [0, 0, 1]),
-                8,
             ),
             "commuting squares", 12, 8,
         ),
@@ -463,10 +464,10 @@ class TestSizeGuards:
         ),
         "enumerate_preorders": (lambda: enumerate_preorders(6), "enumeration size", 6, 5),
         "factorisation._carrier": (
-            lambda: factorise(identity(chain(3)), 8), "factorisation carrier", 9, 8,
+            lambda: under(8, factorise, identity(chain(3))), "factorisation carrier", 9, 8,
         ),
         "adjunction.comma": (
-            lambda: comma(identity(chain(3)), 8), "comma candidate pairs", 9, 8,
+            lambda: under(8, comma, identity(chain(3))), "comma candidate pairs", 9, 8,
         ),
         "topology._directed_sups": (
             lambda: scott_opens(chain(17)), "subsets of a 17-element poset", 1 << 17, 1 << 16,
@@ -486,6 +487,33 @@ class TestSizeGuards:
         assert (again.what, again.requested, again.bound, str(again)) == (
             what, requested, bound, str(exc)
         )
+
+    def test_no_function_takes_the_carrier_bound_as_a_parameter(self):
+        # the bound is set once, by carrier_bound, and read from the context
+        takers = []
+        for path in sorted(pathlib.Path(lofs.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if "max_carrier" in {p.arg for p in params if p is not None}:
+                        takers.append((path.name, getattr(node, "name", "<lambda>")))
+        assert takers == []
+
+    def test_the_bound_is_restored_after_its_block(self):
+        f = identity(chain(3))  # 9 carrier elements
+        with carrier_bound(8):
+            with carrier_bound(9):
+                assert factorise(f).K.n == 9
+            with pytest.raises(SizeLimitExceeded):
+                factorise(f)
+        assert factorise(f).K.n == 9
+        with pytest.raises(SizeLimitExceeded), carrier_bound(8):
+            factorise(f)
+        assert factorise(f).K.n == 9
+        with pytest.raises(ZeroDivisionError), carrier_bound(1):
+            1 / 0
+        assert len(monotone_assignments(chain(5), chain(5))) == 126
 
     def test_size_limit_is_raised_only_by_the_guard(self):
         raises = []

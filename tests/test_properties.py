@@ -32,7 +32,7 @@ from lofs.adjunction import (  # noqa: E402
     find_left_adjoint,
     find_right_adjoint,
 )
-from lofs.cli import _fullness_witness  # noqa: E402
+from lofs.cli import _complete_lattice_witness, _fullness_witness  # noqa: E402
 from lofs.downsets import _carrier, check_lax_idempotent_P, downsets  # noqa: E402
 from lofs.errors import (  # noqa: E402
     IndexOutOfRange,
@@ -60,6 +60,7 @@ from lofs.order import (  # noqa: E402
     MonotoneMap,
     Square,
     _bits,
+    _down_set_masks,
     _least_member,
     _preimage_masks,
     _squares,
@@ -89,6 +90,7 @@ from lofs.topology import (  # noqa: E402
     filter_space,
     open_masks,
 )
+from oracles import subset_without_sup_scan, under  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -794,7 +796,7 @@ def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
     """
     if j is None or g is None:
         return
-    assigns, sqs, c = _comparison(j, g, DEFAULT_MAX_CARRIER)
+    assigns, sqs, c = _comparison(j, g)
     assert assigns == monotone_assignments(j.tgt, g.src) and sqs == squares(j, g)
     order = canonical_map(j, g).tgt
     exact = _preimage_masks(c, [1 << i for i in range(len(sqs))])
@@ -803,6 +805,23 @@ def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
         assert [assigns[d] for d in _bits(exact[i])] == naive_square_fillers(sq, False)
         assert [assigns[d] for d in _bits(up_to_equiv[i])] == naive_square_fillers(sq, True)
     assert has_lifting(j, g) == all(naive_square_fillers(sq, True) for sq in sqs)
+
+
+def _scanned_sup_witness(P):
+    mask = subset_without_sup_scan(P)
+    return None if mask is None else {"subset-without-sup": [P.label(i) for i in _bits(mask)]}
+
+
+def test_subset_without_sup_matches_the_scan_on_small_preorders():
+    labelled = [P for n in range(5) for P in enumerate_preorders(n, up_to_iso=False)]
+    for P in labelled + list(enumerate_preorders(5)):
+        assert _complete_lattice_witness(P) == _scanned_sup_witness(P)
+
+
+@PROPERTY
+@given(preorders(max_n=12))
+def test_subset_without_sup_matches_the_scan(P):
+    assert _complete_lattice_witness(P) == _scanned_sup_witness(P)
 
 
 # ---------------------------------------------------------------------------
@@ -815,9 +834,9 @@ def _limit_message(call):
     return str(info.value)
 
 
-def _carrier_key(f, max_carrier=DEFAULT_MAX_CARRIER):
-    masks = down_set_masks(f.src, max_carrier)
-    return (masks, f.tgt, f.tgt.labels, tuple(_upper_bound_table(f)), max_carrier)
+def _carrier_key(f, bound=DEFAULT_MAX_CARRIER):
+    masks = under(bound, down_set_masks, f.src)
+    return (masks, f.tgt, f.tgt.labels, tuple(_upper_bound_table(f)), bound)
 
 
 @PROPERTY
@@ -859,9 +878,15 @@ def test_squares_memo_matches_uncached(j, g):
 
 
 def test_memos_still_raise_under_a_smaller_bound():
+    X = antichain(3)  # 8 down-sets
+    assert len(down_set_masks(X)) == 8
+    assert _limit_message(lambda: under(7, down_set_masks, X)) == _limit_message(
+        lambda: _down_set_masks.__wrapped__(X, 7)
+    )
+
     f = identity(chain(3))  # 9 carrier elements over 4 down-sets
     assert factorise(f).K.n == 9
-    assert _limit_message(lambda: factorise(f, max_carrier=8)) == _limit_message(
+    assert _limit_message(lambda: under(8, factorise, f)) == _limit_message(
         lambda: _carrier.__wrapped__(*_carrier_key(f, 8))
     )
 
@@ -869,16 +894,16 @@ def test_memos_still_raise_under_a_smaller_bound():
     f = MonotoneMap(chain(1), antichain(2), [1])
     assert lan_extension(j, f).ext.assign == (1, 1)
     bounds = (antichain(2).up[1], antichain(2).up[1])
-    assert _limit_message(lambda: lan_extension(j, f, max_carrier=3)) == _limit_message(
-        lambda: _least_within.__wrapped__(chain(2), antichain(2), bounds, 3)
+    assert _limit_message(lambda: under(3, lan_extension, j, f)) == _limit_message(
+        lambda: under(3, _least_within.__wrapped__, chain(2), antichain(2), bounds, 3)
     )
 
     j = g = identity(chain(2))
     assert len(squares(j, g)) == 3
     labels = (None,) * 4
     for bound in (2, 3):
-        assert _limit_message(lambda: squares(j, g, max_carrier=bound)) == _limit_message(
-            lambda: _squares.__wrapped__(j, g, labels, bound)
+        assert _limit_message(lambda: under(bound, squares, j, g)) == _limit_message(
+            lambda: under(bound, _squares.__wrapped__, j, g, labels, bound)
         )
 
 

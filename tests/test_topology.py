@@ -4,10 +4,12 @@ import pytest
 
 from lofs import cli, formats
 from lofs.errors import NotAPoset, SizeLimitExceeded
+from lofs.downsets import unit
 from lofs.order import (
     FinPreorder,
     MonotoneMap,
     antichain,
+    carrier_bound,
     chain,
     compose,
     diamond,
@@ -33,7 +35,7 @@ from lofs.topology import (
     scott_opens,
     way_below,
 )
-from oracles import inf_mask, is_isomorphic
+from oracles import inf_mask, is_isomorphic, under
 
 ONE = chain(1)
 DIA = diamond()
@@ -115,7 +117,7 @@ class TestFilterSpace:
 
         monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_carrier", never)
         with pytest.raises(SizeLimitExceeded) as info:
-            filter_space(FiniteSpace(antichain(13)), 100)
+            under(100, filter_space, FiniteSpace(antichain(13)))
         assert str(info.value) == "down-sets of a 13-element preorder: 128 exceeds the bound 100"
 
     def test_bound_above_the_default_is_honoured(self):
@@ -123,7 +125,23 @@ class TestFilterSpace:
         X = FiniteSpace(FinPreorder(13, [1 << i | 1 << 12 for i in range(12)] + [1 << 12]))
         with pytest.raises(SizeLimitExceeded, match=r"^down-sets of a 13-element preorder: 4097 exceeds the bound 4096$"):
             filter_space(X)
-        assert filter_space(X, 4097).filters.n == 4097
+        assert under(4097, filter_space, X).filters.n == 4097
+
+    def test_calls_without_a_lattice_inherit_the_bound(self):
+        # the 3-point discrete space has 8 opens, and its order 8 down-sets
+        X = antichain(3)
+        calls = {
+            "unit": lambda: unit(X),
+            "open_masks": lambda: open_masks(FiniteSpace(X)),
+            "filter_unit": lambda: filter_unit(FiniteSpace(X)),
+            "filter_map": lambda: filter_map(identity(X)),
+            "filter_mult": lambda: filter_mult(FiniteSpace(X)),
+        }
+        for name, call in calls.items():
+            call()  # fills every memo at the default bound
+            with carrier_bound(7), pytest.raises(SizeLimitExceeded) as info:
+                call()
+            assert str(info.value) == "down-sets of a 3-element preorder: 8 exceeds the bound 7", name
 
     def test_cli_bound_names_itself(self, tmp_path, capsys):
         path = tmp_path / "space.json"
