@@ -12,7 +12,6 @@ from .errors import InvariantViolation, ShapeMismatch
 from .order import (
     FinPreorder,
     MonotoneMap,
-    _bits,
     _bound,
     _guard,
     _least_member,
@@ -124,50 +123,37 @@ def find_right_adjoint(f):
     return MonotoneMap(f.tgt, f.src, assign)
 
 
-def _section_choices(f, exact):
-    """Per-element choices for a left adjoint section of f.
-
-    For each b the candidates are the minima of {a : b <= f(a)} that f
-    sends back to b: on the nose when ``exact``, up to equivalence
-    otherwise.  Any witness must take values there, and all members of
-    one candidate set are pairwise equivalent, which is what makes RALI
-    witnesses unique on posets and unique up to pointwise equivalence on
-    preorders.
-
-    Mask form: the sets {a : b <= f(a)} for all b come from one
-    ``_preimage_masks`` call, and the minima of such a set are its
-    members in the class of its least member, so they are pairwise
-    equivalent by construction.
-    """
-    A, B = f.src, f.tgt
-    choices = []
-    for b, above in enumerate(_preimage_masks(f.assign, B.up)):
-        least = _least_member(above, A.up)
-        minima = [] if least is None else _bits(above & A.class_mask(least))
-        if exact:
-            fitting = [a for a in minima if f.assign[a] == b]
-        else:
-            fitting = [a for a in minima if B.equiv(f.assign[a], b)]
-        choices.append(fitting)
-    return choices
-
-
 def find_rali(f, exact=True):
     """A RALI witness on f, or None.
 
-    The section is assembled pointwise from minima and built trusted: it
-    is monotone because minima over shrinking sets only grow (b <= b2
-    shrinks {a : b <= f(a)} to {a : b2 <= f(a)}, and every choice is a
-    minimum of its set).  ``RaliWitness`` still checks the section
-    equation and the counit.  With ``exact=False`` the section equation
-    is only required up to pointwise equivalence, the right notion for
-    comparison maps between preorder hom-objects; the two coincide when
-    the codomain is a poset.
+    For each b the section takes the lowest minimum of {a : b <= f(a)}
+    that f sends back to b: on the nose when ``exact``, up to
+    equivalence otherwise.  Any witness must take its values among
+    those minima, and the minima of one set are pairwise equivalent,
+    which is what makes RALI witnesses unique on posets and unique up to
+    pointwise equivalence on preorders.  Mask form: the sets
+    {a : b <= f(a)} for all b come from one ``_preimage_masks`` call, as
+    do the sets f sends back to each b, and the minima of a set are its
+    members in the class of its least member.
+
+    The section is built trusted: it is monotone because minima over
+    shrinking sets only grow (b <= b2 shrinks {a : b <= f(a)} to
+    {a : b2 <= f(a)}, and every value is a minimum of its set).
+    ``RaliWitness`` still checks the section equation and the counit.
+    With ``exact=False`` the section equation is only required up to
+    pointwise equivalence, the right notion for comparison maps between
+    preorder hom-objects; the two coincide when the codomain is a poset.
     """
-    choices = _section_choices(f, exact)
-    if any(not c for c in choices):
-        return None
-    return RaliWitness(f, MonotoneMap._checked(f.tgt, f.src, tuple(c[0] for c in choices)))
+    A, B = f.src, f.tgt
+    back = [1 << b if exact else B.class_mask(b) for b in range(B.n)]
+    section = []
+    for above, sent in zip(_preimage_masks(f.assign, B.up), _preimage_masks(f.assign, back)):
+        least = _least_member(above, A.up)
+        fits = 0 if least is None else above & A.class_mask(least) & sent
+        if not fits:
+            return None
+        section.append((fits & -fits).bit_length() - 1)
+    return RaliWitness(f, MonotoneMap._checked(B, A, tuple(section)))
 
 
 def find_lari(f):

@@ -31,12 +31,12 @@ from .order import (
     FinPreorder,
     MonotoneMap,
     _bits,
+    _subset_without_sup,
     _unreflected_pair,
     carrier_bound,
     enumerate_preorders,
     is_complete_lattice,
     is_full,
-    sup_mask,
 )
 from .topology import (
     FiniteSpace,
@@ -77,17 +77,13 @@ def _equivalent_pair(P):
 
 
 def _complete_lattice_witness(P):
-    """Smallest subset without a least upper bound, by size then mask.
+    """The first subset without a least upper bound, by name, or None.
 
-    A singleton always has a sup, and a bottom plus binary sups make a
-    finite preorder complete (the argument of ``is_complete_lattice``),
-    so that subset is empty or a pair: the empty one is tested first,
-    then the pairs i < j by j and then i, which is ascending mask order.
+    The subset is the one ``order._subset_without_sup`` finds: the
+    smallest, by size and then mask.
     """
-    for mask in [0] + [1 << i | 1 << j for j in range(P.n) for i in range(j)]:
-        if sup_mask(P, mask) is None:
-            return {"subset-without-sup": _names(P, mask)}
-    return None
+    mask = _subset_without_sup(P)
+    return None if mask is None else {"subset-without-sup": _names(P, mask)}
 
 
 def _fullness_witness(f):
@@ -234,7 +230,7 @@ def _cmd_filter_space(args):
     if args.format == "dot":
         _emit(formats.hasse_dot(filters))
         return 0
-    unit = filter_unit(X, fs)
+    unit = filter_unit(X)
     payload = {
         "filters": formats.preorder_to_obj(filters),
         "unit": {

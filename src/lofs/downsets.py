@@ -178,9 +178,13 @@ def downsets(X):
     return DownSetLattice(K, masks, index)
 
 
-def unit(X, dl=None):
-    """x ↦ its principal down-set; always monotone and full."""
-    dl = dl or downsets(X)
+def unit(X):
+    """x ↦ its principal down-set; always monotone and full.
+
+    The lattice is ``downsets(X)``, looked up in the ``_carrier`` memo
+    once it has been built.
+    """
+    dl = downsets(X)
     return MonotoneMap(X, dl.carrier, [dl.index(X.down[x]) for x in range(X.n)])
 
 

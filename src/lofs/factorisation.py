@@ -164,17 +164,15 @@ def _k_action(source, target, h, k):
     return MonotoneMap(source.K, target.K, _k_at(source, target, h, k, range(source.K.n)))
 
 
-def k_on_square(sq, source=None, target=None):
+def k_on_square(sq):
     """Functor action on a commuting square (h, k) : f -> g.
 
     Sends (φ, b) to (down-closure of h[φ], k(b)); natural on both sides
-    and functorial in the square.
+    and functorial in the square.  The two factorisations are
+    ``factorise`` of the square's own sides, whose carriers a second
+    call finds in the ``_carrier`` memo.
     """
-    source = source or factorise(sq.j)
-    target = target or factorise(sq.g)
-    if source.f != sq.j or target.f != sq.g:
-        raise ShapeMismatch("square does not match the given factorisations")
-    return _k_action(source, target, sq.h, sq.k)
+    return _k_action(factorise(sq.j), factorise(sq.g), sq.h, sq.k)
 
 
 def mult(f):

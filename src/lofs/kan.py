@@ -49,25 +49,16 @@ class ExtensionWitness:
 def lan_extension(j, f):
     """The least g with f <= g ∘ j, if it restricts back to f; else None.
 
-    When the codomain is a complete lattice the minimum is computed
-    directly as g(y) = sup {f(x) : j(x) <= y}, which is below every
-    candidate by the upper-bound argument, with one ``sup_mask`` per
-    point of cod j; otherwise :func:`_scanned_extension` takes the same
-    pointwise sups where they exist and scans the monotone maps where
-    they do not.
+    One search for every codomain, ``_least_extension``: the pointwise
+    sups g(y) = sup f[{x : j(x) <= y}] where every bound set has a least
+    member, which over a complete lattice is always, and the scan of the
+    monotone maps where some has none.  Its guard rule is the one
+    ``kan_injective`` follows: the hom-set guard on |A|^|cod j| is
+    called on the sup path too, so a bound that stops the scan also
+    stops the sups.
     """
     if j.src != f.src:
         raise ShapeMismatch("extension needs dom j = dom f")
-    A = f.tgt
-    if not is_complete_lattice(A):
-        return _scanned_extension(j, f)
-    fbits = [1 << v for v in f.assign]
-    below = _preimage_masks(j.assign, j.tgt.down)
-    return _restricting(j, f, [sup_mask(A, _union(fbits, m)) for m in below])
-
-
-def _scanned_extension(j, f):
-    """:func:`lan_extension` through ``_least_extension``, for any codomain."""
     best = _least_extension(j, f.assign, f.tgt)
     if best is None:
         return None
@@ -92,9 +83,11 @@ def _least_extension(j, assign, A):
 
     The hom-set guard on |A|^|cod j| is still called, under the same
     conditions as the scan's, so a bound that stops the scan also stops
-    this path with the same message.  Only when some bounds[y] has no
-    least member does the scan of ``_least_within`` run.  The sets
-    {x : j(x) <= y} come from the per-member memo ``_member``.
+    this path with the same message.  Over a complete A every bounds[y]
+    has a least member, so the answer is the tuple of sups.  Only when
+    some bounds[y] has no least member does the scan of ``_least_within``
+    run.  The sets {x : j(x) <= y} come from the per-member memo
+    ``_member``.
     """
     anything = (1 << A.n) - 1
     bounds = []
@@ -105,7 +98,7 @@ def _least_extension(j, assign, A):
         bounds.append(b)
     least = [_least_member(b, A.up) for b in bounds]
     if None in least:
-        return _least_within(j.tgt, A, tuple(bounds), _bound.get())
+        return _least_within(j.tgt, A, bounds)
     _hom_guard(j.tgt, A)
     return tuple(least)
 
@@ -123,8 +116,7 @@ def _restricting(j, f, assign):
     return ExtensionWitness(j, f, ext)
 
 
-@lru_cache(maxsize=1024)
-def _least_within(Y, A, bounds, bound):
+def _least_within(Y, A, bounds):
     """The first monotone Y -> A within ``bounds`` below all others, or None.
 
     The fallback of ``_least_extension`` when some bound set has no
@@ -134,14 +126,9 @@ def _least_within(Y, A, bounds, bound):
     lexicographic order are those of the full scan.  The least candidate
     is the first one inside ``lower``, the pointwise meet of the
     down-sets of all candidates, which is the first candidate below all
-    of them.
-
-    Memoised by (cod j, A, the bounds, the carrier bound ``bound``), at
-    most 1,024 scans: maps f with the same bounds share one scan.  The
-    value is an assignment tuple (or None), which carries no labels, so
-    the caller builds its extension on its own preorders.  ``bound`` is
-    in the key only, taken from the context by the caller, where the
-    scan's guard reads it, so a smaller bound still raises.
+    of them.  The value is an assignment tuple (or None), which carries
+    no labels, so the caller builds its extension on its own preorders.
+    The scan's hom-set guard reads the carrier bound from the context.
     """
     cands = _monotone_within(Y, A, bounds)
     best = _least_vector(cands, A)
@@ -190,11 +177,11 @@ def kan_injective(A, generators):
     conjunction over members, and skipped members would repeat a check
     that passed.
 
-    Over any other A every f takes ``_least_extension``, which is what
-    ``lan_extension`` would pick: the pointwise sups where every bound
-    set has a least member, else the scan.  Its restriction is tested on
-    the least tuple.  Either way the carrier bound limits every hom set
-    into A.
+    Over any other A every f takes ``_least_extension``, the one search
+    that ``lan_extension`` also makes: the pointwise sups where every
+    bound set has a least member, else the scan.  Its restriction is
+    tested on the least tuple.  Either way the carrier bound limits
+    every hom set into A, on the sup path as on the scan.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)
@@ -278,16 +265,16 @@ def classify_injectives(max_size, generator_size=None, posets_only=False):
     return rows
 
 
-def chain_stage_report(max_stage=6):
-    """Finite stages of the ascending-chain example.
+def chain_stage_report():
+    """Finite stages m <= 6 of the ascending-chain example.
 
-    Each stage m <= max_stage is the (m+1)-element chain, a complete
-    lattice; every inclusion of a shorter stage into a longer one
-    preserves all suprema.  Returns (all_ok, detail) where detail states
-    explicitly that the limit-stage failure is not finitely representable.
+    Each stage m is the (m+1)-element chain, a complete lattice; every
+    inclusion of a shorter stage into a longer one preserves all
+    suprema.  Returns (all_ok, detail) where detail states explicitly
+    that the limit-stage failure is not finitely representable.
     """
     ok = True
-    for m2 in range(1, max_stage + 1):
+    for m2 in range(1, 7):
         big = chain(m2 + 1)
         if not is_complete_lattice(big):
             ok = False
@@ -301,7 +288,7 @@ def chain_stage_report(max_stage=6):
                 if s is None or t is None or inc.assign[s] != t:
                     ok = False
     detail = (
-        f"stages m<m'<= {max_stage}: chains are complete lattices and the "
+        "stages m<m'<= 6: chains are complete lattices and the "
         "inclusions preserve all suprema; the failure at the limit stage "
         "(the union of all finite stages, which has no top) is not finitely "
         "representable and is out of scope here"

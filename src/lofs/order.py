@@ -520,20 +520,34 @@ def sup_mask(X, mask):
     return _least_member(ub, X.up)
 
 
+def _subset_without_sup(X):
+    """The first subset of X without a least upper bound, as a mask, or None.
+
+    A singleton always has a sup, and a bottom plus binary sups make a
+    finite preorder complete: the upper bounds of S ∪ {x} are those of
+    {sup S, x}, so folding binary sups from the bottom reaches the sup
+    of every subset.  So the first subset without a sup, by size and
+    then mask, is the empty set or a pair, and only those are tested:
+    the empty set first, then the pairs i < j by j and then i, which is
+    ascending mask order.  The pairs are walked lazily and the walk
+    stops at the first failure.  The empty preorder needs no case of its
+    own: its empty subset has no upper bound at all.
+    """
+    if sup_mask(X, 0) is None:
+        return 0
+    for j in range(X.n):
+        for i in range(j):
+            if sup_mask(X, 1 << i | 1 << j) is None:
+                return 1 << i | 1 << j
+    return None
+
+
 def is_complete_lattice(X):
     """Every subset (including the empty one) has a sup up to equivalence.
 
-    For finite carriers this reduces to a bottom plus binary sups.
+    That is, ``_subset_without_sup`` finds none.
     """
-    if X.n == 0:
-        return False
-    if sup_mask(X, 0) is None:
-        return False
-    for i in range(X.n):
-        for j in range(i + 1, X.n):
-            if sup_mask(X, (1 << i) | (1 << j)) is None:
-                return False
-    return True
+    return _subset_without_sup(X) is None
 
 
 def down_set_masks(X):

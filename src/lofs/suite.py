@@ -151,8 +151,8 @@ def _random_preorder(rnd, max_size):
     return closure(n, pairs)
 
 
-def _random_monotone(rnd, X, Y, tries=300):
-    """A random monotone map X -> Y by rejection, or None after ``tries`` draws.
+def _random_monotone(rnd, X, Y):
+    """A random monotone map X -> Y by rejection, or None after 300 draws.
 
     Only a draw that is not monotone is rejected; any other error is a
     fault of the code under test and propagates.
@@ -161,7 +161,7 @@ def _random_monotone(rnd, X, Y, tries=300):
         return MonotoneMap(X, Y, [])
     if Y.n == 0:
         return None
-    for _ in range(tries):
+    for _ in range(300):
         assign = [rnd.randrange(Y.n) for _ in range(X.n)]
         try:
             return MonotoneMap(X, Y, assign)
@@ -316,9 +316,7 @@ def criterion_lax_idempotency():
             frho = factorise(fact.rho)
             flam = factorise(fact.lam)
             # unit comparison for the right-part construction on arrows
-            klam = k_on_square(
-                _unit_square(f, fact), source=fact, target=frho
-            )
+            klam = k_on_square(_unit_square(f, fact))
             for i in range(fact.K.n):
                 if not frho.K.leq(klam.assign[i], frho.lam.assign[i]):
                     return False, f"arrow unit comparison fails at {f!r}"
@@ -424,19 +422,17 @@ def criterion_topology_collapse():
     for P in _reps(3):
         X = FiniteSpace(P)
         fs = filter_space(X)
-        ffs = filter_space(FiniteSpace(fs.filters))
-        eta = filter_unit(X, fs)
-        m = filter_mult(X, fs, ffs)
-        eta_f = filter_unit(FiniteSpace(fs.filters), ffs)
-        f_eta = filter_map(eta, fs, ffs)
+        eta = filter_unit(X)
+        m = filter_mult(X)
+        eta_f = filter_unit(FiniteSpace(fs.filters))
+        f_eta = filter_map(eta)
         n = fs.filters.n
         if compose(eta_f, m).assign != tuple(range(n)):
             return False, f"filter left unit law fails on {P!r}"
         if compose(f_eta, m).assign != tuple(range(n)):
             return False, f"filter right unit law fails on {P!r}"
-        fffs = filter_space(FiniteSpace(ffs.filters))
-        m_f = filter_mult(FiniteSpace(fs.filters), ffs, fffs)
-        f_m = filter_map(m, fffs, ffs)
+        m_f = filter_mult(FiniteSpace(fs.filters))
+        f_m = filter_map(m)
         if compose(f_m, m).assign != compose(m_f, m).assign:
             return False, f"filter associativity fails on {P!r}"
     maps = 0
@@ -450,7 +446,7 @@ def criterion_topology_collapse():
 
 
 def criterion_chain_stages():
-    ok, detail = chain_stage_report(6)
+    ok, detail = chain_stage_report()
     if not ok:
         return False, "a finite chain stage failed"
     for m2 in range(1, 7):
@@ -509,7 +505,11 @@ CRITERIA = [
 
 
 def run_suite(names=None, emit=print, fail_fast=True):
-    """Run the battery, printing one PASS/FAIL line per criterion."""
+    """Run the battery, printing one PASS/FAIL line per criterion; whether all passed.
+
+    The run stops at the first FAIL line unless ``fail_fast`` is false,
+    which the benchmark's battery report sets to time every criterion.
+    """
     all_ok = True
     for name, fn in CRITERIA:
         if names and name.split()[0] not in names:

@@ -168,38 +168,43 @@ def filter_space(X):
     Filters are listed by their generating open, in open order; the order
     on filters is inclusion of member sets.  There is one filter per
     open, so the carrier bound limits the opens while they are built.
+
+    Every ``filter_*`` function below takes the filter spaces it needs
+    from its own input through this function, which reads the open-set
+    lattice from the memos of ``down_set_masks`` and
+    ``downsets._carrier``: a space already built is looked up, not
+    built again.
     """
     return FilterSpace(_open_lattice(X))
 
 
-def filter_unit(X, fs=None):
+def filter_unit(X):
     """x ↦ its neighbourhood filter, generated by ↑x; an order embedding."""
     P = _points(X)
-    fs = fs or filter_space(X)
+    fs = filter_space(X)
     return MonotoneMap(P, fs.filters, [fs._lattice.index(P.up[x]) for x in range(P.n)])
 
 
-def filter_map(f, src_fs=None, tgt_fs=None):
-    """Functor action: F ↦ {V : f⁻¹(V) in F}.
+def filter_map(f):
+    """Functor action: F ↦ {V : f⁻¹(V) in F}, from the filters of dom f.
 
     For F generated by U, f⁻¹(V) contains U exactly when V contains the
     up-closure of f[U], which therefore generates the image.
     """
-    src_fs = src_fs or filter_space(f.src)
-    tgt_fs = tgt_fs or filter_space(f.tgt)
+    src_fs, tgt_fs = filter_space(f.src), filter_space(f.tgt)
     up = [f.tgt.up[v] for v in f.assign]
     assign = [tgt_fs._lattice.index(_union(up, u)) for u in src_fs.opens]
     return MonotoneMap(src_fs.filters, tgt_fs.filters, assign)
 
 
-def filter_mult(X, fs=None, ffs=None):
-    """Kleisli-style multiplication: 𝔉 ↦ {U : {F : U in F} in 𝔉}.
+def filter_mult(X):
+    """Kleisli-style multiplication FFX -> FX: 𝔉 ↦ {U : {F : U in F} in 𝔉}.
 
     𝔉 is generated by an open W of the filter space, a set of generating
     opens; {F : U in F} contains W exactly when U contains the union of W.
     """
-    fs = fs or filter_space(X)
-    ffs = ffs or filter_space(FiniteSpace(fs.filters))
+    fs = filter_space(X)
+    ffs = filter_space(fs.filters)
     assign = [fs._lattice.index(_union(fs.opens, w)) for w in ffs.opens]
     return MonotoneMap(ffs.filters, fs.filters, assign)
 
@@ -214,16 +219,14 @@ def filter_algebra(X):
     lattices.
     """
     P = _points(X)
-    fs = filter_space(X)
-    eta = filter_unit(X, fs)
+    eta = filter_unit(X)
     alpha = find_right_adjoint(eta)
     if alpha is None:
         return None
     if not maps_equivalent(compose(eta, alpha), identity(P)):
         return None
-    ffs = filter_space(FiniteSpace(fs.filters))
-    m = filter_mult(X, fs, ffs)
-    falpha = filter_map(alpha, ffs, fs)
+    m = filter_mult(X)
+    falpha = filter_map(alpha)
     if not maps_equivalent(compose(m, alpha), compose(falpha, alpha)):
         return None
     return alpha
@@ -233,7 +236,9 @@ def f_lower_star(f):
     """Direct image of opens: U ↦ union of the opens whose preimage is inside U.
 
     That union is {y : f⁻¹(↑y) ⊆ U}: the up-set of y is the least open
-    containing y, and preimages preserve unions.
+    containing y, and preimages preserve unions.  The map is built
+    trusted, because it is monotone by construction: U ⊆ U′ gives
+    {y : f⁻¹(↑y) ⊆ U} ⊆ {y : f⁻¹(↑y) ⊆ U′}.
     """
     src, tgt = _open_lattice(f.src), _open_lattice(f.tgt)
     pre = _preimage_masks(f.assign, f.tgt.up)
@@ -241,7 +246,7 @@ def f_lower_star(f):
         tgt.index(sum(1 << y for y, p in enumerate(pre) if not (p & ~u)))
         for u in src.masks
     ]
-    return MonotoneMap(src.carrier, tgt.carrier, assign)
+    return MonotoneMap._checked(src.carrier, tgt.carrier, tuple(assign))
 
 
 def is_top_coalgebra(f):

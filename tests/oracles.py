@@ -5,10 +5,46 @@ that canonical forms use, and ``inf_mask`` is the dual of
 ``order.sup_mask``.  The library decides neither question itself.
 ``subset_without_sup_scan`` is the scan of every subset by size that the
 ``--witness`` of ``check complete-lattice`` replaced, and ``under``
-runs one call under a carrier bound.
+runs one call under a carrier bound.  ``reps``, ``arrow_classes`` and
+``bang`` are the small inputs that several test modules sweep.
 """
 
-from lofs.order import _bits, _least_member, _refinement, carrier_bound, sup_mask
+from lofs.order import (
+    MonotoneMap,
+    _bits,
+    _least_member,
+    _refinement,
+    arrow_canonical_key,
+    carrier_bound,
+    chain,
+    enumerate_preorders,
+    hom_maps,
+    sup_mask,
+)
+
+
+def reps(max_size, posets_only=False):
+    """One preorder per isomorphism class, of every size <= max_size."""
+    return [
+        p
+        for n in range(max_size + 1)
+        for p in enumerate_preorders(n, posets_only=posets_only)
+    ]
+
+
+def arrow_classes(max_size):
+    """One map per arrow-isomorphism class between preorders of size <= max_size."""
+    seen = {}
+    for X in reps(max_size):
+        for Y in reps(max_size):
+            for f in hom_maps(X, Y):
+                seen.setdefault(arrow_canonical_key(f), f)
+    return [seen[k] for k in sorted(seen)]
+
+
+def bang(X):
+    """The map from X to the point."""
+    return MonotoneMap(X, chain(1), [0] * X.n)
 
 
 def under(bound, call, *args):

@@ -2,14 +2,14 @@
 
 Criteria with runtime targets enforce them; every criterion prints its
 PASS/FAIL line so `pytest -s tests/test_acceptance.py` mirrors the
-`lofs suite` command.  The battery's own helpers are tested at the end.
+`lofs suite` command.  The battery's own helpers and its runner are tested at the end.
 """
 
 import random
 
 import pytest
 
-from lofs import suite
+from lofs import cli, suite
 from lofs.order import antichain, chain
 
 
@@ -36,3 +36,21 @@ def test_random_monotone_rejects_only_non_monotone_draws(monkeypatch):
     monkeypatch.setattr(suite, "MonotoneMap", broken)
     with pytest.raises(TypeError, match="a fault in map construction"):
         suite._random_monotone(rnd, chain(2), chain(2))
+
+
+def test_the_runner_stops_at_the_first_fail(monkeypatch, capsys):
+    def never():
+        raise AssertionError("a criterion after the first FAIL ran")
+
+    monkeypatch.setattr(suite, "CRITERIA", [
+        ("1 passes", lambda: (True, "fine")),
+        ("2 fails", lambda: (False, "the witness")),
+        ("3 never-runs", never),
+    ])
+    lines = []
+    assert suite.run_suite(emit=lines.append) is False
+    assert [line.split("  ")[:2] for line in lines] == [["PASS", "1 passes"], ["FAIL", "2 fails"]]
+    assert lines[1].endswith("  the witness")
+    assert cli.main(["suite"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[:2] for line in out] == [["PASS", "1 passes"], ["FAIL", "2 fails"]]

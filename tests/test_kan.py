@@ -1,10 +1,10 @@
 import pytest
 
+from lofs import kan
 from lofs.errors import ShapeMismatch, SizeLimitExceeded
 from lofs.kan import (
     _least_extension,
     _least_within,
-    _scanned_extension,
     all_embeddings,
     chain_stage_report,
     classify_injectives,
@@ -30,23 +30,11 @@ from lofs.order import (
     monotone_assignments,
     two_cell,
 )
+from oracles import arrow_classes, reps
 
 ONE = chain(1)
 DIA = diamond()
 J_EMB = MonotoneMap(antichain(2), DIA, [1, 2])
-
-
-def reps(max_size):
-    return [p for n in range(max_size + 1) for p in enumerate_preorders(n)]
-
-
-def arrow_classes(max_size):
-    seen = {}
-    for X in reps(max_size):
-        for Y in reps(max_size):
-            for f in hom_maps(X, Y):
-                seen.setdefault(arrow_canonical_key(f), f)
-    return [seen[k] for k in sorted(seen)]
 
 
 def naive_least(j, f, maps):
@@ -172,10 +160,17 @@ class TestLanExtension:
 
 
 class TestPrunedScan:
-    def test_matches_naive_scan(self):
+    def test_matches_naive_scan(self, monkeypatch):
         # every arrow class j and every f, all carriers of size <= 3: the
         # least extension is the naive least tuple, and the scan runs
         # exactly when some bound set has no least member, so no sup
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _least_within(*args)
+
+        monkeypatch.setattr(kan, "_least_within", counted)
         objects = reps(3)
         scans = sups = 0
         for j in arrow_classes(3):
@@ -184,15 +179,14 @@ class TestPrunedScan:
                 for fa in monotone_assignments(j.src, A):
                     f = MonotoneMap(j.src, A, fa)
                     least = naive_least(j, f, maps)
-                    w = _scanned_extension(j, f)
+                    w = lan_extension(j, f)
                     assert (None if w is None else w.ext.assign) == naive_restricting(
                         j, f, least
                     )
                     missing = not all(has_least(b, A) for b in naive_bounds(j, fa, A))
-                    info = _least_within.cache_info()
+                    before = len(calls)
                     assert _least_extension(j, fa, A) == least
-                    after = _least_within.cache_info()
-                    assert (after.hits + after.misses) - (info.hits + info.misses) == missing
+                    assert len(calls) - before == missing
                     scans += missing
                     sups += not missing
         assert scans and sups
@@ -208,18 +202,27 @@ class TestPrunedScan:
                     for bound in (1, 2, 3, 4, 7, 8, 9):
                         with carrier_bound(bound):
                             got = limit_or_value(lambda: _least_extension(j, fa, A))
-                            want = limit_or_value(
-                                lambda: _least_within.__wrapped__(j.tgt, A, bounds, bound)
-                            )
+                            want = limit_or_value(lambda: _least_within(j.tgt, A, bounds))
                         assert got == want
 
     def test_size_guard_unchanged(self):
         j = identity(antichain(3))
         f = MonotoneMap(antichain(3), DIA, [0, 0, 0])
         with carrier_bound(63), pytest.raises(SizeLimitExceeded):
-            _scanned_extension(j, f)
+            lan_extension(j, f)
         with carrier_bound(64):
-            assert _scanned_extension(j, f) is not None
+            assert lan_extension(j, f) is not None
+
+    def test_the_sup_path_keeps_the_hom_set_guard(self):
+        # a complete codomain takes the sups, and still meets the guard on
+        # the 2^13 maps of cod j that the scan would have searched
+        j = MonotoneMap(antichain(1), antichain(13), [0])
+        f = MonotoneMap(antichain(1), chain(2), [1])
+        with pytest.raises(SizeLimitExceeded) as info:
+            lan_extension(j, f)
+        assert str(info.value) == "2^13 candidate maps: 8192 exceeds the bound 4096"
+        with carrier_bound(8192):
+            assert lan_extension(j, f).ext.assign == (1,) + (0,) * 12
 
 
 class TestGroupedKanInjectivity:
@@ -393,7 +396,7 @@ class TestClassification:
 
 class TestChainStages:
     def test_report(self):
-        ok, detail = chain_stage_report(6)
+        ok, detail = chain_stage_report()
         assert ok
         assert "not finitely representable" in detail
 

@@ -28,14 +28,11 @@ from lofs.order import (
     two_cell,
     vee,
 )
+from oracles import bang
 
 ONE = chain(1)
 DIA = diamond()
 J_EMB = MonotoneMap(antichain(2), DIA, [1, 2])
-
-
-def bang(A):
-    return MonotoneMap(A, ONE, [0] * A.n)
 
 
 class TestCanonicalMap:

@@ -27,7 +27,6 @@ from lofs.order import (
     MonotoneMap,
     Square,
     antichain,
-    arrow_canonical_key,
     canonical_form,
     canonical_key,
     carrier_bound,
@@ -48,16 +47,8 @@ from lofs.order import (
     two_cell,
     vee,
 )
-from lofs.topology import _open_lattice, scott_opens
-from oracles import is_isomorphic, under
-
-
-def reps(max_size, posets_only=False):
-    return [
-        p
-        for n in range(max_size + 1)
-        for p in enumerate_preorders(n, posets_only=posets_only)
-    ]
+from lofs.topology import _open_lattice, f_lower_star, scott_opens
+from oracles import arrow_classes, is_isomorphic, reps, under
 
 
 def naive_labeled_preorders(n, posets_only):
@@ -104,16 +95,6 @@ def naive_enumerate(n, up_to_iso, posets_only):
     for p in found:
         classes.setdefault(canonical_key(p), canonical_form(p))
     return tuple(classes[k] for k in sorted(classes))
-
-
-def arrow_classes(max_size):
-    """One map per arrow-isomorphism class between preorders of size <= max_size."""
-    seen = {}
-    for X in reps(max_size):
-        for Y in reps(max_size):
-            for f in hom_maps(X, Y):
-                seen.setdefault(arrow_canonical_key(f), f)
-    return [seen[k] for k in sorted(seen)]
 
 
 def hom_preorder(X, Y):
@@ -561,6 +542,89 @@ class TestSizeGuards:
         assert keep <= exported
         assert sorted(exported - read - keep) == []
 
+    def test_every_option_is_set_inside_the_package(self):
+        # a parameter with a default is set, by position or by keyword, to
+        # something other than its default by some call inside lofs: an
+        # option that only ever takes one value is a constant.  And no
+        # parameter is filled in by ``p = p or ...``: a value the code can
+        # work out from the other inputs is no option
+        set_outside = {
+            ("cli", "main", "argv"): "set by the tests and the benchmark",
+            ("formats", "preorder_to_obj", "type_name"):
+                "set by the tests and CI when they write spaces",
+            ("suite", "run_suite", "fail_fast"):
+                "set by the benchmark's battery report, which runs every criterion",
+        }
+        options = []  # (module, callee, position, name, default) per parameter with a default
+        calls = []  # (callee, positional arguments, keyword arguments) per call
+        filled = set()  # (module, callee, name) of each parameter filled by ``p = p or ...``
+
+        def callee_of(func, cls):
+            if isinstance(func, ast.Name):
+                return func.id
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                owner = func.value.id
+                return f"{cls if owner in ('self', 'cls') else owner}.{func.attr}"
+            return None
+
+        def visit(node, module, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, module, child.name)
+                    continue
+                if isinstance(child, ast.FunctionDef):
+                    a = child.args
+                    params = a.posonlyargs + a.args
+                    skip = 0 if cls is None else 1  # a method is called without self or cls
+                    callee = child.name if cls is None else f"{cls}.{child.name}"
+                    if child.name == "__init__":
+                        callee = cls
+                    first = len(params) - len(a.defaults)
+                    for i, d in enumerate(a.defaults, first):
+                        options.append((module, callee, i - skip, params[i].arg, d))
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                        if d is not None:
+                            options.append((module, callee, None, p.arg, d))
+                    names = {p.arg for p in params[first:]} | {p.arg for p in a.kwonlyargs}
+                    for n in ast.walk(child):
+                        if (
+                            isinstance(n, ast.Assign)
+                            and isinstance(n.value, ast.BoolOp)
+                            and isinstance(n.value.op, ast.Or)
+                            and isinstance(n.value.values[0], ast.Name)
+                            and n.value.values[0].id in names
+                            and any(isinstance(t, ast.Name) and t.id == n.value.values[0].id for t in n.targets)
+                        ):
+                            filled.add((module, callee, n.value.values[0].id))
+                elif isinstance(child, ast.Call):
+                    keywords = {k.arg: k.value for k in child.keywords}
+                    calls.append((callee_of(child.func, cls), child.args, keywords))
+                visit(child, module, cls)
+
+        def differs(arg, default):
+            # an argument spelt as the default's own constant does not set it
+            return not (
+                isinstance(arg, ast.Constant)
+                and isinstance(default, ast.Constant)
+                and arg.value == default.value
+            )
+
+        package = pathlib.Path(lofs.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        unset = set()
+        for module, callee, position, name, default in options:
+            values = [
+                args[position] if position is not None and position < len(args) else keywords.get(name)
+                for c, args, keywords in calls
+                if c in (callee, f"{module}.{callee}")
+            ]
+            if not any(v is not None and differs(v, default) for v in values):
+                unset.add((module, callee, name))
+        assert sorted(filled) == []
+        assert sorted(unset - set(set_outside)) == []
+        assert set(set_outside) <= unset
+
 
 def assert_rebuilds(P):
     """A preorder built trusted equals its validating rebuild, down rows included."""
@@ -692,6 +756,10 @@ class TestCheckedRows:
             )
             assert_map_rebuilds(cm.proj_a)
             assert_map_rebuilds(cm.proj_b)
+
+    def test_direct_image_matches_its_validating_rebuild(self):
+        for f in arrow_classes(3):
+            assert_map_rebuilds(f_lower_star(f))
 
     def test_labels_are_still_checked(self):
         P = chain(2)

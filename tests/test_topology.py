@@ -154,7 +154,7 @@ class TestFilterSpace:
     def test_unit_values(self):
         X = FiniteSpace(chain(2))
         fs = filter_space(X)
-        eta = filter_unit(X, fs)
+        eta = filter_unit(X)
         members = fs.sets[eta(1)]
         got = {fs.opens[i] for i in range(len(fs.opens)) if (members >> i) & 1}
         assert got == {0b10, 0b11}
@@ -187,14 +187,9 @@ class TestFilterMonad:
         for P in posets(2) + [indiscrete(2)]:
             X = FiniteSpace(P)
             fs = filter_space(X)
-            ffs = filter_space(FiniteSpace(fs.filters))
-            m = filter_mult(X, fs, ffs)
-            assert compose(filter_unit(FiniteSpace(fs.filters), ffs), m) == identity(
-                fs.filters
-            )
-            assert compose(filter_map(filter_unit(X, fs), fs, ffs), m) == identity(
-                fs.filters
-            )
+            m = filter_mult(X)
+            assert compose(filter_unit(FiniteSpace(fs.filters)), m) == identity(fs.filters)
+            assert compose(filter_map(filter_unit(X)), m) == identity(fs.filters)
 
     def test_algebra_examples(self):
         assert filter_algebra(FiniteSpace(DIA)) is not None
