@@ -2,7 +2,8 @@
 
 Criteria with runtime targets enforce them; every criterion prints its
 PASS/FAIL line so `pytest -s tests/test_acceptance.py` mirrors the
-`lofs suite` command.  The battery's own helpers and its runner are tested at the end.
+`lofs suite` command.  The battery's own helpers and its runner are
+tested at the end.
 """
 
 import random

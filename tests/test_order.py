@@ -546,8 +546,8 @@ class TestSizeGuards:
         # a parameter with a default is set, by position or by keyword, to
         # something other than its default by some call inside lofs: an
         # option that only ever takes one value is a constant.  And no
-        # parameter is filled in by ``p = p or ...``: a value the code can
-        # work out from the other inputs is no option
+        # such parameter is read as ``p or ...``, a fallback to a value the
+        # code works out from the other inputs, which is then no option
         set_outside = {
             ("cli", "main", "argv"): "set by the tests and the benchmark",
             ("formats", "preorder_to_obj", "type_name"):
@@ -557,7 +557,7 @@ class TestSizeGuards:
         }
         options = []  # (module, callee, position, name, default) per parameter with a default
         calls = []  # (callee, positional arguments, keyword arguments) per call
-        filled = set()  # (module, callee, name) of each parameter filled by ``p = p or ...``
+        filled = set()  # (module, callee, name) of each parameter read as ``p or ...``
 
         def callee_of(func, cls):
             if isinstance(func, ast.Name):
@@ -587,15 +587,10 @@ class TestSizeGuards:
                             options.append((module, callee, None, p.arg, d))
                     names = {p.arg for p in params[first:]} | {p.arg for p in a.kwonlyargs}
                     for n in ast.walk(child):
-                        if (
-                            isinstance(n, ast.Assign)
-                            and isinstance(n.value, ast.BoolOp)
-                            and isinstance(n.value.op, ast.Or)
-                            and isinstance(n.value.values[0], ast.Name)
-                            and n.value.values[0].id in names
-                            and any(isinstance(t, ast.Name) and t.id == n.value.values[0].id for t in n.targets)
-                        ):
-                            filled.add((module, callee, n.value.values[0].id))
+                        if isinstance(n, ast.BoolOp) and isinstance(n.op, ast.Or):
+                            left = n.values[0]
+                            if isinstance(left, ast.Name) and left.id in names:
+                                filled.add((module, callee, left.id))
                 elif isinstance(child, ast.Call):
                     keywords = {k.arg: k.value for k in child.keywords}
                     calls.append((callee_of(child.func, cls), child.args, keywords))
@@ -615,7 +610,9 @@ class TestSizeGuards:
         unset = set()
         for module, callee, position, name, default in options:
             values = [
-                args[position] if position is not None and position < len(args) else keywords.get(name)
+                args[position]
+                if position is not None and position < len(args)
+                else keywords.get(name)
                 for c, args, keywords in calls
                 if c in (callee, f"{module}.{callee}")
             ]
