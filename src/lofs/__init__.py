@@ -81,6 +81,7 @@ from .order import (
     indiscrete,
     is_complete_lattice,
     is_full,
+    size_bound,
     squares,
     two_cell,
     vee,

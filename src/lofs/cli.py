@@ -37,6 +37,7 @@ from .order import (
     enumerate_preorders,
     is_complete_lattice,
     is_full,
+    size_bound,
 )
 from .topology import (
     FiniteSpace,
@@ -243,10 +244,7 @@ def _cmd_filter_space(args):
 
 def _cmd_enumerate(args):
     items = enumerate_preorders(
-        args.size,
-        up_to_iso=not args.labeled,
-        posets_only=args.posets_only,
-        bound=DEFAULT_ENUM_BOUND if args.max_size is None else args.max_size,
+        args.size, up_to_iso=not args.labeled, posets_only=args.posets_only
     )
     if args.format == "dot":
         _emit("".join(formats.hasse_dot(P) for P in items))
@@ -352,10 +350,15 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one ``lofs`` command under its ``--max-carrier`` bound; the exit code."""
+    """Run one ``lofs`` command under its two bounds; the exit code.
+
+    ``--max-carrier`` and ``--max-size`` are entered here, once, and every
+    guard the command reaches reads them from the context.
+    """
     args = build_parser().parse_args(argv)
+    max_size = DEFAULT_ENUM_BOUND if args.max_size is None else args.max_size
     try:
-        with carrier_bound(args.max_carrier):
+        with carrier_bound(args.max_carrier), size_bound(max_size):
             return args.fn(args)
     except _INVALID as exc:
         print(f"lofs: invalid object: {exc}", file=sys.stderr)

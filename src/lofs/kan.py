@@ -16,19 +16,15 @@ from .errors import ShapeMismatch
 from .order import (
     MonotoneMap,
     _bits,
-    _bound,
     _hom_guard,
     _least_member,
     _least_vector,
     _monotone_within,
     _preimage_masks,
-    _union,
-    arrow_canonical_key,
-    chain,
-    enumerate_preorders,
+    arrow_classes,
     is_complete_lattice,
     monotone_assignments,
-    sup_mask,
+    representatives,
 )
 
 
@@ -211,39 +207,11 @@ def all_embeddings(max_size, posets_only=False):
     """All order-embeddings between preorders of size <= max_size.
 
     One representative per arrow-isomorphism class; Kan injectivity only
-    depends on that class.  Deterministic order.  Memoised in
-    ``_embeddings`` per (max_size, posets_only, the carrier bound),
-    however the call spells them, at most 16 families; a smaller bound
-    is a different key, so the guard of each hom set still raises.
+    depends on that class.  These are the full maps among the
+    ``arrow_classes``, and their memo, so equal requests under equal
+    bounds share one tuple.
     """
-    return _embeddings(max_size, posets_only, _bound.get())
-
-
-@lru_cache(maxsize=16)
-def _embeddings(max_size, posets_only, bound):
-    """:func:`all_embeddings`, searching only the full assignments.
-
-    Fullness (which decides being an order-embedding) prunes the search
-    of ``_monotone_within`` itself, so only the full assignments, about
-    one in twenty at max_size 4, are ever completed.  Each is a map by
-    construction (monotone and full), so it is built trusted.  ``bound``
-    is in the key only: the hom-set guards read it from the context.
-    """
-    reps = [
-        p
-        for n in range(max_size + 1)
-        for p in enumerate_preorders(n, posets_only=posets_only)
-    ]
-    seen = {}
-    for X in reps:
-        for Y in reps:
-            anything = ((1 << Y.n) - 1,) * X.n
-            for assign in _monotone_within(X, Y, anything, full=True):
-                f = MonotoneMap._checked(X, Y, assign)
-                key = arrow_canonical_key(f)
-                if key not in seen:
-                    seen[key] = f
-    return tuple(seen[k] for k in sorted(seen))
+    return arrow_classes(max_size, posets_only, full=True)
 
 
 def classify_injectives(max_size, generator_size=None, posets_only=False):
@@ -253,44 +221,12 @@ def classify_injectives(max_size, generator_size=None, posets_only=False):
     family of all embeddings between preorders of size <= generator_size
     (default min(max_size, 4)).  The two booleans agree on every row.
     The carrier bound limits every hom set searched, for the family and
-    for each row.
+    for each row, and the size bound every size enumerated.
     """
     if generator_size is None:
         generator_size = min(max_size, 4)
     family = all_embeddings(generator_size, posets_only)
-    rows = []
-    for n in range(max_size + 1):
-        for A in enumerate_preorders(n):
-            rows.append((A, kan_injective(A, family), is_complete_lattice(A)))
-    return rows
-
-
-def chain_stage_report():
-    """Finite stages m <= 6 of the ascending-chain example.
-
-    Each stage m is the (m+1)-element chain, a complete lattice; every
-    inclusion of a shorter stage into a longer one preserves all
-    suprema.  Returns (all_ok, detail) where detail states explicitly
-    that the limit-stage failure is not finitely representable.
-    """
-    ok = True
-    for m2 in range(1, 7):
-        big = chain(m2 + 1)
-        if not is_complete_lattice(big):
-            ok = False
-        for m1 in range(m2):
-            small = chain(m1 + 1)
-            inc = MonotoneMap(small, big, range(m1 + 1))
-            images = [1 << v for v in inc.assign]
-            for mask in range(1 << small.n):
-                s = sup_mask(small, mask)
-                t = sup_mask(big, _union(images, mask))
-                if s is None or t is None or inc.assign[s] != t:
-                    ok = False
-    detail = (
-        "stages m<m'<= 6: chains are complete lattices and the "
-        "inclusions preserve all suprema; the failure at the limit stage "
-        "(the union of all finite stages, which has no top) is not finitely "
-        "representable and is out of scope here"
-    )
-    return ok, detail
+    return [
+        (A, kan_injective(A, family), is_complete_lattice(A))
+        for A in representatives(max_size)
+    ]

@@ -25,11 +25,20 @@ from .errors import (
 DEFAULT_MAX_CARRIER = 4096
 DEFAULT_ENUM_BOUND = 5
 
-# the carrier bound of the current thread or task; set only by carrier_bound
+# the two bounds of the current thread or task, each set only by its block below
 _bound = contextvars.ContextVar("lofs_carrier_bound", default=DEFAULT_MAX_CARRIER)
+_max_size = contextvars.ContextVar("lofs_size_bound", default=DEFAULT_ENUM_BOUND)
 
 
 @contextlib.contextmanager
+def _setting(var, n):
+    token = var.set(n)
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
 def carrier_bound(n):
     """Bound every carrier, hom set and square set built inside the block by n.
 
@@ -39,11 +48,17 @@ def carrier_bound(n):
     value holds for the current thread or asyncio task, and the previous
     bound is restored when the block exits, also by an exception.
     """
-    token = _bound.set(n)
-    try:
-        yield
-    finally:
-        _bound.reset(token)
+    return _setting(_bound, n)
+
+
+def size_bound(n):
+    """Bound the size of every preorder enumerated inside the block by n.
+
+    The one way to set the enumeration bound, which is
+    ``DEFAULT_ENUM_BOUND`` outside every block, read from the context by
+    ``enumerate_preorders`` as ``carrier_bound``'s is by the other guards.
+    """
+    return _setting(_max_size, n)
 
 
 def _guard(what, requested, bound):
@@ -489,20 +504,22 @@ def _unreflected_pair(assign, src_up, tgt_up):
 
     The one fullness scan, on an assignment tuple and the two up-rows, so
     a caller can test a candidate before it builds (and validates) a map,
-    and a failing verdict comes with its witness.  One word test per
-    element a, in order: the mask {b : assign[a] <= assign[b]} must lie in
-    up[a], and b is the lowest bit outside it.  The scan stops at the
-    first element that fails; most maps are not full, so most scans stop
-    early.
+    and a failing verdict comes with its witness.  The fibre of each value
+    is built once; then for each element a, in order, the mask
+    {b : assign[a] <= assign[b]} is the union of the fibres over the
+    values above assign[a] that are hit, one word per value instead of a
+    pass over every image.  It must lie in up[a], and b is the lowest bit
+    outside it.  The scan stops at the first element that fails; most
+    maps are not full, so most scans stop early.
     """
+    fibre = [0] * len(tgt_up)
+    image, bit = 0, 1
+    for v in assign:
+        fibre[v] |= bit
+        image |= 1 << v
+        bit <<= 1
     for a, v in enumerate(assign):
-        r = tgt_up[v]
-        above, bit = 0, 1
-        for w in assign:
-            if r >> w & 1:
-                above |= bit
-            bit <<= 1
-        bad = above & ~src_up[a]
+        bad = _union(fibre, tgt_up[v] & image) & ~src_up[a]
         if bad:
             return a, (bad & -bad).bit_length() - 1
     return None
@@ -640,7 +657,12 @@ def _monotone_within(X, Y, allowed, full=False):
 
 
 def hom_maps(X, Y):
-    return [MonotoneMap(X, Y, a) for a in monotone_assignments(X, Y)]
+    """All monotone maps X -> Y, lexicographic.
+
+    Built trusted: each assignment comes from ``monotone_assignments``,
+    which keeps only the monotone ones.
+    """
+    return [MonotoneMap._checked(X, Y, a) for a in monotone_assignments(X, Y)]
 
 
 def _pointwise_leq(Y, a, b):
@@ -862,18 +884,18 @@ def _one_point_extensions(P, posets_only):
         )
 
 
-def enumerate_preorders(n, up_to_iso=True, posets_only=False, bound=DEFAULT_ENUM_BOUND):
+def enumerate_preorders(n, up_to_iso=True, posets_only=False):
     """All preorders on n elements, optionally one per isomorphism class.
 
     Output order is deterministic: ascending canonical key, or ascending
     ``up`` rows for the labeled enumeration.
 
-    The size bound is tested on every call, before the memo in
-    ``_enumeration``, which holds one tuple per (n, up_to_iso,
-    posets_only) however the call spells its arguments, so equal
-    requests share one result.
+    The size bound, set by ``size_bound``, is tested on every call,
+    before the memo in ``_enumeration``, which holds one tuple per (n,
+    up_to_iso, posets_only) however the call spells its arguments, so
+    equal requests share one result.
     """
-    _guard("enumeration size", n, bound)
+    _guard("enumeration size", n, _max_size.get())
     return _enumeration(n, up_to_iso, posets_only)
 
 
@@ -921,3 +943,47 @@ def _enumeration(n, up_to_iso, posets_only):
                 rows[new] = _union(bits, P.up[old])
             found.add(tuple(rows))
     return tuple(FinPreorder(n, rows) for rows in sorted(found))
+
+
+def representatives(max_size, posets_only=False):
+    """One preorder per isomorphism class, of every size <= max_size.
+
+    By size, then canonical key.  A generator: each size is enumerated,
+    and its size guard called, when the walk reaches it, so a caller that
+    works through the classes as they come meets its guards in that order.
+    """
+    for n in range(max_size + 1):
+        yield from enumerate_preorders(n, posets_only=posets_only)
+
+
+def arrow_classes(max_size, posets_only=False, full=False):
+    """One map per arrow-isomorphism class between preorders of size <= max_size.
+
+    The maps run between the ``representatives``; with ``full`` only the
+    full maps (the order-embeddings) are searched.  Ascending
+    ``arrow_canonical_key``.  Memoised in ``_arrow_classes`` per
+    (max_size, posets_only, full, the carrier bound, the size bound),
+    however the call spells them, at most 16 families: a smaller bound is
+    a different key, so its guards still raise.
+    """
+    return _arrow_classes(max_size, posets_only, full, _bound.get(), _max_size.get())
+
+
+@lru_cache(maxsize=16)
+def _arrow_classes(max_size, posets_only, full, carrier, size):
+    """:func:`arrow_classes` as a tuple; both bounds are in the key only.
+
+    Each class keeps the first of its maps met, walking the pairs of
+    representatives in order and each hom set lexicographically.  With
+    ``full`` the search of ``_monotone_within`` is pruned by fullness, so
+    only the full assignments are ever completed.  Every assignment found
+    is monotone (and full when asked), so each map is built trusted.
+    """
+    reps = list(representatives(max_size, posets_only))
+    seen = {}
+    for X in reps:
+        for Y in reps:
+            for assign in _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n, full):
+                f = MonotoneMap._checked(X, Y, assign)
+                seen.setdefault(arrow_canonical_key(f), f)
+    return tuple(seen[k] for k in sorted(seen))

@@ -179,22 +179,30 @@ def filter_space(X):
 
 
 def filter_unit(X):
-    """x ↦ its neighbourhood filter, generated by ↑x; an order embedding."""
+    """x ↦ its neighbourhood filter, generated by ↑x; an order embedding.
+
+    Built trusted: x <= y gives ↑y ⊆ ↑x, and filters are ordered
+    opposite to their generating opens, so the filter of x lies below
+    the filter of y.
+    """
     P = _points(X)
     fs = filter_space(X)
-    return MonotoneMap(P, fs.filters, [fs._lattice.index(P.up[x]) for x in range(P.n)])
+    assign = tuple(fs._lattice.index(P.up[x]) for x in range(P.n))
+    return MonotoneMap._checked(P, fs.filters, assign)
 
 
 def filter_map(f):
     """Functor action: F ↦ {V : f⁻¹(V) in F}, from the filters of dom f.
 
     For F generated by U, f⁻¹(V) contains U exactly when V contains the
-    up-closure of f[U], which therefore generates the image.
+    up-closure of f[U], which therefore generates the image.  Built
+    trusted: U ⊆ U′ gives ↑f[U] ⊆ ↑f[U′], and both filter orders are
+    opposite to their opens, so the map is monotone.
     """
     src_fs, tgt_fs = filter_space(f.src), filter_space(f.tgt)
     up = [f.tgt.up[v] for v in f.assign]
-    assign = [tgt_fs._lattice.index(_union(up, u)) for u in src_fs.opens]
-    return MonotoneMap(src_fs.filters, tgt_fs.filters, assign)
+    assign = tuple(tgt_fs._lattice.index(_union(up, u)) for u in src_fs.opens)
+    return MonotoneMap._checked(src_fs.filters, tgt_fs.filters, assign)
 
 
 def filter_mult(X):
@@ -202,11 +210,13 @@ def filter_mult(X):
 
     𝔉 is generated by an open W of the filter space, a set of generating
     opens; {F : U in F} contains W exactly when U contains the union of W.
+    Built trusted: W ⊆ W′ gives ⋃W ⊆ ⋃W′, and both filter orders are
+    opposite to their opens, so the map is monotone.
     """
     fs = filter_space(X)
     ffs = filter_space(fs.filters)
-    assign = [fs._lattice.index(_union(fs.opens, w)) for w in ffs.opens]
-    return MonotoneMap(ffs.filters, fs.filters, assign)
+    assign = tuple(fs._lattice.index(_union(fs.opens, w)) for w in ffs.opens)
+    return MonotoneMap._checked(ffs.filters, fs.filters, assign)
 
 
 def filter_algebra(X):

@@ -4,9 +4,13 @@
 that canonical forms use, and ``inf_mask`` is the dual of
 ``order.sup_mask``.  The library decides neither question itself.
 ``subset_without_sup_scan`` is the scan of every subset by size that the
-``--witness`` of ``check complete-lattice`` replaced, and ``under``
-runs one call under a carrier bound.  ``reps``, ``arrow_classes`` and
-``bang`` are the small inputs that several test modules sweep.
+``--witness`` of ``check complete-lattice`` replaced,
+``unreflected_pair_scan`` is the fullness scan over every image that the
+fibre scan of ``order._unreflected_pair`` replaced, and ``under`` runs
+one call under a carrier bound.  ``reps``, ``arrow_classes`` and
+``bang`` are the small inputs that several test modules sweep;
+``arrow_classes`` is also the loop the battery ran before
+``order.arrow_classes``, its oracle.
 """
 
 from lofs.order import (
@@ -40,6 +44,25 @@ def arrow_classes(max_size):
             for f in hom_maps(X, Y):
                 seen.setdefault(arrow_canonical_key(f), f)
     return [seen[k] for k in sorted(seen)]
+
+
+def unreflected_pair_scan(assign, src_up, tgt_up):
+    """The first (a, b) with assign[a] <= assign[b] but not a <= b, or None.
+
+    For each a, the mask {b : assign[a] <= assign[b]} is built by one pass
+    over every image, |src|² steps in all.
+    """
+    for a, v in enumerate(assign):
+        r = tgt_up[v]
+        above, bit = 0, 1
+        for w in assign:
+            if r >> w & 1:
+                above |= bit
+            bit <<= 1
+        bad = above & ~src_up[a]
+        if bad:
+            return a, (bad & -bad).bit_length() - 1
+    return None
 
 
 def bang(X):

@@ -563,3 +563,18 @@ class TestCliContract:
             assert cli.main(argv) == 0
             counts.append(len(json.loads(capsys.readouterr().out)))
         assert counts == [14, 47, 14]  # preorder classes of size <= 3, <= 4, <= 3
+        # the global bound is the enumeration bound of every size classify meets
+        for argv in (
+            ["--max-size", "2", "classify", "--max-size", "4"],
+            ["--max-size", "2", "classify", "--max-size", "4", "--generator-size", "1"],
+        ):
+            assert cli.main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "lofs: enumeration size: 3 exceeds the bound 2\n"
+        assert cli.main(["--max-size", "6", "classify"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 904  # preorder classes of size <= 6
+        assert all(r["kan-injective"] == r["complete-lattice"] for r in rows)
+        assert cli.main(["classify", "--max-size", "8"]) == 2
+        assert capsys.readouterr().err == "lofs: enumeration size: 6 exceeds the bound 5\n"

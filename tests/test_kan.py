@@ -1,12 +1,13 @@
+import hashlib
+
 import pytest
 
-from lofs import kan
+from lofs import kan, order, suite
 from lofs.errors import ShapeMismatch, SizeLimitExceeded
 from lofs.kan import (
     _least_extension,
     _least_within,
     all_embeddings,
-    chain_stage_report,
     classify_injectives,
     kan_injective,
     lan_extension,
@@ -347,6 +348,24 @@ class TestAllEmbeddings:
                 found = _monotone_within(X, Y, anything, full=True)
                 assert found == expected
 
+    def test_the_family_of_size_4_is_unchanged(self):
+        # the (src, tgt, assign) rows of the 1,589 classes, pinned so that
+        # no change to the shared enumeration moves the Kan family
+        rows = [(f.src.n, f.src.up, f.tgt.n, f.tgt.up, f.assign) for f in all_embeddings(4)]
+        assert len(rows) == 1589
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "13302e7a4feb7c73c0dd9018db158b1387f1701a93c5a7a88cda09545e526729"
+        )
+
+    def test_arrow_classes_keep_the_representatives_of_the_map_loop(self):
+        # the loop over every map between representatives, one map per
+        # class; the full ones are checked by test_matches_building_every_map
+        for m in range(4):
+            expected = [(f.src, f.tgt, f.assign) for f in arrow_classes(m)]
+            assert [(f.src, f.tgt, f.assign) for f in order.arrow_classes(m)] == expected
+        assert len(order.arrow_classes(3)) == 661
+        assert order.arrow_classes(3) is order.arrow_classes(3, False, False)
+
     def test_bound_reaches_the_search(self):
         with carrier_bound(1), pytest.raises(SizeLimitExceeded) as info:
             all_embeddings(3)
@@ -395,10 +414,17 @@ class TestClassification:
 
 
 class TestChainStages:
-    def test_report(self):
-        ok, detail = chain_stage_report()
+    def test_report(self, monkeypatch):
+        ok, detail = suite.criterion_chain_stages()
         assert ok
         assert "not finitely representable" in detail
+        # one walk checks every stage: a failing check names its stage
+        monkeypatch.setattr(suite, "is_complete_lattice", lambda P: P.n < 5)
+        assert suite.criterion_chain_stages() == (False, "a finite chain stage failed")
+        monkeypatch.setattr(suite, "is_embedding", lambda f: f.src.n < 3)
+        assert suite.criterion_chain_stages() == (
+            False, "stage inclusion 2<3 is not an embedding"
+        )
 
     def test_stages_are_lattices(self):
         for m in range(7):

@@ -8,7 +8,7 @@ import pytest
 import lofs
 from lofs import cli, formats
 from lofs.adjunction import comma
-from lofs.downsets import downsets
+from lofs.downsets import downsets, unit
 from lofs.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -42,12 +42,21 @@ from lofs.order import (
     is_complete_lattice,
     is_full,
     monotone_assignments,
+    size_bound,
     squares,
     sup_mask,
     two_cell,
     vee,
 )
-from lofs.topology import _open_lattice, f_lower_star, scott_opens
+from lofs.topology import (
+    FiniteSpace,
+    _open_lattice,
+    f_lower_star,
+    filter_map,
+    filter_mult,
+    filter_unit,
+    scott_opens,
+)
 from oracles import arrow_classes, is_isomorphic, reps, under
 
 
@@ -334,8 +343,9 @@ class TestEnumeration:
         def counts(top, **kw):
             return [len(enumerate_preorders(n, **kw)) for n in range(top + 1)]
 
-        assert counts(6, bound=6) == [1, 1, 3, 9, 33, 139, 718]  # A001930
-        assert counts(6, posets_only=True, bound=6) == [1, 1, 2, 5, 16, 63, 318]  # A000112
+        with size_bound(6):
+            assert counts(6) == [1, 1, 3, 9, 33, 139, 718]  # A001930
+            assert counts(6, posets_only=True) == [1, 1, 2, 5, 16, 63, 318]  # A000112
         assert counts(5, up_to_iso=False) == [1, 1, 4, 29, 355, 6942]  # A000798
         assert counts(5, up_to_iso=False, posets_only=True) == [
             1, 1, 3, 19, 219, 4231,
@@ -359,16 +369,23 @@ class TestEnumeration:
             enumerate_preorders(6)
 
     def test_bound_is_checked_on_every_call(self):
-        assert len(enumerate_preorders(6, bound=6)) == 718
+        with size_bound(6):
+            assert len(enumerate_preorders(6)) == 718
         with pytest.raises(SizeLimitExceeded, match=r"^enumeration size: 6 exceeds the bound 5$"):
             enumerate_preorders(6)
+        with size_bound(3), pytest.raises(
+            SizeLimitExceeded, match=r"^enumeration size: 4 exceeds the bound 3$"
+        ):
+            enumerate_preorders(4)
+        assert len(enumerate_preorders(4)) == 33
 
     def test_equal_requests_share_one_result(self):
         # one memo entry per (n, up_to_iso, posets_only), however spelled
         first = enumerate_preorders(4)
         assert enumerate_preorders(4, posets_only=False) is first
-        assert enumerate_preorders(4, True, False, 5) is first
-        assert enumerate_preorders(4, up_to_iso=True, bound=6) is first
+        assert enumerate_preorders(4, True, False) is first
+        with size_bound(6):
+            assert enumerate_preorders(4, up_to_iso=True) is first
         labeled = enumerate_preorders(3, up_to_iso=False)
         assert enumerate_preorders(3, False, False) is labeled
 
@@ -470,14 +487,21 @@ class TestSizeGuards:
         )
 
     def test_no_function_takes_the_carrier_bound_as_a_parameter(self):
-        # the bound is set once, by carrier_bound, and read from the context
+        # each bound is set once, by carrier_bound or size_bound, and read
+        # from the context: no parameter is named max_carrier, and none
+        # defaults to either bound's default
+        defaults = {"DEFAULT_MAX_CARRIER", "DEFAULT_ENUM_BOUND"}
         takers = []
         for path in sorted(pathlib.Path(lofs.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     a = node.args
                     params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-                    if "max_carrier" in {p.arg for p in params if p is not None}:
+                    named = {n.id for d in a.defaults + a.kw_defaults if d is not None
+                             for n in ast.walk(d) if isinstance(n, ast.Name)}
+                    if "max_carrier" in {p.arg for p in params if p is not None} or (
+                        named & defaults
+                    ):
                         takers.append((path.name, getattr(node, "name", "<lambda>")))
         assert takers == []
 
@@ -757,6 +781,20 @@ class TestCheckedRows:
     def test_direct_image_matches_its_validating_rebuild(self):
         for f in arrow_classes(3):
             assert_map_rebuilds(f_lower_star(f))
+
+    def test_units_filter_maps_and_hom_sets_match_their_validating_rebuild(self):
+        # every labelled preorder and space of size <= 3, and every map
+        # between representatives of size <= 3
+        for n in range(4):
+            for P in enumerate_preorders(n, up_to_iso=False):
+                assert_map_rebuilds(unit(P))
+                assert_map_rebuilds(filter_unit(FiniteSpace(P)))
+                assert_map_rebuilds(filter_mult(FiniteSpace(P)))
+        for X in reps(3):
+            for Y in reps(3):
+                for f in hom_maps(X, Y):
+                    assert_map_rebuilds(f)
+                    assert_map_rebuilds(filter_map(f))
 
     def test_labels_are_still_checked(self):
         P = chain(2)

@@ -63,10 +63,12 @@ from lofs.order import (  # noqa: E402
     _down_set_masks,
     _least_member,
     _preimage_masks,
+    _arrow_classes,
     _squares,
     _union,
     _unreflected_pair,
     antichain,
+    arrow_classes,
     chain,
     closure,
     compose,
@@ -78,6 +80,7 @@ from lofs.order import (  # noqa: E402
     is_full,
     maps_equivalent,
     monotone_assignments,
+    size_bound,
     squares,
     sup_mask,
     two_cell,
@@ -90,7 +93,7 @@ from lofs.topology import (  # noqa: E402
     filter_space,
     open_masks,
 )
-from oracles import subset_without_sup_scan, under  # noqa: E402
+from oracles import subset_without_sup_scan, under, unreflected_pair_scan  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -668,6 +671,25 @@ def test_first_unreflected_pair_on_every_small_map():
         assert _unreflected_pair(f.assign, f.src.up, f.tgt.up) == naive_unreflected_pair(f)
 
 
+def test_fibre_scan_matches_the_image_scan_on_every_map_of_size_4():
+    reps = [P for n in range(5) for P in enumerate_preorders(n)]
+    for X in reps:
+        for Y in reps:
+            for a in monotone_assignments(X, Y):
+                assert _unreflected_pair(a, X.up, Y.up) == unreflected_pair_scan(a, X.up, Y.up)
+
+
+@PROPERTY
+@given(preorders(max_n=6), preorders(max_n=6), st.data())
+def test_fibre_scan_matches_the_image_scan_on_any_assignment(X, Y, data):
+    # any assignment, monotone or not: the scan reads only the values
+    if Y.n == 0 and X.n:
+        return
+    assign = data.draw(st.lists(st.integers(0, max(Y.n - 1, 0)), min_size=X.n, max_size=X.n))
+    args = (tuple(assign), X.up, Y.up)
+    assert _unreflected_pair(*args) == unreflected_pair_scan(*args)
+
+
 @PROPERTY
 @given(preorders(max_n=5), st.integers(0, 31))
 def test_restrict_quotient_sup_match_loops(X, mask):
@@ -901,6 +923,14 @@ def test_memos_still_raise_under_a_smaller_bound():
             lambda: under(bound, _squares.__wrapped__, j, g, labels, bound)
         )
 
+    # the arrow-class memo keys the size bound as it keys the carrier bound
+    assert len(arrow_classes(3)) == 661
+    with size_bound(2):
+        assert _limit_message(lambda: arrow_classes(3)) == _limit_message(
+            lambda: _arrow_classes.__wrapped__(3, False, False, DEFAULT_MAX_CARRIER, 2)
+        ) == "enumeration size: 3 exceeds the bound 2"
+    assert len(arrow_classes(3)) == 661
+
 
 def test_mutating_a_square_list_leaves_the_next_call_alone():
     j, g = identity(chain(2)), MonotoneMap(chain(2), chain(1), [0, 0])
@@ -950,7 +980,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
-        "kan._embeddings", "kan._member", "order._enumeration",
+        "kan._member", "order._arrow_classes", "order._enumeration",
         "order._squares",
     }
     assert bounded <= set(found)
