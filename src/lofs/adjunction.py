@@ -132,9 +132,17 @@ def find_rali(f, exact=True):
     those minima, and the minima of one set are pairwise equivalent,
     which is what makes RALI witnesses unique on posets and unique up to
     pointwise equivalence on preorders.  Mask form: the sets
-    {a : b <= f(a)} for all b come from one ``_preimage_masks`` call, as
-    do the sets f sends back to each b, and the minima of a set are its
-    members in the class of its least member.
+    {a : b <= f(a)} for all b come from one ``_preimage_masks`` call, and
+    ``least``, the least member of each, is its lowest minimum.
+
+    With ``exact=False`` no second preimage is needed.  Every minimum of
+    the set is equivalent to ``least``, and f, being monotone, sends each
+    one into the class of f(least).  So some minimum goes to the class
+    of b exactly when f(least) does, that is when f(least) <= b (b <=
+    f(least) holds since ``least`` is in the set), and then the lowest
+    such minimum is ``least`` itself.  With ``exact`` the minima sent to
+    b itself are read off a second pass, the fibres of f, as the members
+    of the set in the class of ``least`` that lie in the fibre of b.
 
     The section is built trusted: it is monotone because minima over
     shrinking sets only grow (b <= b2 shrinks {a : b <= f(a)} to
@@ -145,14 +153,21 @@ def find_rali(f, exact=True):
     preorder hom-objects; the two coincide when the codomain is a poset.
     """
     A, B = f.src, f.tgt
-    back = [1 << b if exact else B.class_mask(b) for b in range(B.n)]
+    fibres = _preimage_masks(f.assign, [1 << b for b in range(B.n)]) if exact else None
     section = []
-    for above, sent in zip(_preimage_masks(f.assign, B.up), _preimage_masks(f.assign, back)):
+    for b, above in enumerate(_preimage_masks(f.assign, B.up)):
         least = _least_member(above, A.up)
-        fits = 0 if least is None else above & A.class_mask(least) & sent
-        if not fits:
+        if least is None:
             return None
-        section.append((fits & -fits).bit_length() - 1)
+        if exact:
+            fits = above & A.class_mask(least) & fibres[b]
+            if not fits:
+                return None
+            section.append((fits & -fits).bit_length() - 1)
+        elif B.up[f.assign[least]] >> b & 1:
+            section.append(least)
+        else:
+            return None
     return RaliWitness(f, MonotoneMap._checked(B, A, tuple(section)))
 
 
@@ -191,7 +206,7 @@ def comma(f):
         (a, b) for a in range(A.n) for b in range(B.n) if (B.up[f.assign[a]] >> b) & 1
     ]
     # built trusted: a pointwise order on validated coordinates, and its projections
-    carrier = _pointwise_preorder(pairs, (A.up, B.up), (A.down, B.down))
+    carrier = _pointwise_preorder(pairs, (A, B))
     proj_a = MonotoneMap._checked(carrier, A, tuple(a for a, _ in pairs))
     proj_b = MonotoneMap._checked(carrier, B, tuple(b for _, b in pairs))
     return CommaObject(f, carrier, proj_a, proj_b, tuple(pairs))

@@ -260,8 +260,12 @@ def _cmd_dot(args):
 
 
 def _cmd_suite(args):
+    # the lines are written once the run returns, so a guard that fires in
+    # a later criterion leaves stdout empty, as on every exit 2
     names = set(args.criteria.split(",")) if args.criteria else None
-    ok = suite.run_suite(names=names, emit=lambda line: _emit(line + "\n"))
+    lines = []
+    ok = suite.run_suite(names=names, emit=lambda line: lines.append(line + "\n"))
+    _emit("".join(lines))
     return 0 if ok else 1
 
 

@@ -103,15 +103,13 @@ def _comparison(j, g):
 
 def _hom_preorder(X, Y, assigns):
     """The pointwise order on the assignments X -> Y in ``assigns``."""
-    return _pointwise_preorder(assigns, (Y.up,) * X.n, (Y.down,) * X.n)
+    return _pointwise_preorder(assigns, (Y,) * X.n)
 
 
 def _square_preorder(j, g, sqs):
     """The squares ``sqs`` j -> g, ordered by their h and k pointwise."""
     vectors = [s.h.assign + s.k.assign for s in sqs]
-    ups = (g.src.up,) * j.src.n + (g.tgt.up,) * j.tgt.n
-    downs = (g.src.down,) * j.src.n + (g.tgt.down,) * j.tgt.n
-    return _pointwise_preorder(vectors, ups, downs)
+    return _pointwise_preorder(vectors, (g.src,) * j.src.n + (g.tgt,) * j.tgt.n)
 
 
 def canonical_map(j, g):

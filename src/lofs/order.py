@@ -601,12 +601,29 @@ def _down_set_masks(X, bound):
 
 
 def monotone_assignments(X, Y):
-    """All monotone assignment vectors X -> Y, lexicographic.
+    """All monotone assignment vectors X -> Y, as a list, lexicographic.
 
     The raw candidate space |Y|^|X| is limited by the carrier bound
-    before enumeration starts.
+    before enumeration starts.  The enumeration is memoised in
+    ``_monotone_assignments``, keyed by X, Y and the carrier bound, at
+    most 256 hom sets: a sweep asks for few distinct (X, Y) pairs many
+    times over.  Each call returns a fresh list of the cached tuple, so
+    mutating one result changes no other, and a smaller bound is a
+    different key, so its guard still raises.
     """
-    return _monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n)
+    return list(_monotone_assignments(X, Y, _bound.get()))
+
+
+@lru_cache(maxsize=256)
+def _monotone_assignments(X, Y, bound):
+    """``monotone_assignments`` as a tuple, under the carrier bound ``bound``.
+
+    The key ignores labels, as preorder equality does; the assignments
+    are index tuples, which no label changes.  The guard reads the bound
+    from the context, where ``monotone_assignments`` took it, so an entry
+    holds at most ``bound`` assignments.
+    """
+    return tuple(_monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n))
 
 
 def _monotone_within(X, Y, allowed, full=False):
@@ -687,34 +704,28 @@ def _least_vector(vectors, Y):
     return None
 
 
-def _pointwise_rows(vectors, ups):
-    """Up-rows of the pointwise order on equal-length ``vectors``.
+def _pointwise_preorder(vectors, coords):
+    """The pointwise order on equal-length ``vectors``, built trusted.
 
-    ``ups[c]`` is the ``up`` table of the preorder coordinate c lives in.
-    Row i is the mask of the vectors lying above vectors[i] in every
-    coordinate, built as an AND of one column mask per coordinate (the
-    preimage of an up-row along that coordinate) instead of comparing
-    all pairs.
+    ``coords[c]`` is the validated preorder coordinate c lives in.  Row i
+    of ``up`` is the mask of the vectors above vectors[i] in every
+    coordinate, an AND of one column mask per coordinate (the preimage of
+    an up row along that coordinate) instead of a comparison of all
+    pairs, and the ``down`` rows are the same AND over down rows.  Each
+    column is taken and grouped once: one ``_preimage_masks`` call gives
+    both its up and its down preimages, and both row sets are narrowed in
+    one loop.  A pointwise order of preorders is a preorder, so nothing
+    is validated again.
     """
-    rows = [(1 << len(vectors)) - 1] * len(vectors)
-    for c, up in enumerate(ups):
-        col = [v[c] for v in vectors]
-        above = _preimage_masks(col, up)
-        rows = [r & above[x] for r, x in zip(rows, col)]
-    return rows
-
-
-def _pointwise_preorder(vectors, ups, downs):
-    """The pointwise order on ``vectors``, built trusted.
-
-    ``ups[c]`` and ``downs[c]`` are the rows of the validated preorder
-    coordinate c lives in.  A pointwise order of preorders is a preorder,
-    and its down rows are the pointwise rows of the down tables, so both
-    come from ``_pointwise_rows`` and nothing is validated again.
-    """
-    return FinPreorder._checked(
-        tuple(_pointwise_rows(vectors, ups)), tuple(_pointwise_rows(vectors, downs))
-    )
+    ups = [(1 << len(vectors)) - 1] * len(vectors)
+    downs = ups[:]
+    for col, Y in zip(zip(*vectors), coords):
+        pre = _preimage_masks(col, Y.up + Y.down)
+        above, below = pre[: Y.n], pre[Y.n :]
+        for i, x in enumerate(col):
+            ups[i] &= above[x]
+            downs[i] &= below[x]
+    return FinPreorder._checked(tuple(ups), tuple(downs))
 
 
 def squares(j, g):

@@ -578,3 +578,23 @@ class TestCliContract:
         assert all(r["kan-injective"] == r["complete-lattice"] for r in rows)
         assert cli.main(["classify", "--max-size", "8"]) == 2
         assert capsys.readouterr().err == "lofs: enumeration size: 6 exceeds the bound 5\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--max-carrier", "30", "suite", "--criteria", "2,3,4"],
+                "down-sets of a 5-element preorder: 32 exceeds the bound 30",
+            ),
+            (
+                ["--max-size", "4", "suite", "--criteria", "2,3"],
+                "enumeration size: 5 exceeds the bound 4",
+            ),
+        ],
+    )
+    def test_suite_stopped_by_a_later_guard_prints_nothing(self, argv, message, capsys):
+        # criterion 2 passes first; its line is held back, as every exit 2 prints none
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"lofs: {message}\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lofs.errors import ShapeMismatch
@@ -28,7 +30,7 @@ from lofs.order import (
     two_cell,
     vee,
 )
-from oracles import bang
+from oracles import arrow_classes, bang
 
 ONE = chain(1)
 DIA = diamond()
@@ -150,6 +152,21 @@ class TestKz:
             assert maps_equivalent(s, w.left_adjoint)
             found += 1
         assert found >= 1
+
+    def test_the_answers_on_the_classes_of_size_2_are_unchanged(self):
+        # (section, exact) or None on every pair of the 31 arrow classes of
+        # size <= 2, pinned so that no change to the section search moves them
+        small = arrow_classes(2)
+        rows = []
+        for j in small:
+            for g in small:
+                w = kz_orthogonal(j, g)
+                rows.append(None if w is None else (w.left_adjoint.assign, w.exact))
+        assert len(rows) == 961
+        assert rows.count(None) == 273
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "05d77817908f7d248cefdb977bbd29d91a8b08edca90b3c49cf8b046a80dc4aa"
+        )
 
 
 class TestComposition:

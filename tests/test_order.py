@@ -247,13 +247,19 @@ class TestSquares:
         assert square_preorder(j, identity(chain(1))).n == 1
 
 
+def reversed_leq(Y):
+    """Y's relation read backwards, whose pointwise rows are the down rows."""
+    return lambda a, b: Y.leq(b, a)
+
+
 class TestPointwiseRows:
     def test_hom_poset_matches_pairwise(self):
         for X in reps(3):
             for Y in reps(3):
                 assigns = monotone_assignments(X, Y)
-                expected = pairwise_rows(assigns, [Y.leq] * X.n)
-                assert list(hom_preorder(X, Y).up) == expected
+                order = hom_preorder(X, Y)
+                assert list(order.up) == pairwise_rows(assigns, [Y.leq] * X.n)
+                assert list(order.down) == pairwise_rows(assigns, [reversed_leq(Y)] * X.n)
 
     def test_sq_hom_poset_matches_pairwise(self):
         # every class of size <= 3 meets a quarter of the classes of size
@@ -265,8 +271,19 @@ class TestPointwiseRows:
         for j, g in pairs:
             sqs = squares(j, g)
             vectors = [s.h.assign + s.k.assign for s in sqs]
-            leqs = [g.src.leq] * j.src.n + [g.tgt.leq] * j.tgt.n
-            assert list(square_preorder(j, g).up) == pairwise_rows(vectors, leqs)
+            coords = [g.src] * j.src.n + [g.tgt] * j.tgt.n
+            order = square_preorder(j, g)
+            assert list(order.up) == pairwise_rows(vectors, [Y.leq for Y in coords])
+            assert list(order.down) == pairwise_rows(vectors, [reversed_leq(Y) for Y in coords])
+
+    def test_comma_matches_pairwise(self):
+        for f in arrow_classes(2):
+            cm = comma(f)
+            coords = [f.src, f.tgt]
+            assert list(cm.carrier.up) == pairwise_rows(cm.pairs, [Y.leq for Y in coords])
+            assert list(cm.carrier.down) == pairwise_rows(
+                cm.pairs, [reversed_leq(Y) for Y in coords]
+            )
 
 
 def cli_check(tmp_path, capsys, predicate, obj):

@@ -62,6 +62,7 @@ from lofs.order import (  # noqa: E402
     _bits,
     _down_set_masks,
     _least_member,
+    _monotone_assignments,
     _preimage_masks,
     _arrow_classes,
     _squares,
@@ -611,11 +612,7 @@ def test_squares_match_full_scan(j, g):
         assert (s.h.src, s.h.tgt, s.k.src, s.k.tgt) == (j.src, g.src, j.tgt, g.tgt)
 
 
-@PROPERTY
-@given(maps(max_n=4), st.booleans())
-def test_section_choices_match_pairwise(f, exact):
-    if f is None:
-        return
+def assert_section_matches_choices(f, exact):
     # the section takes the first of the pairwise choices at every b
     choices = naive_section_choices(f, exact)
     w = find_rali(f, exact)
@@ -623,6 +620,24 @@ def test_section_choices_match_pairwise(f, exact):
         assert w.left_adjoint.assign == tuple(c[0] for c in choices)
     else:
         assert w is None
+
+
+@PROPERTY
+@given(maps(max_n=4), st.booleans())
+def test_section_choices_match_pairwise(f, exact):
+    if f is not None:
+        assert_section_matches_choices(f, exact)
+
+
+def test_section_choices_match_pairwise_on_every_comparison_map():
+    # exhaustively, both readings of the section equation on the comparison
+    # maps of every pair of arrow classes of size <= 2
+    small = arrow_classes(2)
+    for j in small:
+        for g in small:
+            c = canonical_map(j, g)
+            for exact in (False, True):
+                assert_section_matches_choices(c, exact)
 
 
 @PROPERTY
@@ -915,6 +930,12 @@ def test_memos_still_raise_under_a_smaller_bound():
         lambda: under(3, _least_within, chain(2), antichain(2), bounds)
     )
 
+    X, Y = chain(5), chain(6)  # 6^5 = 7,776 candidate maps
+    assert len(under(7776, monotone_assignments, X, Y)) == 252
+    assert _limit_message(lambda: under(4096, monotone_assignments, X, Y)) == _limit_message(
+        lambda: under(4096, _monotone_assignments.__wrapped__, X, Y, 4096)
+    ) == "6^5 candidate maps: 7776 exceeds the bound 4096"
+
     j = g = identity(chain(2))
     assert len(squares(j, g)) == 3
     labels = (None,) * 4
@@ -939,6 +960,16 @@ def test_mutating_a_square_list_leaves_the_next_call_alone():
     first.clear()
     squares(j, g).append(None)
     assert [(s.h.assign, s.k.assign) for s in squares(j, g)] == expected
+
+
+def test_mutating_a_hom_set_list_leaves_the_next_call_alone():
+    X, Y = chain(2), chain(3)
+    first = monotone_assignments(X, Y)
+    expected = list(first)
+    first.clear()
+    monotone_assignments(X, Y).append(None)
+    assert monotone_assignments(X, Y) == expected
+    assert monotone_assignments(X, Y) is not monotone_assignments(X, Y)
 
 
 def test_memos_never_hand_out_another_callers_labels():
@@ -981,7 +1012,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
         "kan._member", "order._arrow_classes", "order._enumeration",
-        "order._squares",
+        "order._monotone_assignments", "order._squares",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
