@@ -219,12 +219,15 @@ def classify_injectives(max_size, generator_size=None, posets_only=False):
 
     Rows are (preorder, kan_injective, is_complete_lattice) over the
     family of all embeddings between preorders of size <= generator_size
-    (default min(max_size, 4)).  The two booleans agree on every row.
+    (default min(max(max_size, 1), 4)).  The two booleans agree on every
+    row.  The default family reaches size 1 even at max_size 0: it then
+    holds ∅ -> 1, which the empty preorder fails, as it fails to be
+    complete, where the family of size 0, ∅ -> ∅ alone, would pass it.
     The carrier bound limits every hom set searched, for the family and
     for each row, and the size bound every size enumerated.
     """
     if generator_size is None:
-        generator_size = min(max_size, 4)
+        generator_size = min(max(max_size, 1), 4)
     family = all_embeddings(generator_size, posets_only)
     return [
         (A, kan_injective(A, family), is_complete_lattice(A))

@@ -604,10 +604,11 @@ def monotone_assignments(X, Y):
     """All monotone assignment vectors X -> Y, as a list, lexicographic.
 
     The raw candidate space |Y|^|X| is limited by the carrier bound
-    before enumeration starts.  The enumeration is memoised in
-    ``_monotone_assignments``, keyed by X, Y and the carrier bound, at
-    most 256 hom sets: a sweep asks for few distinct (X, Y) pairs many
-    times over.  Each call returns a fresh list of the cached tuple, so
+    before enumeration starts.  ``_monotone_within`` enumerates them
+    level by level, one index of X at a time, with every value allowed.
+    The enumeration is memoised in ``_monotone_assignments``, keyed by
+    X, Y and the carrier bound, at most 256 hom sets: a sweep asks for
+    few distinct (X, Y) pairs many times over.  Each call returns a fresh list of the cached tuple, so
     mutating one result changes no other, and a smaller bound is a
     different key, so its guard still raises.
     """
@@ -629,48 +630,58 @@ def _monotone_assignments(X, Y, bound):
 def _monotone_within(X, Y, allowed, full=False):
     """The monotone assignments a with a[i] in ``allowed[i]`` for each i.
 
-    The same recursion, order and size guard as ``monotone_assignments``,
-    which is the case where every mask is full: the masks only prune
-    branches, so the survivors keep their lexicographic order.
+    The enumeration behind ``monotone_assignments``, which is the case
+    where every mask is full, with its size guard called first.  It
+    extends a list of prefixes one index at a time: the values left for
+    a[i] are ``allowed[i]`` ANDed with one row per earlier j, read off a
+    table indexed by a[j].  The table holds ``Y.up`` when j <= i only,
+    ``Y.down`` when i <= j only, their AND when both, and nothing when
+    neither.  Prefixes are extended in order and values in ascending
+    order, so each level, and the output, is lexicographic.
 
-    With ``full`` only the full assignments survive: for j < i, index i
-    also loses ``Y.up[a[j]]`` when j ≰ i and ``Y.down[a[j]]`` when
-    i ≰ j, which is fullness on the pair (j, i) in both directions.  A
-    partial assignment that fails it is dropped before it grows, and the
-    survivors are the full ones among all monotone assignments, in the
-    same order.
+    With ``full`` only the full assignments survive: where X lacks
+    j <= i the table also takes the complement of ``Y.up``, and where it
+    lacks i <= j the complement of ``Y.down``, so a[j] <= a[i] only if
+    j <= i and a[i] <= a[j] only if i <= j, which is fullness on the
+    pair (j, i).  A prefix that fails it has no values left and is
+    dropped before it grows, and the survivors are the full ones among
+    all monotone assignments, in the same order.
     """
     if X.n == 0:
         return [()]
     if Y.n == 0:
         return []
     _hom_guard(X, Y)
-    n = X.n
-    out = []
-    assign = [0] * n
-
-    def rec(i):
-        if i == n:
-            out.append(tuple(assign))
-            return
-        mask = allowed[i]
+    anything = (1 << Y.n) - 1
+    # the table of the pair (j, i) by its kind, 2 * [j <= i] + [i <= j],
+    # each built on first use; without full a missing relation constrains
+    # nothing, so kind 0 has no table and kinds 1 and 2 are Y's own rows
+    tables = [None] * 4 if full else [None, Y.down, Y.up, None]
+    level = [()]
+    for i, row in enumerate(X.up):
+        rows = []
         for j in range(i):
-            if (X.up[j] >> i) & 1:
-                mask &= Y.up[assign[j]]
-            elif full:
-                mask &= ~Y.up[assign[j]]
-            if (X.up[i] >> j) & 1:
-                mask &= Y.down[assign[j]]
-            elif full:
-                mask &= ~Y.down[assign[j]]
-            if not mask:
-                return
-        for v in _bits(mask):
-            assign[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return out
+            kind = 2 * (X.up[j] >> i & 1) + (row >> j & 1)
+            if not (kind or full):
+                continue
+            t = tables[kind]
+            if t is None:
+                # a relation that X lacks takes the complement of Y's row
+                cu = 0 if kind & 2 else anything
+                cd = 0 if kind & 1 else anything
+                t = tables[kind] = tuple((u ^ cu) & (d ^ cd) for u, d in zip(Y.up, Y.down))
+            rows.append((j, t))
+        nxt = []
+        for p in level:
+            mask = allowed[i]
+            for j, t in rows:
+                mask &= t[p[j]]
+            while mask:
+                low = mask & -mask
+                nxt.append(p + (low.bit_length() - 1,))
+                mask ^= low
+        level = nxt
+    return level
 
 
 def hom_maps(X, Y):
@@ -856,20 +867,44 @@ def canonical_form(X):
     return FinPreorder(X.n, _canonical(X)[0])
 
 
+@lru_cache(maxsize=256)
+def _relabelings(X):
+    """The relabelings of ``_canonical(X)`` as (sequences, columns).
+
+    ``sequences`` holds each relabeling inverted, new index -> old
+    element, and ``columns[v]`` holds v's new index under each
+    relabeling, in the order of ``_canonical``.  X is read as a source
+    through the first and as a target through the second.  At most 256
+    preorders, more than the 47 classes of size <= 4.
+    """
+    perms = _canonical(X)[1]
+    seqs = []
+    for perm in perms:
+        seq = [0] * X.n
+        for old, new in enumerate(perm):
+            seq[new] = old
+        seqs.append(tuple(seq))
+    return tuple(seqs), tuple(zip(*perms))
+
+
 def arrow_canonical_key(f):
-    """Canonical key of a map up to separate relabeling of src and tgt."""
-    kx, perms_x = _canonical(f.src)
-    ky, perms_y = _canonical(f.tgt)
-    best = None
-    for px in perms_x:
-        for py in perms_y:
-            relabeled = [0] * f.src.n
-            for old, new in enumerate(px):
-                relabeled[new] = py[f.assign[old]]
-            t = tuple(relabeled)
-            if best is None or t < best:
-                best = t
-    return (f.src.n, kx, f.tgt.n, ky, best)
+    """Canonical key of a map up to separate relabeling of src and tgt.
+
+    The key's map part is the least relabeled assignment over every pair
+    of a source and a target relabeling from ``_canonical``.  For one
+    source sequence s, the relabeled assignment under the target
+    relabeling t is (t[f(s[0])], t[f(s[1])], ...), so zipping the target
+    columns of f(s[0]), f(s[1]), ... yields those tuples for every t at
+    once, and one ``min`` over the zip replaces the loop over t.  The
+    relabelings come from the memo ``_relabelings``.  An empty source
+    has the empty tuple as its only relabeled assignment.
+    """
+    X, Y = f.src, f.tgt
+    seqs = _relabelings(X)[0]
+    cols = _relabelings(Y)[1]
+    at = [cols[v] for v in f.assign]
+    best = min(min(zip(*[at[o] for o in seq]), default=()) for seq in seqs)
+    return (X.n, _canonical(X)[0], Y.n, _canonical(Y)[0], best)
 
 
 def _one_point_extensions(P, posets_only):

@@ -6,19 +6,26 @@ that canonical forms use, and ``inf_mask`` is the dual of
 ``subset_without_sup_scan`` is the scan of every subset by size that the
 ``--witness`` of ``check complete-lattice`` replaced,
 ``unreflected_pair_scan`` is the fullness scan over every image that the
-fibre scan of ``order._unreflected_pair`` replaced, and ``under`` runs
-one call under a carrier bound.  ``reps``, ``arrow_classes`` and
-``bang`` are the small inputs that several test modules sweep;
-``arrow_classes`` is also the loop the battery ran before
-``order.arrow_classes``, its oracle.
+fibre scan of ``order._unreflected_pair`` replaced,
+``monotone_within_dfs`` is the recursive search that the level-by-level
+enumeration of ``order._monotone_within`` replaced, and
+``arrow_canonical_key_pairs`` is the loop over every pair of a source and
+a target relabeling that the column minimum of
+``order.arrow_canonical_key`` replaced.  ``under`` runs one call under a
+carrier bound.  ``reps``, ``arrow_classes`` and ``bang`` are the small
+inputs that several test modules sweep; ``arrow_classes`` is also the
+loop the battery ran before ``order.arrow_classes``, its oracle, and it
+keys the classes by ``arrow_canonical_key_pairs``, so it does not call
+the key under test.
 """
 
 from lofs.order import (
     MonotoneMap,
     _bits,
+    _canonical,
+    _hom_guard,
     _least_member,
     _refinement,
-    arrow_canonical_key,
     carrier_bound,
     chain,
     enumerate_preorders,
@@ -42,8 +49,64 @@ def arrow_classes(max_size):
     for X in reps(max_size):
         for Y in reps(max_size):
             for f in hom_maps(X, Y):
-                seen.setdefault(arrow_canonical_key(f), f)
+                seen.setdefault(arrow_canonical_key_pairs(f), f)
     return [seen[k] for k in sorted(seen)]
+
+
+def arrow_canonical_key_pairs(f):
+    """``order.arrow_canonical_key`` by one relabeled tuple per pair of relabelings."""
+    kx, perms_x = _canonical(f.src)
+    ky, perms_y = _canonical(f.tgt)
+    best = None
+    for px in perms_x:
+        for py in perms_y:
+            relabeled = [0] * f.src.n
+            for old, new in enumerate(px):
+                relabeled[new] = py[f.assign[old]]
+            t = tuple(relabeled)
+            if best is None or t < best:
+                best = t
+    return (f.src.n, kx, f.tgt.n, ky, best)
+
+
+def monotone_within_dfs(X, Y, allowed, full=False):
+    """``order._monotone_within`` by a depth-first search over the indices.
+
+    Index i takes each value left in ``allowed[i]`` once every earlier j
+    has cut it down to the values monotone (and, with ``full``, full) on
+    the pair (j, i), in ascending order, so the output is lexicographic.
+    """
+    if X.n == 0:
+        return [()]
+    if Y.n == 0:
+        return []
+    _hom_guard(X, Y)
+    n = X.n
+    out = []
+    assign = [0] * n
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(assign))
+            return
+        mask = allowed[i]
+        for j in range(i):
+            if (X.up[j] >> i) & 1:
+                mask &= Y.up[assign[j]]
+            elif full:
+                mask &= ~Y.up[assign[j]]
+            if (X.up[i] >> j) & 1:
+                mask &= Y.down[assign[j]]
+            elif full:
+                mask &= ~Y.down[assign[j]]
+            if not mask:
+                return
+        for v in _bits(mask):
+            assign[i] = v
+            rec(i + 1)
+
+    rec(0)
+    return out
 
 
 def unreflected_pair_scan(assign, src_up, tgt_up):

@@ -208,6 +208,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 5  # classes of size <= 2
         assert all(r["kan-injective"] == r["complete-lattice"] for r in payload)
+        # the empty preorder alone: not complete, and not Kan injective
+        # for the default family, which holds ∅ -> 1
+        assert cli.main(["classify", "--max-size", "0"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["preorder"]["elements"] == []
+        assert (row["kan-injective"], row["complete-lattice"]) == (False, False)
 
     def test_kan_injective_honours_max_carrier(self, tmp_path, capsys):
         d = write(tmp_path, "d.json", DIAMOND_OBJ)
@@ -572,6 +578,9 @@ class TestCliContract:
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err == "lofs: enumeration size: 3 exceeds the bound 2\n"
+        # at size 0 the default family still reaches size 1
+        assert cli.main(["--max-size", "0", "classify"]) == 2
+        assert capsys.readouterr().err == "lofs: enumeration size: 1 exceeds the bound 0\n"
         assert cli.main(["--max-size", "6", "classify"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 904  # preorder classes of size <= 6

@@ -376,6 +376,15 @@ class TestAllEmbeddings:
 
 
 class TestClassification:
+    def test_size_zero_row(self):
+        # the default family holds ∅ -> 1 at size 0, which the empty
+        # preorder fails, as it fails to be complete
+        [(A, inj, comp)] = classify_injectives(0)
+        assert A.n == 0
+        assert (inj, comp) == (False, False)
+        # the family of size 0 is ∅ -> ∅ alone, which every object passes
+        assert classify_injectives(0, generator_size=0)[0][1:] == (True, False)
+
     def test_size_two_rows(self):
         rows = classify_injectives(2, generator_size=2)
         by_witness = {(A.n, A.up): (inj, comp) for A, inj, comp in rows}

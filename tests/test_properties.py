@@ -63,12 +63,14 @@ from lofs.order import (  # noqa: E402
     _down_set_masks,
     _least_member,
     _monotone_assignments,
+    _monotone_within,
     _preimage_masks,
     _arrow_classes,
     _squares,
     _union,
     _unreflected_pair,
     antichain,
+    arrow_canonical_key,
     arrow_classes,
     chain,
     closure,
@@ -94,7 +96,13 @@ from lofs.topology import (  # noqa: E402
     filter_space,
     open_masks,
 )
-from oracles import subset_without_sup_scan, under, unreflected_pair_scan  # noqa: E402
+from oracles import (  # noqa: E402
+    arrow_canonical_key_pairs,
+    monotone_within_dfs,
+    subset_without_sup_scan,
+    under,
+    unreflected_pair_scan,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
@@ -705,6 +713,56 @@ def test_fibre_scan_matches_the_image_scan_on_any_assignment(X, Y, data):
     assert _unreflected_pair(*args) == unreflected_pair_scan(*args)
 
 
+def test_level_enumeration_matches_the_search_on_every_pair_of_size_4():
+    reps = [P for n in range(5) for P in enumerate_preorders(n)]
+    for full in (False, True):
+        for X in reps:
+            for Y in reps:
+                anything = ((1 << Y.n) - 1,) * X.n
+                assert _monotone_within(X, Y, anything, full) == monotone_within_dfs(
+                    X, Y, anything, full
+                )
+
+
+@PROPERTY
+@given(preorders(max_n=6), preorders(max_n=6), st.booleans(), st.data())
+def test_level_enumeration_matches_the_search_within_any_masks(X, Y, full, data):
+    # masks of any values, such as the bound sets kan._least_within passes
+    allowed = tuple(
+        data.draw(st.lists(st.integers(0, (1 << Y.n) - 1), min_size=X.n, max_size=X.n))
+    )
+    if X.n and Y.n ** X.n > DEFAULT_MAX_CARRIER:
+        assert _limit_message(lambda: _monotone_within(X, Y, allowed, full)) == _limit_message(
+            lambda: monotone_within_dfs(X, Y, allowed, full)
+        )
+        return
+    cands = monotone_within_dfs(X, Y, allowed, full)
+    assert _monotone_within(X, Y, allowed, full) == cands
+    if not full:
+        # the first candidate pointwise below every candidate, pair by pair
+        least = [c for c in cands if all(all(map(Y.leq, c, d)) for d in cands)]
+        assert _least_within(X, Y, allowed) == (least[0] if least else None)
+
+
+def test_column_key_matches_the_pair_loop_on_every_map_of_size_4():
+    # every map between the representatives, among them the 24 x 24
+    # relabelings of the maps between antichain(4) and indiscrete(4)
+    reps = [P for n in range(5) for P in enumerate_preorders(n)]
+    for X in reps:
+        for Y in reps:
+            for a in monotone_assignments(X, Y):
+                f = MonotoneMap._checked(X, Y, a)
+                assert arrow_canonical_key(f) == arrow_canonical_key_pairs(f)
+
+
+@PROPERTY
+@given(maps(max_n=5))
+def test_column_key_matches_the_pair_loop(f):
+    if f is None:
+        return
+    assert arrow_canonical_key(f) == arrow_canonical_key_pairs(f)
+
+
 @PROPERTY
 @given(preorders(max_n=5), st.integers(0, 31))
 def test_restrict_quotient_sup_match_loops(X, mask):
@@ -1012,7 +1070,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
         "kan._member", "order._arrow_classes", "order._enumeration",
-        "order._monotone_assignments", "order._squares",
+        "order._monotone_assignments", "order._relabelings", "order._squares",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
