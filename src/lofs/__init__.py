@@ -19,18 +19,10 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .adjunction import (
-    Collage,
-    CommaObject,
-    LariWitness,
     RaliWitness,
-    collage,
-    comma,
-    find_lari,
     find_left_adjoint,
     find_rali,
     find_right_adjoint,
-    laxcolimit_awfs,
-    laxlimit_awfs,
 )
 from .downsets import (
     DownSetLattice,

@@ -260,9 +260,15 @@ def _cmd_dot(args):
 
 
 def _cmd_suite(args):
+    names = None
+    if args.criteria is not None:
+        names = set(args.criteria.split(","))
+        unknown = sorted(names - {name.split()[0] for name, _ in suite.CRITERIA})
+        if unknown:
+            print(f"lofs: unknown criteria: {', '.join(map(repr, unknown))}", file=sys.stderr)
+            return 2
     # the lines are written once the run returns, so a guard that fires in
     # a later criterion leaves stdout empty, as on every exit 2
-    names = set(args.criteria.split(",")) if args.criteria else None
     lines = []
     ok = suite.run_suite(names=names, emit=lambda line: lines.append(line + "\n"))
     _emit("".join(lines))

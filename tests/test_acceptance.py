@@ -2,16 +2,62 @@
 
 Criteria with runtime targets enforce them; every criterion prints its
 PASS/FAIL line so `pytest -s tests/test_acceptance.py` mirrors the
-`lofs suite` command.  The battery's own helpers and its runner are
-tested at the end.
+`lofs suite` command.  Each detail line must match its pin, timings
+masked, so a criterion that passes on less work than it should fails
+here.  The battery's own helpers and its runner are tested at the end.
 """
 
+import importlib
+import pkgutil
 import random
+import re
 
 import pytest
 
+import lofs
 from lofs import cli, suite
+from lofs.adjunction import find_right_adjoint
 from lofs.order import antichain, chain
+
+TIMING = re.compile(r"\d+\.\ds")
+
+# the detail line of each criterion, with every timing written #.#s
+PINNED = {
+    "1 factorisation-soundness": "87436 maps factored and replayed in #.#s",
+    "2 coalgebra-iff-full": "1476 exhaustive + 500 sampled maps, zero mismatches",
+    "3 fibrant-iff-complete-lattice": "186 isomorphism classes agree in #.#s",
+    "4 fibrant-replacement": "replacement matches the down-set lattice for all 186 classes",
+    "5 least-diagonal": "11680 (coalgebra, algebra) pairs, zero violations",
+    "6 lax-idempotency": "unit comparisons, adjoint mult and mixed law hold through size 3",
+    "7 kan-injectivity-classification":
+        "186 objects against 1589 embedding classes agree, poset-only rerun identical, in #.#s",
+    "8 generator-family-laws": "identity families pass, 100 random coproduct pairs split",
+    "9 finite-topology-collapse":
+        "collapse laws, filter monad and 19727 T0 embedding checks agree",
+    "10 chain-stage-demos": (
+        "stages m<m'<= 6: chains are complete lattices and the inclusions preserve all "
+        "suprema; the failure at the limit stage (the union of all finite stages, which "
+        "has no top) is not finitely representable and is out of scope here"
+    ),
+    "11 enumeration-counts":
+        "unlabeled counts [1, 1, 3, 9, 33] and [1, 1, 2, 5, 16] reproduced in #.#s",
+}
+
+
+def masked(detail):
+    return TIMING.sub("#.#s", detail)
+
+
+def clear_memos():
+    """Empty every functools memo of lofs, so no result outlives a patch."""
+    for info in pkgutil.iter_modules(lofs.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lofs.{info.name}")
+        for obj in vars(module).values():
+            inner = getattr(obj, "__wrapped__", None)
+            if hasattr(obj, "cache_clear") and getattr(inner, "__module__", None) == module.__name__:
+                obj.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -23,6 +69,20 @@ def test_criterion(name, criterion):
     passed, detail = criterion()
     print(f"{'PASS' if passed else 'FAIL'}  {name}  {detail}")
     assert passed, f"{name}: {detail}"
+    assert masked(detail) == PINNED[name]
+
+
+def test_algebras_taken_as_right_adjoints_miss_the_pin(monkeypatch):
+    # the mutant passes criterion 5, but on 146 pairs instead of 11680
+    name, criterion = suite.CRITERIA[4]
+    clear_memos()
+    with monkeypatch.context() as patch:
+        patch.setattr(lofs.factorisation, "find_left_adjoint", find_right_adjoint)
+        try:
+            _, detail = criterion()
+        finally:
+            clear_memos()
+    assert masked(detail) != PINNED[name]
 
 
 def test_random_monotone_rejects_only_non_monotone_draws(monkeypatch):

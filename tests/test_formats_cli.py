@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lofs import cli, formats, topology
+from lofs import cli, formats, suite, topology
 from lofs.errors import FormatError, InvariantViolation, SizeLimitExceeded
 from lofs.factorisation import factorise, fibrant_replacement
 from lofs.lifting import GeneratorFamily
@@ -326,6 +326,22 @@ class TestCli:
         assert cli.main(["suite", "--criteria", "11"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS  11 enumeration-counts")
+
+    @pytest.mark.parametrize(
+        "criteria, named",
+        [("99", "'99'"), (",", "''"), ("1,99", "'99'"), ("", "''"), ("99,x,99", "'99', 'x'")],
+    )
+    def test_suite_rejects_unknown_criteria_before_running_any(
+        self, criteria, named, monkeypatch, capsys
+    ):
+        def never():
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(suite, "CRITERIA", [(name, never) for name, _ in suite.CRITERIA])
+        assert cli.main(["suite", "--criteria", criteria]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"lofs: unknown criteria: {named}\n"
 
 
 def labelled_preorders(max_n, names):

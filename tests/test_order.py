@@ -7,7 +7,6 @@ import pytest
 
 import lofs
 from lofs import cli, formats
-from lofs.adjunction import comma
 from lofs.downsets import downsets, unit
 from lofs.errors import (
     IndexOutOfRange,
@@ -276,15 +275,6 @@ class TestPointwiseRows:
             assert list(order.up) == pairwise_rows(vectors, [Y.leq for Y in coords])
             assert list(order.down) == pairwise_rows(vectors, [reversed_leq(Y) for Y in coords])
 
-    def test_comma_matches_pairwise(self):
-        for f in arrow_classes(2):
-            cm = comma(f)
-            coords = [f.src, f.tgt]
-            assert list(cm.carrier.up) == pairwise_rows(cm.pairs, [Y.leq for Y in coords])
-            assert list(cm.carrier.down) == pairwise_rows(
-                cm.pairs, [reversed_leq(Y) for Y in coords]
-            )
-
 
 def cli_check(tmp_path, capsys, predicate, obj):
     """The exit code of ``lofs check`` on ``obj``, whose verdict it prints."""
@@ -481,9 +471,6 @@ class TestSizeGuards:
         "factorisation._carrier": (
             lambda: under(8, factorise, identity(chain(3))), "factorisation carrier", 9, 8,
         ),
-        "adjunction.comma": (
-            lambda: under(8, comma, identity(chain(3))), "comma candidate pairs", 9, 8,
-        ),
         "topology._directed_sups": (
             lambda: scott_opens(chain(17)), "subsets of a 17-element poset", 1 << 17, 1 << 16,
         ),
@@ -557,11 +544,10 @@ class TestSizeGuards:
     def test_every_export_is_read_inside_the_package(self):
         # a name that lofs/__init__.py exports is read by some other module
         # of the package, or is one of the paper's own notions (lifting
-        # against a family, the composition of structures, Kan extensions,
-        # the simple-adjunction factorisations) or an example constructor
+        # against a family, the composition of structures, Kan extensions)
+        # or an example constructor
         keep = {
-            "has_lifting", "compose_structures", "lan_extension", "find_lari",
-            "LariWitness", "comma", "collage", "laxlimit_awfs", "laxcolimit_awfs",
+            "has_lifting", "compose_structures", "lan_extension",
             "antichain", "diamond", "indiscrete", "vee",
         }
         package = pathlib.Path(lofs.__file__).parent
@@ -776,24 +762,6 @@ class TestCheckedRows:
                     assert (R.n, R.up, R.down, R.labels, hash(R)) == (
                         expected.n, expected.up, expected.down, expected.labels, hash(expected)
                     )
-
-    def test_comma_matches_its_validating_rebuild(self):
-        for f in arrow_classes(3):
-            cm = comma(f)
-            A, B = f.src, f.tgt
-            expected = FinPreorder(len(cm.pairs), [
-                sum(
-                    1 << q
-                    for q, (a2, b2) in enumerate(cm.pairs)
-                    if A.leq(a, a2) and B.leq(b, b2)
-                )
-                for a, b in cm.pairs
-            ])
-            assert (cm.carrier.n, cm.carrier.up, cm.carrier.down, hash(cm.carrier)) == (
-                expected.n, expected.up, expected.down, hash(expected)
-            )
-            assert_map_rebuilds(cm.proj_a)
-            assert_map_rebuilds(cm.proj_b)
 
     def test_direct_image_matches_its_validating_rebuild(self):
         for f in arrow_classes(3):
