@@ -3,7 +3,8 @@
 Adjoints of monotone maps are found by the pointwise-minimum formula,
 which is its own certificate: the search either returns a witness whose
 inequalities hold by construction or proves absence by exhibiting an
-element with no minimum.
+element with no minimum.  A RALI (right adjoint left inverse) of f is
+its left adjoint, when that is a section of f.
 """
 
 from __future__ import annotations
@@ -48,66 +49,45 @@ def find_left_adjoint(f):
 
     g(b) is a minimum of {a : b <= f(a)}, picked at the least index among
     equivalent minima; when src/tgt are posets the result is unique.
+
+    Built trusted: g is monotone because b <= b2 shrinks
+    {a : b <= f(a)} to {a : b2 <= f(a)}, so the minimum chosen for b
+    lies below every member of the set for b2, g(b2) among them.
     """
-    assign = [_least_member(c, f.src.up) for c in _preimage_masks(f.assign, f.tgt.up)]
+    assign = tuple(_least_member(c, f.src.up) for c in _preimage_masks(f.assign, f.tgt.up))
     if None in assign:
         return None
-    return MonotoneMap(f.tgt, f.src, assign)
+    return MonotoneMap._checked(f.tgt, f.src, assign)
 
 
 def find_right_adjoint(f):
-    """Dual of :func:`find_left_adjoint`: g(b) a maximum of {a : f(a) <= b}."""
-    assign = [
-        _least_member(c, f.src.down) for c in _preimage_masks(f.assign, f.tgt.down)
-    ]
+    """Dual of :func:`find_left_adjoint`: g(b) a maximum of {a : f(a) <= b}.
+
+    Built trusted by the dual argument: b <= b2 grows {a : f(a) <= b} to
+    {a : f(a) <= b2}, so the maximum chosen for b2 lies above every
+    member of the set for b, g(b) among them.
+    """
+    assign = tuple(_least_member(c, f.src.down) for c in _preimage_masks(f.assign, f.tgt.down))
     if None in assign:
         return None
-    return MonotoneMap(f.tgt, f.src, assign)
+    return MonotoneMap._checked(f.tgt, f.src, assign)
 
 
-def find_rali(f, exact=True):
-    """A RALI witness on f, or None.
+def find_rali(f):
+    """A RALI witness on f: its left adjoint l, when l is a section; or None.
 
-    For each b the section takes the lowest minimum of {a : b <= f(a)}
-    that f sends back to b: on the nose when ``exact``, up to
-    equivalence otherwise.  Any witness must take its values among
-    those minima, and the minima of one set are pairwise equivalent,
-    which is what makes RALI witnesses unique on posets and unique up to
-    pointwise equivalence on preorders.  Mask form: the sets
-    {a : b <= f(a)} for all b come from one ``_preimage_masks`` call, and
-    ``least``, the least member of each, is its lowest minimum.
-
-    With ``exact=False`` no second preimage is needed.  Every minimum of
-    the set is equivalent to ``least``, and f, being monotone, sends each
-    one into the class of f(least).  So some minimum goes to the class
-    of b exactly when f(least) does, that is when f(least) <= b (b <=
-    f(least) holds since ``least`` is in the set), and then the lowest
-    such minimum is ``least`` itself.  With ``exact`` the minima sent to
-    b itself are read off a second pass, the fibres of f, as the members
-    of the set in the class of ``least`` that lie in the fibre of b.
-
-    The section is built trusted: it is monotone because minima over
-    shrinking sets only grow (b <= b2 shrinks {a : b <= f(a)} to
-    {a : b2 <= f(a)}, and every value is a minimum of its set).
-    ``RaliWitness`` still checks the section equation and the counit.
-    With ``exact=False`` the section equation is only required up to
-    pointwise equivalence, the right notion for comparison maps between
-    preorder hom-objects; the two coincide when the codomain is a poset.
+    The section equation f(l(b)) = b is read up to equivalence, the right
+    notion for comparison maps between preorder hom-objects; it holds on
+    the nose when the codomain is a poset, which ``RaliWitness.exact``
+    reports.  b <= f(l(b)) holds by construction, so only f(l(b)) <= b is
+    tested.  Any witness is a left adjoint of f and takes its values
+    among the same minima, so witnesses are unique on posets and unique
+    up to pointwise equivalence on preorders.  ``RaliWitness`` still
+    checks the section equation and the counit.
     """
-    A, B = f.src, f.tgt
-    fibres = _preimage_masks(f.assign, [1 << b for b in range(B.n)]) if exact else None
-    section = []
-    for b, above in enumerate(_preimage_masks(f.assign, B.up)):
-        least = _least_member(above, A.up)
-        if least is None:
-            return None
-        if exact:
-            fits = above & A.class_mask(least) & fibres[b]
-            if not fits:
-                return None
-            section.append((fits & -fits).bit_length() - 1)
-        elif B.up[f.assign[least]] >> b & 1:
-            section.append(least)
-        else:
-            return None
-    return RaliWitness(f, MonotoneMap._checked(B, A, tuple(section)))
+    left = find_left_adjoint(f)
+    if left is None or not all(
+        f.tgt.up[f.assign[a]] >> b & 1 for b, a in enumerate(left.assign)
+    ):
+        return None
+    return RaliWitness(f, left)

@@ -13,15 +13,7 @@ import sys
 from functools import lru_cache
 
 from . import formats, suite
-from .errors import (
-    FormatError,
-    IndexOutOfRange,
-    InvariantViolation,
-    LofsError,
-    NotAPoset,
-    ShapeMismatch,
-    SizeLimitExceeded,
-)
+from .errors import FormatError, IndexOutOfRange, InvariantViolation, LofsError
 from .factorisation import factorise
 from .kan import kan_injective, classify_injectives
 from .lifting import GeneratorFamily, kz_orthogonal, lifting_structure
@@ -48,7 +40,6 @@ from .topology import (
 )
 
 _INVALID = (FormatError, InvariantViolation, IndexOutOfRange)
-_OPERATIONAL = (SizeLimitExceeded, ShapeMismatch, NotAPoset)
 
 
 def _load(path, want):
@@ -373,13 +364,7 @@ def main(argv=None):
     except _INVALID as exc:
         print(f"lofs: invalid object: {exc}", file=sys.stderr)
         return 3
-    except _OPERATIONAL as exc:
-        print(f"lofs: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"lofs: {exc}", file=sys.stderr)
-        return 2
-    except LofsError as exc:  # pragma: no cover - safety net
+    except (LofsError, OSError) as exc:
         print(f"lofs: {exc}", file=sys.stderr)
         return 2
 

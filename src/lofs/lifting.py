@@ -101,11 +101,6 @@ def _comparison(j, g):
     return assigns, sqs, c
 
 
-def _hom_preorder(X, Y, assigns):
-    """The pointwise order on the assignments X -> Y in ``assigns``."""
-    return _pointwise_preorder(assigns, (Y,) * X.n)
-
-
 def _square_preorder(j, g, sqs):
     """The squares ``sqs`` j -> g, ordered by their h and k pointwise."""
     vectors = [s.h.assign + s.k.assign for s in sqs]
@@ -124,9 +119,8 @@ def canonical_map(j, g):
     monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
     assigns, sqs, c = _comparison(j, g)
-    return MonotoneMap._checked(
-        _hom_preorder(j.tgt, g.src, assigns), _square_preorder(j, g, sqs), c
-    )
+    hom = _pointwise_preorder(assigns, (g.src,) * j.tgt.n)
+    return MonotoneMap._checked(hom, _square_preorder(j, g, sqs), c)
 
 
 def has_lifting(j, g):
@@ -210,7 +204,7 @@ def kz_orthogonal(j, g):
     equation is read up to equivalence of the square preorder, which is
     on-the-nose whenever that preorder is a poset.
     """
-    return find_rali(canonical_map(j, g), exact=False)
+    return find_rali(canonical_map(j, g))
 
 
 def compose_structures(sf, sg):

@@ -343,7 +343,8 @@ class MonotoneMap:
 
         Trusted: only for an ``assign`` that is monotone src -> tgt by an
         argument stated where it is built (an enumerated hom set, a
-        composite of monotone maps, a projection of a pointwise order).
+        composite of monotone maps, a projection of a pointwise order, an
+        adjoint read off the pointwise-minimum formula).
         """
         self = object.__new__(cls)
         self._set(src, tgt, assign)
@@ -388,7 +389,7 @@ def two_cell(f, g):
     """Whether the 2-cell f => g exists, i.e. f <= g pointwise."""
     if f.src != g.src or f.tgt != g.tgt:
         raise ShapeMismatch("two_cell: maps are not parallel")
-    return all((f.tgt.up[a] >> b) & 1 for a, b in zip(f.assign, g.assign))
+    return _pointwise_leq(f.tgt, f.assign, g.assign)
 
 
 def maps_equivalent(f, g):

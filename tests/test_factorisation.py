@@ -2,8 +2,6 @@ import pytest
 
 from lofs.downsets import unit
 from lofs.factorisation import (
-    AlgebraWitness,
-    CoalgebraWitness,
     algebra_structure,
     canonical_diag,
     coalgebra_structure,
@@ -19,13 +17,10 @@ from lofs.order import (
     antichain,
     carrier_bound,
     chain,
-    closure,
     compose,
     diamond,
     hom_maps,
     identity,
-    indiscrete,
-    is_complete_lattice,
     is_full,
     maps_equivalent,
     monotone_assignments,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lofs import cli, formats, suite, topology
+from lofs import cli, factorisation, formats, suite, topology
 from lofs.errors import FormatError, InvariantViolation, SizeLimitExceeded
 from lofs.factorisation import factorise, fibrant_replacement
 from lofs.lifting import GeneratorFamily
@@ -342,6 +342,14 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"lofs: unknown criteria: {named}\n"
+
+    def test_an_adjoint_missing_exits_2(self, monkeypatch, capsys):
+        # the multiplication of criterion 6 finds no left adjoint
+        monkeypatch.setattr(factorisation, "find_left_adjoint", lambda f: None)
+        assert cli.main(["suite", "--criteria", "6"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "lofs: multiplication adjoint missing: this is a bug\n"
 
 
 def labelled_preorders(max_n, names):

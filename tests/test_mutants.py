@@ -1,0 +1,101 @@
+"""Mutants: each row breaks one kernel and names the check that must catch it.
+
+A row is (the kernel, its mutant, the tier-1 check, the error that check
+must raise).  The kernel is named as ``module.attribute`` where its
+caller reads it: ``kz_orthogonal`` reads ``find_rali`` from ``lifting``,
+for one.  The mutant is patched in with ``monkeypatch`` and every
+lofs memo is cleared before and after, so no result computed under the
+mutant outlives it and none computed without it hides it.  A row passes
+when its check fails, which shows that the check can fail.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import lofs
+from lofs import suite
+from lofs.adjunction import RaliWitness, find_left_adjoint, find_right_adjoint
+from lofs.downsets import _inclusion_covers
+from lofs.errors import InvariantViolation
+from lofs.order import _bits
+import test_acceptance
+import test_lifting
+
+
+def clear_memos():
+    """Empty every functools memo of lofs, so no result outlives a patch."""
+    for info in pkgutil.iter_modules(lofs.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lofs.{info.name}")
+        for obj in vars(module).values():
+            inner = getattr(obj, "__wrapped__", None)
+            if hasattr(obj, "cache_clear") and getattr(inner, "__module__", None) == module.__name__:
+                obj.cache_clear()
+
+
+def highest_least_member(mask, rows):
+    """``_least_member`` picking the highest least member, not the lowest."""
+    least = [a for a in _bits(mask) if not mask & ~rows[a]]
+    return least[-1] if least else None
+
+
+def rali_without_section_test(f):
+    """``find_rali`` returning the left adjoint whether or not it is a section."""
+    left = find_left_adjoint(f)
+    return None if left is None else RaliWitness(f, left)
+
+
+def covers_without_the_last_upper(masks):
+    """``_inclusion_covers`` dropping the last upper cover where there are two or more."""
+    upper, lower = _inclusion_covers(masks)
+    return tuple(u[:-1] if len(u) > 1 else u for u in upper), lower
+
+
+def kz_pin():
+    test_lifting.TestKz().test_the_answers_on_the_classes_of_size_2_are_unchanged()
+
+
+def criterion(number):
+    """The acceptance test of one criterion: it passes, with its pinned line."""
+    name, run = suite.CRITERIA[number - 1]
+    return lambda: test_acceptance.test_criterion(name, run)
+
+
+MUTANTS = [
+    pytest.param(
+        "adjunction._least_member", highest_least_member, kz_pin, AssertionError, None,
+        id="least-member-highest",
+    ),
+    pytest.param(
+        "lifting.find_rali", rali_without_section_test, kz_pin,
+        InvariantViolation, "left adjoint is not a section of f",
+        id="rali-without-section-test",
+    ),
+    pytest.param(
+        "downsets._inclusion_covers", covers_without_the_last_upper, criterion(4),
+        AssertionError, "not an order-isomorphism",
+        id="covers-without-the-last-upper",
+    ),
+    # criterion 5 still passes, but on 146 pairs instead of 11680
+    pytest.param(
+        "factorisation.find_left_adjoint", find_right_adjoint, criterion(5),
+        AssertionError, None,
+        id="algebras-taken-as-right-adjoints",
+    ),
+]
+
+
+@pytest.mark.parametrize("kernel, mutant, check, error, message", MUTANTS)
+def test_mutant_fails_its_check(kernel, mutant, check, error, message, monkeypatch):
+    module, name = kernel.split(".")
+    clear_memos()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module(f"lofs.{module}"), name, mutant)
+            with pytest.raises(error, match=message):
+                check()
+    finally:
+        clear_memos()

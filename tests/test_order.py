@@ -7,6 +7,7 @@ import pytest
 
 import lofs
 from lofs import cli, formats
+from lofs.adjunction import find_left_adjoint, find_right_adjoint
 from lofs.downsets import downsets, unit
 from lofs.errors import (
     IndexOutOfRange,
@@ -703,6 +704,17 @@ class TestCheckedRows:
                         (X.down[x], a[x]) for x in range(X.n)
                     ]
                     assert fact.rho.assign == tuple(b for _, b in fact.pairs)
+
+    def test_adjoints_match_their_validating_rebuild(self):
+        # both adjoints of every map between representatives of size <= 3,
+        # the left one read off up rows and the right one off down rows
+        for X in reps(3):
+            for Y in reps(3):
+                for a in monotone_assignments(X, Y):
+                    f = MonotoneMap(X, Y, a)
+                    for adjoint in (find_left_adjoint(f), find_right_adjoint(f)):
+                        if adjoint is not None:
+                            assert_map_rebuilds(adjoint)
 
     def test_lifting_values_match_their_validating_rebuild(self):
         # arrow classes of size <= 2 against arrow classes of size <= 3

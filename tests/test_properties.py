@@ -197,17 +197,14 @@ def naive_squares(j, g):
     return out
 
 
-def naive_section_choices(f, exact):
-    """Minima of {a : b <= f(a)} sent back to b, with the pairwise check."""
+def naive_section_choices(f):
+    """Minima of {a : b <= f(a)} sent back to the class of b, with the pairwise check."""
     A, B = f.src, f.tgt
     choices = []
     for b in range(B.n):
         above = [a for a in range(A.n) if (B.up[b] >> f.assign[a]) & 1]
         minima = [a for a in above if all(A.leq(a, x) for x in above)]
-        if exact:
-            fitting = [a for a in minima if f.assign[a] == b]
-        else:
-            fitting = [a for a in minima if B.equiv(f.assign[a], b)]
+        fitting = [a for a in minima if B.equiv(f.assign[a], b)]
         for x in fitting:
             for y in fitting:
                 if not A.equiv(x, y):
@@ -570,10 +567,10 @@ def test_squares_match_full_scan(j, g):
         assert (s.h.src, s.h.tgt, s.k.src, s.k.tgt) == (j.src, g.src, j.tgt, g.tgt)
 
 
-def assert_section_matches_choices(f, exact):
+def assert_section_matches_choices(f):
     # the section takes the first of the pairwise choices at every b
-    choices = naive_section_choices(f, exact)
-    w = find_rali(f, exact)
+    choices = naive_section_choices(f)
+    w = find_rali(f)
     if all(choices):
         assert w.left_adjoint.assign == tuple(c[0] for c in choices)
     else:
@@ -581,21 +578,19 @@ def assert_section_matches_choices(f, exact):
 
 
 @PROPERTY
-@given(maps(max_n=4), st.booleans())
-def test_section_choices_match_pairwise(f, exact):
+@given(maps(max_n=4))
+def test_section_choices_match_pairwise(f):
     if f is not None:
-        assert_section_matches_choices(f, exact)
+        assert_section_matches_choices(f)
 
 
 def test_section_choices_match_pairwise_on_every_comparison_map():
-    # exhaustively, both readings of the section equation on the comparison
-    # maps of every pair of arrow classes of size <= 2
+    # exhaustively, on the comparison maps of every pair of arrow classes
+    # of size <= 2
     small = arrow_classes(2)
     for j in small:
         for g in small:
-            c = canonical_map(j, g)
-            for exact in (False, True):
-                assert_section_matches_choices(c, exact)
+            assert_section_matches_choices(canonical_map(j, g))
 
 
 @PROPERTY
