@@ -24,11 +24,7 @@ from .adjunction import (
     find_rali,
     find_right_adjoint,
 )
-from .downsets import (
-    DownSetLattice,
-    check_lax_idempotent_P,
-    downsets,
-)
+from .downsets import DownSetLattice, check_lax_idempotent_P
 from .factorisation import (
     AlgebraWitness,
     CoalgebraWitness,

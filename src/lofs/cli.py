@@ -62,9 +62,12 @@ def _names(P, mask):
 
 
 def _equivalent_pair(P):
-    """The first element with another in its class, and the least such other."""
-    i = next(i for i in range(P.n) if P.class_mask(i) != 1 << i)
-    j = next(_bits(P.class_mask(i) & ~(1 << i)))
+    """The first element with another in its class, and the least such other.
+
+    Both are the two lowest members of the first class with two or more,
+    since ``classes`` lists the classes by least member.
+    """
+    i, j = list(_bits(next(c for c in P.classes() if c & (c - 1))))[:2]
     return {"equivalent-pair": [P.label(i), P.label(j)]}
 
 
@@ -218,7 +221,7 @@ def _cmd_filter_space(args):
     X = _load(args.file, FiniteSpace)
     fs = filter_space(X)
     labels = ["{" + ",".join(_names(X.points, u)) + "}^" for u in fs.opens]
-    filters = FinPreorder._checked(fs.filters.up, fs.filters.down, labels)
+    filters = FinPreorder._checked(fs.filters.up, labels)
     if args.format == "dot":
         _emit(formats.hasse_dot(filters))
         return 0

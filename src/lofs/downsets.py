@@ -52,7 +52,7 @@ class DownSetLattice:
 
 @lru_cache(maxsize=64)
 def _inclusion_covers(masks):
-    """(upper covers, lower covers) of each down-set in ``masks``, by index.
+    """The upper covers of each down-set in ``masks``, by index.
 
     ``masks`` are all the down-sets of one preorder, ascending, so the
     last is the whole source.  ↓x, the least down-set holding x, is the
@@ -61,13 +61,12 @@ def _inclusion_covers(masks):
     The upper covers of m are the sets m ∪ ↓x, one for each class that
     is minimal outside m: x ∉ m and everything strictly below x lies in
     m, so m ∪ ↓x adds exactly the class of x.  Every strictly larger
-    down-set contains such a class, so there are no others.  The lower
-    covers are the same relation read backwards.  That is O(|masks| ·
-    |source|) work, where a scan of the inclusion rows pair by pair
-    would be O(|masks|²).  ``_carrier`` reads them, so they order every
-    lattice of down-sets and every factorisation carrier.  Many carriers
-    share a source, so the covers are kept per down-set tuple, at most
-    64 of them, as tuples.
+    down-set contains such a class, so there are no others.  That is
+    O(|masks| · |source|) work, where a scan of the inclusion rows pair
+    by pair would be O(|masks|²).  ``_carrier`` reads them, so they
+    order every lattice of down-sets and every factorisation carrier.
+    Many carriers share a source, so the covers are kept per down-set
+    tuple, at most 64 of them, as tuples.
     """
     least = [0] * masks[-1].bit_length()  # least[x] = ↓x
     seen = 0
@@ -81,17 +80,10 @@ def _inclusion_covers(masks):
     # one (x's bit, strictly below x, ↓x) per class
     steps = [(c & -c, d & ~c, d) for d, c in classes.items()]
     index = {m: i for i, m in enumerate(masks)}
-    upper = []
-    lower = [[] for _ in masks]
-    for i, m in enumerate(masks):
-        ups = []
-        for bit, strict, d in steps:
-            if not (m & bit or strict & ~m):
-                c = index[m | d]
-                ups.append(c)
-                lower[c].append(i)
-        upper.append(tuple(ups))
-    return tuple(upper), tuple(tuple(c) for c in lower)
+    return tuple(
+        tuple(index[m | d] for bit, strict, d in steps if not (m & bit or strict & ~m))
+        for m in masks
+    )
 
 
 @lru_cache(maxsize=256)
@@ -121,13 +113,14 @@ def _carrier(masks, B, labels, pre, bound):
     (inclusion, B) give, so K is unchanged.  ``above`` is built by cover
     recursion: masks ascend, so index order extends inclusion, and
     walking i downwards, ``above[i]`` is blocks[i] ORed with ``above``
-    of each upper cover of i (``_inclusion_covers``).  The down rows
-    are built the same way from ``below``, the lower covers and B.down.
+    of each upper cover of i (``_inclusion_covers``).  Only the up rows
+    are built; K's down rows are their transpose, left to
+    ``FinPreorder.down``.
 
     K and the right part are built trusted.  K is the componentwise
     order of two preorders on pairs that lie in both, so it is a
-    preorder, and its down rows are the transpose of its up rows; the
-    right part is its second projection, which is monotone.
+    preorder; the right part is its second projection, which is
+    monotone.
     """
     blocks = []
     cols = [0] * B.n
@@ -144,21 +137,13 @@ def _carrier(masks, B, labels, pre, bound):
                 vectors.append((i, b))
         blocks.append(bit - start)
     _guard("factorisation carrier", len(pairs), bound)
-    upper, lower = _inclusion_covers(masks)
+    upper = _inclusion_covers(masks)
     above = blocks[:]
     for i in range(len(masks) - 1, -1, -1):
         for c in upper[i]:
             above[i] |= above[c]
-    below = blocks[:]
-    for i in range(len(masks)):
-        for c in lower[i]:
-            below[i] |= below[c]
     b_up = [_union(cols, row) for row in B.up]
-    b_down = [_union(cols, row) for row in B.down]
-    K = FinPreorder._checked(
-        tuple(above[i] & b_up[b] for i, b in vectors),
-        tuple(below[i] & b_down[b] for i, b in vectors),
-    )
+    K = FinPreorder._checked(tuple(above[i] & b_up[b] for i, b in vectors))
     pairs = tuple(pairs)
     index = {p: i for i, p in enumerate(pairs)}
     return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
@@ -185,7 +170,7 @@ def unit(X):
     once it has been built.  Built trusted: x <= y gives ↓x ⊆ ↓y.
     """
     dl = downsets(X)
-    assign = tuple(dl.index(X.down[x]) for x in range(X.n))
+    assign = tuple(dl.index(d) for d in X.down)
     return MonotoneMap._checked(X, dl.carrier, assign)
 
 
@@ -201,5 +186,5 @@ def check_lax_idempotent_P(X):
     """
     dl = downsets(X)
     below = dl.carrier.down
-    principal = [below[dl.index(X.down[x])] for x in range(X.n)]
+    principal = [below[dl.index(d)] for d in X.down]
     return not any(_union(principal, m) & ~below[i] for i, m in enumerate(dl.masks))

@@ -107,13 +107,14 @@ def factorise(f):
 
     The carrier K is ordered componentwise: (φ, b) <= (φ2, b2) iff φ ⊆ φ2
     and b <= b2.  ``downsets._carrier`` lists the pairs ascending, so the
-    pairs of one down-set form a block, and builds each row as one AND
-    of two masks: the blocks of the down-sets above (or below) φ,
-    gathered by recursion over the covers of the inclusion order, and
-    the elements whose bound lies above (or below) b.  No pair of
-    elements is compared and no inclusion row is scanned.  That is the
-    componentwise relation on the same ascending pair list, so K, both
-    parts and every error are the same as a pairwise build would give.
+    pairs of one down-set form a block, and builds each up row as one
+    AND of two masks: the blocks of the down-sets above φ, gathered by
+    recursion over the upper covers of the inclusion order, and the
+    elements whose bound lies above b.  No pair of elements is compared
+    and no inclusion row is scanned.  That is the componentwise relation
+    on the same ascending pair list, so K, both parts and every error are
+    the same as a pairwise build would give.  K's down rows are built
+    only when read, as the transpose of its up rows.
 
     K, its pair list and index and the right part are memoised in
     ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
@@ -135,7 +136,7 @@ def factorise(f):
     A, B = f.src, f.tgt
     pre = tuple(_upper_bound_table(f))
     K, pairs, index, rho = _carrier(down_set_masks(A), B, B.labels, pre, _bound.get())
-    lam = tuple(index[(A.down[a], f.assign[a])] for a in range(A.n))
+    lam = tuple(index[(d, v)] for d, v in zip(A.down, f.assign))
     return FactorisationData(f, K, MonotoneMap._checked(A, K, lam), rho, pairs, index)
 
 
@@ -148,7 +149,8 @@ def _k_at(source, target, h, k, points):
     pointwise equivalence.  The down-closure of h[φ] is one union of the
     rows down[h(x)] over the members x of φ.
     """
-    down = [h.tgt.down[v] for v in h.assign]
+    rows = h.tgt.down
+    down = [rows[v] for v in h.assign]
     out = []
     try:
         for v in points:

@@ -16,7 +16,7 @@ import os
 
 from .errors import FormatError
 from .lifting import GeneratorFamily
-from .order import FinPreorder, MonotoneMap, _bits, _closure_rows
+from .order import FinPreorder, MonotoneMap, _bits, _closure_rows, _union
 from .topology import FiniteSpace
 
 
@@ -172,7 +172,7 @@ def labelled_carrier(fact):
         "({" + ",".join(A.label(i) for i in _bits(m)) + "}," + B.label(b) + ")"
         for m, b in fact.pairs
     ]
-    return FinPreorder._checked(fact.K.up, fact.K.down, labels)
+    return FinPreorder._checked(fact.K.up, labels)
 
 
 def factorisation_to_obj(fact):
@@ -235,18 +235,19 @@ def hasse_dot(P):
     """DOT source for the Hasse diagram of the poset reflection.
 
     One node per equivalence class, labeled by its member list; edges are
-    the cover relation of the quotient.
+    the cover relation of the quotient, read off its up rows alone: with
+    strict[a] the elements strictly above a, the covers of a are
+    strict[a] less everything strictly above one of them, so no down
+    row is built.
     """
     Q, cls = P.quotient()
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for c, mask in enumerate(cls):
         label = ",".join(P.label(i) for i in _bits(mask))
         lines.append(f'  n{c} [label="{label}"];')
-    for a in range(Q.n):
-        for b in _bits(Q.up[a]):
-            if a == b:
-                continue
-            if not Q.up[a] & Q.down[b] & ~(1 << a | 1 << b):  # nothing strictly between
-                lines.append(f"  n{a} -> n{b};")
+    strict = [row & ~(1 << a) for a, row in enumerate(Q.up)]
+    for a, above in enumerate(strict):
+        for b in _bits(above & ~_union(strict, above)):
+            lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

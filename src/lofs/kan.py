@@ -144,7 +144,7 @@ def _member(j):
     X = j.src
     below = tuple(_preimage_masks(j.assign, j.tgt.down))
     pairs = tuple(
-        (a, x) for x, y in enumerate(j.assign) for a in _bits(below[y] & ~X.down[x])
+        (a, x) for x, (y, d) in enumerate(zip(j.assign, X.down)) for a in _bits(below[y] & ~d)
     )
     return below, pairs
 

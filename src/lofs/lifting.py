@@ -131,8 +131,7 @@ def has_lifting(j, g):
     So the comparison map must hit every class of squares.
     """
     _, sqs, c = _comparison(j, g)
-    order = _square_preorder(j, g, sqs)
-    return all(_preimage_masks(c, [order.class_mask(i) for i in range(order.n)]))
+    return all(_preimage_masks(c, _square_preorder(j, g, sqs).classes()))
 
 
 def lifting_structure(family, g):

@@ -3,9 +3,14 @@
 Elements are always the indices ``0..n-1``.  The relation is stored as
 bitset rows: ``up[i]`` is the mask of ``{j : i <= j}``, which makes
 reflexive-transitive closure, down-closure and pointwise comparison
-word-parallel.  Labels are presentation-only; equality and hashing ignore
-them.  All values are immutable after construction and every operation is
-a pure function, so shared values are safe to use concurrently.
+word-parallel.  Only the up rows are stored; the down rows, ``down[j]``
+the mask of ``{i : i <= j}``, are their transpose, computed by
+``_transpose`` when first read.  Labels are presentation-only; equality
+and hashing ignore them.  All values are immutable after construction
+and every operation is a pure function, so shared values are safe to use
+concurrently: the one slot written later, a preorder's down rows, is
+filled on first read, and every writer, racing or not, writes an equal
+tuple.
 """
 
 from __future__ import annotations
@@ -124,6 +129,23 @@ def _union(rows, mask):
     return out
 
 
+def _transpose(rows):
+    """The transpose of the square bitset ``rows``: bit i of out[j] is bit j of rows[i].
+
+    The one kernel for down rows: with ``up`` rows it gives the ``down``
+    rows, and the other way round.  One step per set bit.
+    """
+    out = [0] * len(rows)
+    bit = 1
+    for row in rows:
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
+    return tuple(out)
+
+
 def _least_member(mask, rows):
     """The lowest a in ``mask`` with mask ⊆ rows[a], or None.
 
@@ -148,14 +170,15 @@ class FinPreorder:
     up-closed subsets of the relation.
 
     Validation runs in two passes over the rows.  The first checks each
-    row's range and reflexivity.  The second walks the set bits of every
-    row once, inline: each j in up[i] is tested for transitivity
-    (up[j] must lie inside up[i]) and recorded in down[j] in the same
-    step.  Rows and bits are visited in ascending order, and the first
-    violation met is the one reported.
+    row's range and reflexivity.  The second checks transitivity: row i
+    must hold the union of the rows of its members, and when it does not
+    the violation named is its lowest j with up[j] outside up[i].  Rows
+    are visited in ascending order, and the first violation met is the
+    one reported.  Only the up rows are kept; ``down`` is their
+    transpose, filled on first read.
     """
 
-    __slots__ = ("n", "up", "down", "labels", "_hash")
+    __slots__ = ("n", "up", "_down", "labels", "_hash")
 
     def __init__(self, n, up, labels=None):
         up = tuple(up)
@@ -167,41 +190,31 @@ class FinPreorder:
                 raise InvariantViolation(f"row {i} mentions elements >= {n}")
             if not (row >> i) & 1:
                 raise InvariantViolation(f"relation is not reflexive at {i}")
-        down = [0] * n
-        bit = 1
         for i, row in enumerate(up):
-            m = row
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if up[j] & ~row:
-                    raise InvariantViolation(
-                        f"relation is not transitive through ({i},{j})"
-                    )
-                down[j] |= bit
-                m ^= low
-            bit <<= 1
-        self._set(up, tuple(down), labels)
+            if _union(up, row) & ~row:
+                j = next(j for j in _bits(row) if up[j] & ~row)
+                raise InvariantViolation(f"relation is not transitive through ({i},{j})")
+        self._set(up, labels)
 
     @classmethod
-    def _checked(cls, up, down, labels=None):
-        """The preorder on rows that already form one, with ``labels``.
+    def _checked(cls, up, labels=None):
+        """The preorder on up rows that already form one, with ``labels``.
 
-        Trusted: only the labels are checked.  ``up`` and ``down`` are
-        tuples from one of three sources: a validated preorder's rows (or
-        the two swapped, its opposite, or renumbered by ``_renumbered``
-        for ``restrict`` and ``quotient``), the up and down rows of a
-        pointwise order on validated coordinates, from
-        ``_pointwise_preorder``, or the factorisation carrier, the
-        componentwise order built from its down-set blocks in
-        ``downsets._carrier``, which is also every lattice of down-sets.
-        Anything else enters through the validating constructor.
+        Trusted: only the labels are checked.  ``up`` is a tuple of rows
+        from one of three sources: a validated preorder's rows (or its
+        down rows, the opposite, or rows renumbered by ``_renumbered``
+        for ``restrict`` and ``quotient``), the rows of a pointwise order
+        on validated coordinates, from ``_pointwise_preorder``, or the
+        factorisation carrier, the componentwise order built from its
+        down-set blocks in ``downsets._carrier``, which is also every
+        lattice of down-sets.  Anything else enters through the
+        validating constructor.
         """
         self = object.__new__(cls)
-        self._set(up, down, labels)
+        self._set(up, labels)
         return self
 
-    def _set(self, up, down, labels):
+    def _set(self, up, labels):
         n = len(up)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -209,9 +222,21 @@ class FinPreorder:
                 raise InvariantViolation("labels must be n distinct strings")
         self.n = n
         self.up = up
-        self.down = down
+        self._down = None
         self.labels = labels
         self._hash = hash((n, up))
+
+    @property
+    def down(self):
+        """``down[j]``, the mask of {i : i <= j}: the transpose of ``up``.
+
+        Computed by ``_transpose`` on first read and kept; a race only
+        writes the same tuple twice.
+        """
+        down = self._down
+        if down is None:
+            down = self._down = _transpose(self.up)
+        return down
 
     def leq(self, i, j):
         return bool((self.up[i] >> j) & 1)
@@ -224,19 +249,20 @@ class FinPreorder:
         return self.up[i] & self.down[i]
 
     def classes(self):
-        """Equivalence-class masks, ordered by least member."""
-        seen = 0
-        out = []
-        for i in range(self.n):
-            if not (seen >> i) & 1:
-                c = self.class_mask(i)
-                out.append(c)
-                seen |= c
-        return out
+        """Equivalence-class masks, ordered by least member.
+
+        i and j are equivalent iff up[i] == up[j], so the classes are the
+        groups of equal up rows, met in index order; no down row is read.
+        """
+        at = {}
+        for i, row in enumerate(self.up):
+            at[row] = at.get(row, 0) | 1 << i
+        return list(at.values())
 
     @property
     def is_poset(self):
-        return all(self.class_mask(i) == 1 << i for i in range(self.n))
+        """No two elements are equivalent: all up rows differ."""
+        return len(set(self.up)) == self.n
 
     def label(self, i):
         if self.labels is not None:
@@ -250,17 +276,13 @@ class FinPreorder:
     def _renumbered(self, bits, elems, labels=None):
         """The order on ``elems`` with element e renumbered to ``bits[e]``.
 
-        Built trusted: row e is the union of ``bits`` over up[e] (and
-        down[e]), so with ``bits`` the new positions of a subset, 0
-        elsewhere, it is the restriction, and with ``bits`` the class of
-        each element and one member per class, the poset reflection.
-        Either is a preorder when this one is.
+        Built trusted: row e is the union of ``bits`` over up[e], so with
+        ``bits`` the new positions of a subset, 0 elsewhere, it is the
+        restriction, and with ``bits`` the class of each element and one
+        member per class, the poset reflection.  Either is a preorder
+        when this one is.
         """
-        return FinPreorder._checked(
-            tuple(_union(bits, self.up[e]) for e in elems),
-            tuple(_union(bits, self.down[e]) for e in elems),
-            labels,
-        )
+        return FinPreorder._checked(tuple(_union(bits, self.up[e]) for e in elems), labels)
 
     def restrict(self, mask):
         """Induced sub-preorder on the elements of ``mask`` (ascending)."""
@@ -587,10 +609,11 @@ def _down_set_masks(X, bound):
     Q, cls = X.quotient()
     k = Q.n
     # process classes in a linear extension of the quotient
-    topo = sorted(range(k), key=lambda c: (Q.down[c].bit_count(), c))
+    down = Q.down
+    topo = sorted(range(k), key=lambda c: (down[c].bit_count(), c))
     ideals = [0]
     for c in topo:
-        below = Q.down[c] & ~(1 << c)
+        below = down[c] & ~(1 << c)
         grown = [m | (1 << c) for m in ideals if not (below & ~m)]
         ideals += grown
         _guard(f"down-sets of a {X.n}-element preorder", len(ideals), bound)
@@ -706,10 +729,11 @@ def _least_vector(vectors, Y):
     """
     if not vectors:
         return None
+    down = Y.down
     lower = [(1 << Y.n) - 1] * len(vectors[0])
     for v in vectors:
         for y, x in enumerate(v):
-            lower[y] &= Y.down[x]
+            lower[y] &= down[x]
     for i, v in enumerate(vectors):
         if all(lower[y] >> x & 1 for y, x in enumerate(v)):
             return i
@@ -720,24 +744,20 @@ def _pointwise_preorder(vectors, coords):
     """The pointwise order on equal-length ``vectors``, built trusted.
 
     ``coords[c]`` is the validated preorder coordinate c lives in.  Row i
-    of ``up`` is the mask of the vectors above vectors[i] in every
-    coordinate, an AND of one column mask per coordinate (the preimage of
-    an up row along that coordinate) instead of a comparison of all
-    pairs, and the ``down`` rows are the same AND over down rows.  Each
-    column is taken and grouped once: one ``_preimage_masks`` call gives
-    both its up and its down preimages, and both row sets are narrowed in
-    one loop.  A pointwise order of preorders is a preorder, so nothing
-    is validated again.
+    is the mask of the vectors above vectors[i] in every coordinate, an
+    AND of one column mask per coordinate (the preimage of an up row
+    along that coordinate) instead of a comparison of all pairs.  Each
+    column is grouped once, by one ``_preimage_masks`` call over the
+    coordinate's up rows; the down rows are left to ``FinPreorder.down``.
+    A pointwise order of preorders is a preorder, so nothing is validated
+    again.
     """
     ups = [(1 << len(vectors)) - 1] * len(vectors)
-    downs = ups[:]
     for col, Y in zip(zip(*vectors), coords):
-        pre = _preimage_masks(col, Y.up + Y.down)
-        above, below = pre[: Y.n], pre[Y.n :]
+        above = _preimage_masks(col, Y.up)
         for i, x in enumerate(col):
             ups[i] &= above[x]
-            downs[i] &= below[x]
-    return FinPreorder._checked(tuple(ups), tuple(downs))
+    return FinPreorder._checked(tuple(ups))
 
 
 def squares(j, g):
@@ -807,13 +827,13 @@ def _squares(j, g, labels, bound):
 
 def _refinement(X):
     """Iterated degree refinement; an isomorphism-invariant color per element."""
-    n = X.n
-    inv = [(X.up[i].bit_count(), X.down[i].bit_count()) for i in range(n)]
+    n, up, down = X.n, X.up, X.down
+    inv = [(up[i].bit_count(), down[i].bit_count()) for i in range(n)]
     for _ in range(2):
         nxt = []
         for i in range(n):
-            ups = tuple(sorted(inv[j] for j in _bits(X.up[i])))
-            dns = tuple(sorted(inv[j] for j in _bits(X.down[i])))
+            ups = tuple(sorted(inv[j] for j in _bits(up[i])))
+            dns = tuple(sorted(inv[j] for j in _bits(down[i])))
             nxt.append((inv[i], ups, dns))
         codes = {v: c for c, v in enumerate(sorted(set(nxt)))}
         inv = [codes[v] for v in nxt]

@@ -29,6 +29,7 @@ from .order import (
     _bits,
     _guard,
     _preimage_masks,
+    _transpose,
     _union,
     compose,
     identity,
@@ -74,7 +75,7 @@ class FilterSpace:
         self._lattice = lattice
         self.opens = lattice.masks
         self.sets = lattice.carrier.up
-        self.filters = FinPreorder._checked(lattice.carrier.down, lattice.carrier.up)
+        self.filters = FinPreorder._checked(lattice.carrier.down)
 
 
 def _points(X):
@@ -87,7 +88,7 @@ def _open_lattice(X):
     The carrier bound limits the number of opens while they are built.
     """
     P = _points(X)
-    return downsets(FinPreorder._checked(P.down, P.up))
+    return downsets(FinPreorder._checked(P.down))
 
 
 def open_masks(X):
@@ -154,11 +155,7 @@ def is_continuous_lattice(L):
     P = _points(L)
     if not P.is_poset or not is_complete_lattice(P):
         return False
-    wb = way_below(P)
-    below_of = [0] * P.n
-    for x in range(P.n):
-        for y in _bits(wb[x]):
-            below_of[y] |= 1 << x
+    below_of = _transpose(way_below(P))  # below_of[y] = {x : x << y}
     return all(sup_mask(P, below_of[y]) == y for y in range(P.n))
 
 

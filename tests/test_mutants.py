@@ -19,7 +19,7 @@ from lofs import suite
 from lofs.adjunction import RaliWitness, find_left_adjoint, find_right_adjoint
 from lofs.downsets import _inclusion_covers
 from lofs.errors import InvariantViolation
-from lofs.order import _bits
+from lofs.order import _bits, _transpose
 import test_acceptance
 import test_lifting
 
@@ -50,12 +50,27 @@ def rali_without_section_test(f):
 
 def covers_without_the_last_upper(masks):
     """``_inclusion_covers`` dropping the last upper cover where there are two or more."""
-    upper, lower = _inclusion_covers(masks)
-    return tuple(u[:-1] if len(u) > 1 else u for u in upper), lower
+    return tuple(u[:-1] if len(u) > 1 else u for u in _inclusion_covers(masks))
+
+
+def transpose_without_the_last_row(rows):
+    """``_transpose`` forgetting the last row: no down row holds the last element."""
+    return _transpose(tuple(rows[:-1]) + (0,))
+
+
+def nothing_strictly_between(rows, mask):
+    """``_union`` as ``hasse_dot`` reads it, always empty: every strict pair is an edge."""
+    return 0
 
 
 def kz_pin():
     test_lifting.TestKz().test_the_answers_on_the_classes_of_size_2_are_unchanged()
+
+
+def hasse_scan():
+    import test_properties  # needs hypothesis, so imported only by this row
+
+    test_properties.test_hasse_edges_match_between_scan()
 
 
 def criterion(number):
@@ -78,6 +93,20 @@ MUTANTS = [
         "downsets._inclusion_covers", covers_without_the_last_upper, criterion(4),
         AssertionError, "not an order-isomorphism",
         id="covers-without-the-last-upper",
+    ),
+    pytest.param(
+        "downsets._inclusion_covers", covers_without_the_last_upper, criterion(1),
+        AssertionError, "order oracle mismatch",
+        id="covers-without-the-last-upper-in-the-carrier",
+    ),
+    pytest.param(
+        "order._transpose", transpose_without_the_last_row, criterion(4),
+        AssertionError, "not a bijection",
+        id="transpose-without-the-last-row",
+    ),
+    pytest.param(
+        "formats._union", nothing_strictly_between, hasse_scan, AssertionError, None,
+        id="hasse-keeps-every-strict-pair",
     ),
     # criterion 5 still passes, but on 146 pairs instead of 11680
     pytest.param(

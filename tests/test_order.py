@@ -1,7 +1,11 @@
 import ast
+import importlib
 import itertools
 import pathlib
 import pickle
+import pkgutil
+import random
+from operator import itemgetter
 
 import pytest
 
@@ -26,6 +30,7 @@ from lofs.order import (
     FinPreorder,
     MonotoneMap,
     Square,
+    _transpose,
     antichain,
     canonical_form,
     canonical_key,
@@ -570,6 +575,14 @@ class TestSizeGuards:
         assert keep <= exported
         assert sorted(exported - read - keep) == []
 
+    def test_every_module_is_an_attribute_of_the_package(self):
+        # no name that lofs/__init__.py exports hides a submodule, so
+        # lofs.m, import lofs.m as m and from lofs import m give the module
+        for info in pkgutil.iter_modules(lofs.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            assert getattr(lofs, info.name) is importlib.import_module(f"lofs.{info.name}")
+
     def test_every_option_is_set_inside_the_package(self):
         # a parameter with a default is set, by position or by keyword, to
         # something other than its default by some call inside lofs: an
@@ -651,12 +664,29 @@ class TestSizeGuards:
         assert set(set_outside) <= unset
 
 
+def pairwise_transpose(rows):
+    """The transpose of square bitset rows, pair by pair.
+
+    Row i is written as a bit string whose character j is bit j, and
+    column j reads character j of every string, so bit i of column j is
+    bit j of row i.
+    """
+    n = len(rows)
+    bits = [format(row, f"0{n}b")[::-1] for row in rows]
+    return tuple(int("".join(map(itemgetter(j), bits))[::-1], 2) for j in range(n))
+
+
 def assert_rebuilds(P):
-    """A preorder built trusted equals its validating rebuild, down rows included."""
+    """A preorder built trusted equals its validating rebuild, down rows included.
+
+    Both sides read their down rows from ``_transpose``, so they are also
+    compared with the pairwise transpose of the up rows.
+    """
     rebuilt = FinPreorder(P.n, P.up)
     assert (P.n, P.up, P.down, hash(P)) == (
         rebuilt.n, rebuilt.up, rebuilt.down, hash(rebuilt)
     )
+    assert P.down == pairwise_transpose(P.up)
 
 
 def assert_map_rebuilds(f):
@@ -668,18 +698,36 @@ def assert_map_rebuilds(f):
     return rebuilt
 
 
+class TestTranspose:
+    def test_the_carrier_of_a_large_antichain_to_the_point(self):
+        # 4,096 down-sets, far wider than the rows of relation_rows()
+        K = factorise(MonotoneMap(antichain(12), chain(1), [0] * 12)).K
+        assert K.n == 4096
+        assert _transpose(K.up) == pairwise_transpose(K.up)
+
+    def test_random_wide_rows(self):
+        rng = random.Random(20)
+        for n in (64, 65, 127, 200):
+            for density in (0.05, 0.5, 0.95):
+                rows = tuple(
+                    sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+                )
+                assert _transpose(rows) == pairwise_transpose(rows)
+                assert _transpose(_transpose(rows)) == rows
+
+
 class TestCheckedRows:
     def test_opposite_and_labels_match_the_validated_constructor(self):
         for n in range(5):
             labels = [f"e{i}" for i in range(n)]
             for P in enumerate_preorders(n, up_to_iso=False):
-                op = FinPreorder._checked(P.down, P.up)
+                op = FinPreorder._checked(P.down)
                 expected = FinPreorder(P.n, P.down)
                 assert (op.n, op.up, op.down, op.labels) == (
                     expected.n, expected.up, expected.down, expected.labels
                 )
                 assert op == expected and hash(op) == hash(expected)
-                named = FinPreorder._checked(P.up, P.down, labels)
+                named = FinPreorder._checked(P.up, labels)
                 expected = FinPreorder(P.n, P.up, labels)
                 assert (named.n, named.up, named.down, named.labels) == (
                     expected.n, expected.up, expected.down, expected.labels
@@ -799,4 +847,4 @@ class TestCheckedRows:
             with pytest.raises(InvariantViolation, match=r"^labels must be n distinct strings$"):
                 FinPreorder(P.n, P.up, labels)
             with pytest.raises(InvariantViolation, match=r"^labels must be n distinct strings$"):
-                FinPreorder._checked(P.up, P.down, labels)
+                FinPreorder._checked(P.up, labels)

@@ -1,7 +1,6 @@
-import importlib
-
 import pytest
 
+import lofs
 from lofs import cli, formats
 from lofs.errors import NotAPoset, SizeLimitExceeded
 from lofs.downsets import unit
@@ -115,7 +114,7 @@ class TestFilterSpace:
         def never(*key):
             raise AssertionError("the open-set lattice was built")
 
-        monkeypatch.setattr(importlib.import_module("lofs.downsets"), "_carrier", never)
+        monkeypatch.setattr(lofs.downsets, "_carrier", never)
         with pytest.raises(SizeLimitExceeded) as info:
             under(100, filter_space, FiniteSpace(antichain(13)))
         assert str(info.value) == "down-sets of a 13-element preorder: 128 exceeds the bound 100"
