@@ -87,18 +87,18 @@ def _inclusion_covers(masks):
 
 
 @lru_cache(maxsize=256)
-def _carrier(masks, B, labels, pre, bound):
+def _carrier(masks, B, pre, bound):
     """(K, pairs, index, right part) for the maps into B with table ``pre``.
 
     Everything here is a function of the source's down-set ``masks``,
-    the upper-bound table ``pre`` and the codomain, not of the map
-    itself.  ``labels`` (those of B) is part of the key only: preorder
-    equality ignores labels, and the right part keeps B as its codomain,
-    so a labelled B never meets another caller's B.  ``bound`` is the
-    carrier bound, taken from the context by the caller, so a smaller
-    bound is a different key and its guard still raises.  At the point, with
-    ``pre`` the whole source, K is the inclusion order of the down-sets:
-    ``downsets`` reads it there.
+    the upper-bound table ``pre`` and the relation of the codomain B,
+    not of the map itself.  The right part is held as its assignment
+    tuple, which ``factorise`` builds into a map on the caller's own B,
+    so no cached value holds a caller's preorder or map, and the key
+    holds no labels.  ``bound`` is the carrier bound, taken from the
+    context by the caller, so a smaller bound is a different key and its
+    guard still raises.  At the point, with ``pre`` the whole source, K
+    is the inclusion order of the down-sets: ``downsets`` reads it there.
 
     K is laid out in blocks.  The pairs (masks[i], b) with
     masks[i] ⊆ pre[b] are listed in ascending order, so the elements of
@@ -117,10 +117,9 @@ def _carrier(masks, B, labels, pre, bound):
     are built; K's down rows are their transpose, left to
     ``FinPreorder.down``.
 
-    K and the right part are built trusted.  K is the componentwise
-    order of two preorders on pairs that lie in both, so it is a
-    preorder; the right part is its second projection, which is
-    monotone.
+    K is built trusted: it is the componentwise order of two preorders
+    on pairs that lie in both, so it is a preorder.  The right part is
+    its second projection, which is monotone into B.
     """
     blocks = []
     cols = [0] * B.n
@@ -146,20 +145,19 @@ def _carrier(masks, B, labels, pre, bound):
     K = FinPreorder._checked(tuple(above[i] & b_up[b] for i, b in vectors))
     pairs = tuple(pairs)
     index = {p: i for i, p in enumerate(pairs)}
-    return K, pairs, index, MonotoneMap._checked(K, B, tuple(b for _, b in vectors))
+    return K, pairs, index, tuple(b for _, b in vectors)
 
 
 def downsets(X):
     """The down-set lattice of X: the carrier of X -> 1.
 
     Built by ``_carrier`` at the point, with the whole source as its one
-    upper bound: the lattice is K of X -> 1, and shares its memo entry
-    when the point is unlabelled.  ``down_set_masks`` guards the number
-    of down-sets first, and K has one element per down-set, so the
-    carrier's own guard never fires.
+    upper bound: the lattice is K of X -> 1, and shares its memo entry.
+    ``down_set_masks`` guards the number of down-sets first, and K has
+    one element per down-set, so the carrier's own guard never fires.
     """
     masks = down_set_masks(X)
-    K, _, index, _ = _carrier(masks, _POINT, None, masks[-1:], _bound.get())
+    K, _, index, _ = _carrier(masks, _POINT, masks[-1:], _bound.get())
     return DownSetLattice(K, masks, index)
 
 

@@ -116,28 +116,30 @@ def factorise(f):
     the same as a pairwise build would give.  K's down rows are built
     only when read, as the transpose of its up rows.
 
-    K, its pair list and index and the right part are memoised in
-    ``_carrier``, keyed by (the down-sets of A, B, B's labels, the
+    K, its pair list and index and the right part's assignment are
+    memoised in ``_carrier``, keyed by (the down-sets of A, B, the
     upper-bound table, the carrier bound) and bounded at 256 entries; the
     lattices of ``downsets`` are entries of the same memo, at the point.
-    Many maps of a sweep share one key, so each distinct K and right
-    part is built once while it stays cached.  The cached values are
-    immutable and built by the same code from the same key, so results
-    and their order are unchanged.  An exception is not cached, and a
-    smaller carrier bound is a different key, so the guard still
-    raises.  The left part and the returned object are built per call,
-    on the caller's own f.
+    Many maps of a sweep share one key, so each distinct K is built once
+    while it stays cached.  The cached values are immutable and built by
+    the same code from the same key, so results and their order are
+    unchanged.  An exception is not cached, and a smaller carrier bound
+    is a different key, so the guard still raises.  Both parts and the
+    returned object are built per call, on the caller's own f and B.
 
     Nothing here is validated again: f was validated where it entered,
     and K and both parts are valid by construction.  The left part
     a ↦ (↓a, f(a)) lands in K, since f(a) bounds f[↓a] for a monotone f,
-    and it is monotone, since a <= a2 gives ↓a ⊆ ↓a2 and f(a) <= f(a2).
+    and it is monotone, since a <= a2 gives ↓a ⊆ ↓a2 and f(a) <= f(a2);
+    the right part is the second projection of K, which is monotone.
     """
     A, B = f.src, f.tgt
     pre = tuple(_upper_bound_table(f))
-    K, pairs, index, rho = _carrier(down_set_masks(A), B, B.labels, pre, _bound.get())
+    K, pairs, index, rho = _carrier(down_set_masks(A), B, pre, _bound.get())
     lam = tuple(index[(d, v)] for d, v in zip(A.down, f.assign))
-    return FactorisationData(f, K, MonotoneMap._checked(A, K, lam), rho, pairs, index)
+    return FactorisationData(
+        f, K, MonotoneMap._checked(A, K, lam), MonotoneMap._checked(K, B, rho), pairs, index
+    )
 
 
 def _k_at(source, target, h, k, points):

@@ -22,13 +22,14 @@ from .order import (
     MonotoneMap,
     Square,
     _bits,
+    _bound,
     _least_vector,
     _pointwise_leq,
     _pointwise_preorder,
     _preimage_masks,
+    _square_pairs,
     compose,
     monotone_assignments,
-    squares,
 )
 
 
@@ -84,26 +85,27 @@ class LiftingStructure:
 
 
 def _comparison(j, g):
-    """(hom assignments, squares, c): the comparison map on assignment tuples.
+    """(hom assignments, square pairs, c): the comparison map on assignment tuples.
 
     The hom set cod j -> dom g is enumerated first and the squares
-    second, so every caller trips the same guard first.  c[d] is the
-    index in the squares of the boundary square (d ∘ j, g ∘ d); the
-    squares list every square j -> g, so every boundary has an index.
+    second, as the (h, k) pairs of ``order._square_pairs``, so every
+    caller trips the same guard first and no ``Square`` is built.  c[d]
+    is the index in the pairs of the boundary square (d ∘ j, g ∘ d); the
+    pairs list every square j -> g, so every boundary has an index.
     """
     assigns = monotone_assignments(j.tgt, g.src)
-    sqs = squares(j, g)
-    index = {(s.h.assign, s.k.assign): i for i, s in enumerate(sqs)}
+    pairs = _square_pairs(j, g, _bound.get())
+    index = {p: i for i, p in enumerate(pairs)}
     c = tuple(
         index[(tuple(d[v] for v in j.assign), tuple(g.assign[v] for v in d))]
         for d in assigns
     )
-    return assigns, sqs, c
+    return assigns, pairs, c
 
 
-def _square_preorder(j, g, sqs):
-    """The squares ``sqs`` j -> g, ordered by their h and k pointwise."""
-    vectors = [s.h.assign + s.k.assign for s in sqs]
+def _square_preorder(j, g, pairs):
+    """The squares j -> g, given as (h, k) ``pairs``, ordered by h and k pointwise."""
+    vectors = [h + k for h, k in pairs]
     return _pointwise_preorder(vectors, (g.src,) * j.src.n + (g.tgt,) * j.tgt.n)
 
 
@@ -118,9 +120,9 @@ def canonical_map(j, g):
     validated coordinates (``_pointwise_preorder``), and the map is
     monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
-    assigns, sqs, c = _comparison(j, g)
+    assigns, pairs, c = _comparison(j, g)
     hom = _pointwise_preorder(assigns, (g.src,) * j.tgt.n)
-    return MonotoneMap._checked(hom, _square_preorder(j, g, sqs), c)
+    return MonotoneMap._checked(hom, _square_preorder(j, g, pairs), c)
 
 
 def has_lifting(j, g):
@@ -130,8 +132,8 @@ def has_lifting(j, g):
     always implies this predicate; over posets that is the strict notion.
     So the comparison map must hit every class of squares.
     """
-    _, sqs, c = _comparison(j, g)
-    return all(_preimage_masks(c, _square_preorder(j, g, sqs).classes()))
+    _, pairs, c = _comparison(j, g)
+    return all(_preimage_masks(c, _square_preorder(j, g, pairs).classes()))
 
 
 def lifting_structure(family, g):
@@ -143,18 +145,18 @@ def lifting_structure(family, g):
     a map, trusted: it comes from the enumerated hom set.  The selection
     is then validated against the monotonicity and link-naturality
     invariants; KZ situations never hit the flag and always validate.
-    Each member's ``_comparison`` is read once; its squares are shared
-    with that check, which builds a member's square preorder only when
-    it reaches the member.
+    Each member's ``_comparison`` is read once; its square pairs are
+    shared with that check, which builds a member's square preorder only
+    when it reaches the member.
     """
     fillers = {}
     canonical = True
-    member_squares = []
+    member_pairs = []
     for idx, j in enumerate(family.members):
-        assigns, sqs, c = _comparison(j, g)
-        member_squares.append(sqs)
-        fibres = _preimage_masks(c, [1 << i for i in range(len(sqs))])
-        for sq, fibre in zip(sqs, fibres):
+        assigns, pairs, c = _comparison(j, g)
+        member_pairs.append(pairs)
+        fibres = _preimage_masks(c, [1 << i for i in range(len(pairs))])
+        for (h, k), fibre in zip(pairs, fibres):
             if not fibre:
                 return None
             cands = [assigns[d] for d in _bits(fibre)]
@@ -162,35 +164,38 @@ def lifting_structure(family, g):
             if best is None:
                 canonical = False
                 best = 0
-            fillers[(idx, sq.h.assign, sq.k.assign)] = MonotoneMap._checked(
-                j.tgt, g.src, cands[best]
-            )
+            fillers[(idx, h, k)] = MonotoneMap._checked(j.tgt, g.src, cands[best])
     out = LiftingStructure(g, family, fillers, canonical)
-    if not _coherent(out, member_squares):
+    if not _coherent(out, member_pairs):
         return None
     return out
 
 
-def _coherent(structure, member_squares):
+def _coherent(structure, member_pairs):
     """Monotone in the square, member by member, and natural across links.
 
-    ``member_squares[i]`` is ``squares(members[i], g)``.  The pairs of
-    squares to compare are the related pairs of their preorder, built
-    when the check reaches member i.
+    ``member_pairs[i]`` holds the squares members[i] -> g as the (h, k)
+    pairs of ``order._square_pairs``.  The pairs of squares to compare
+    are the related pairs of their preorder, built when the check
+    reaches member i.  A link (u, v) into member t sends the square
+    (h, k) of t to (h ∘ u, k ∘ v), and naturality asks the filler there
+    to be d ∘ v, for d the filler of (h, k); both sides are composed on
+    assignment tuples.
     """
-    g, family = structure.g, structure.family
-    for idx, sqs in enumerate(member_squares):
-        fill = [structure.filler(idx, s.h, s.k).assign for s in sqs]
-        order = _square_preorder(family.members[idx], g, sqs)
+    g, family, fillers = structure.g, structure.family, structure.fillers
+    for idx, pairs in enumerate(member_pairs):
+        fill = [fillers[(idx, h, k)].assign for h, k in pairs]
+        order = _square_preorder(family.members[idx], g, pairs)
         for a, row in enumerate(order.up):
             for b in _bits(row):
                 if not _pointwise_leq(g.src, fill[a], fill[b]):
                     return False
     for src, tgt, u, v in family.links:
-        for sq in member_squares[tgt]:
-            left = structure.filler(src, compose(u, sq.h), compose(v, sq.k))
-            right = compose(v, structure.filler(tgt, sq.h, sq.k))
-            if left.assign != right.assign:
+        for h, k in member_pairs[tgt]:
+            hu = tuple(h[x] for x in u.assign)
+            kv = tuple(k[x] for x in v.assign)
+            d = fillers[(tgt, h, k)].assign
+            if fillers[(src, hu, kv)].assign != tuple(d[x] for x in v.assign):
                 return False
     return True
 
@@ -219,14 +224,13 @@ def compose_structures(sf, sg):
         raise ShapeMismatch("underlying maps do not compose")
     gf = compose(f, g)
     fillers = {}
-    member_squares = [squares(j, gf) for j in sf.family.members]
-    for idx, sqs in enumerate(member_squares):
-        for sq in sqs:
-            dg = sg.filler(idx, compose(sq.h, f), sq.k)
-            df = sf.filler(idx, sq.h, dg)
-            fillers[(idx, sq.h.assign, sq.k.assign)] = df
+    member_pairs = [_square_pairs(j, gf, _bound.get()) for j in sf.family.members]
+    for idx, pairs in enumerate(member_pairs):
+        for h, k in pairs:
+            dg = sg.fillers[(idx, tuple(f.assign[x] for x in h), k)]
+            fillers[(idx, h, k)] = sf.fillers[(idx, h, dg.assign)]
     out = LiftingStructure(gf, sf.family, fillers, sf.canonical and sg.canonical)
-    if not _coherent(out, member_squares):
+    if not _coherent(out, member_pairs):
         raise InvariantViolation("composite lifting structure is incoherent")
     return out
 

@@ -244,10 +244,6 @@ class FinPreorder:
     def equiv(self, i, j):
         return bool((self.up[i] >> j) & (self.up[j] >> i) & 1)
 
-    def class_mask(self, i):
-        """Bitmask of the equivalence class of ``i``."""
-        return self.up[i] & self.down[i]
-
     def classes(self):
         """Equivalence-class masks, ordered by least member.
 
@@ -763,41 +759,41 @@ def _pointwise_preorder(vectors, coords):
 def squares(j, g):
     """All commuting squares (h, k) : j -> g, lexicographic on (h, k).
 
-    The k assignments are grouped by k∘j once, so each h meets only the
-    k with k∘j = g∘h instead of testing every (h, k) pair; each group
-    keeps the lexicographic order of the k, so the output order is the
-    one of the full scan.  Each h and each k map is built once, however
-    many squares share it, and all are built trusted: h and k come from
-    the enumerated hom sets, so they are monotone, and each square pairs
-    an h with a k of the same k∘j = g∘h, so it commutes.  Each hom set
-    is limited by the carrier bound, their product by 64 times it and
-    the squares found by it.
-
-    The enumeration is memoised in ``_squares``, keyed by (j, g, the
-    labels of their four preorders, the carrier bound) and bounded at 16
-    square sets, so a caller that lists the squares of a pair and then
-    asks ``lifting._comparison`` about the same pair enumerates them
-    once.  A
-    cached set is an immutable tuple built by the same code from the
-    same key, and each call returns a fresh list of it, so the squares,
-    their order and every error are unchanged, and mutating one result
-    changes no other.  A smaller bound is a different key, so its guards
-    still raise.
+    The squares are those of ``_square_pairs``, built on the caller's own
+    j and g, in its order and with its errors.  Each h and each k map is
+    built once, however many squares share it, and all are built
+    trusted: h and k come from the enumerated hom sets, so they are
+    monotone, and each pair has k∘j = g∘h, so each square commutes.
+    Each call returns a fresh list, so mutating one result changes no
+    other.
     """
-    labels = (j.src.labels, j.tgt.labels, g.src.labels, g.tgt.labels)
-    return list(_squares(j, g, labels, _bound.get()))
+    hmaps, kmaps, out = {}, {}, []
+    for h, k in _square_pairs(j, g, _bound.get()):
+        if h not in hmaps:
+            hmaps[h] = MonotoneMap._checked(j.src, g.src, h)
+        if k not in kmaps:
+            kmaps[k] = MonotoneMap._checked(j.tgt, g.tgt, k)
+        out.append(Square._checked(j, g, hmaps[h], kmaps[k]))
+    return out
 
 
 @lru_cache(maxsize=16)
-def _squares(j, g, labels, bound):
-    """``squares`` as a tuple, under the carrier bound ``bound``.
+def _square_pairs(j, g, bound):
+    """The squares j -> g as (h, k) assignment pairs, lexicographic, under ``bound``.
 
-    ``lifting._comparison`` reads it through ``squares``, so the lifting
-    functions share the enumeration with every other caller.  ``labels``
-    is part of the key only: map and preorder equality ignore labels, and
-    every square holds j and g, so a labelled pair never receives squares
-    built on another caller's labels.  The hom-set guards read the
-    bound from the context, where ``squares`` took it.
+    The k assignments are grouped by k∘j once, so each h meets only the
+    k with k∘j = g∘h instead of testing every (h, k) pair; each group
+    keeps the lexicographic order of the k, so the order is the one of
+    the full scan.  The hom sets j.src -> g.src and j.tgt -> g.tgt are
+    each limited by the carrier bound, read from the context where the
+    caller took ``bound``; their product is limited by 64 times it and
+    the squares found by it, in that order.
+
+    Memoised, keyed by (j, g, the carrier bound), at most 16 square
+    sets, so ``squares`` and ``lifting._comparison`` on one pair
+    enumerate it once.  The value holds index tuples only, which no
+    label changes, and a smaller bound is a different key, so its guards
+    still raise.
     """
     hs = monotone_assignments(j.src, g.src)
     ks = monotone_assignments(j.tgt, g.tgt)
@@ -805,20 +801,11 @@ def _squares(j, g, labels, bound):
     by_kj = {}
     for k in ks:
         by_kj.setdefault(tuple(k[v] for v in j.assign), []).append(k)
-    kmaps = {}
-    out = []
-    for h in hs:
-        group = by_kj.get(tuple(g.assign[v] for v in h))
-        if not group:
-            continue
-        hmap = MonotoneMap._checked(j.src, g.src, h)
-        for k in group:
-            kmap = kmaps.get(k)
-            if kmap is None:
-                kmap = kmaps[k] = MonotoneMap._checked(j.tgt, g.tgt, k)
-            out.append(Square._checked(j, g, hmap, kmap))
+    out = tuple(
+        (h, k) for h in hs for k in by_kj.get(tuple(g.assign[v] for v in h), ())
+    )
     _guard("commuting squares", len(out), bound)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +834,12 @@ _PERM_LIMIT = 40320  # 8!
 def _canonical(X):
     """Minimal relabeling of X compatible with the refinement classes.
 
-    Returns (canonical rows, all relabelings old->new achieving them).
-    Any isomorphism preserves refinement colors, so the minimum over
+    Returns (canonical rows, sequences, columns) over the relabelings
+    that achieve the rows, in the order met: each sequence maps a new
+    index to its old element, and ``columns[v]`` holds v's new index
+    under each relabeling.  ``arrow_canonical_key`` reads X as a source
+    through the first and as a target through the second.  Any
+    isomorphism preserves refinement colors, so the minimum over
     color-respecting permutations is a true canonical form.
     """
     n = X.n
@@ -863,9 +854,9 @@ def _canonical(X):
             total *= t
         _guard(f"relabelings of a {n}-element preorder", total, _PERM_LIMIT)
     best_rows = None
-    best_perms = []
+    best_seqs, best_perms = [], []
     for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        seq = [e for block in combo for e in block]  # new index -> old element
+        seq = tuple(e for block in combo for e in block)  # new index -> old element
         new_of_old = [0] * n
         new_bit = [0] * n
         for new, old in enumerate(seq):
@@ -874,10 +865,11 @@ def _canonical(X):
         rows = tuple(_union(new_bit, X.up[old]) for old in seq)
         if best_rows is None or rows < best_rows:
             best_rows = rows
-            best_perms = [tuple(new_of_old)]
-        elif rows == best_rows:
-            best_perms.append(tuple(new_of_old))
-    return best_rows, tuple(best_perms)
+            best_seqs, best_perms = [], []
+        if rows == best_rows:
+            best_seqs.append(seq)
+            best_perms.append(new_of_old)
+    return best_rows, tuple(best_seqs), tuple(zip(*best_perms))
 
 
 def canonical_key(X):
@@ -888,26 +880,6 @@ def canonical_form(X):
     return FinPreorder(X.n, _canonical(X)[0])
 
 
-@lru_cache(maxsize=256)
-def _relabelings(X):
-    """The relabelings of ``_canonical(X)`` as (sequences, columns).
-
-    ``sequences`` holds each relabeling inverted, new index -> old
-    element, and ``columns[v]`` holds v's new index under each
-    relabeling, in the order of ``_canonical``.  X is read as a source
-    through the first and as a target through the second.  At most 256
-    preorders, more than the 47 classes of size <= 4.
-    """
-    perms = _canonical(X)[1]
-    seqs = []
-    for perm in perms:
-        seq = [0] * X.n
-        for old, new in enumerate(perm):
-            seq[new] = old
-        seqs.append(tuple(seq))
-    return tuple(seqs), tuple(zip(*perms))
-
-
 def arrow_canonical_key(f):
     """Canonical key of a map up to separate relabeling of src and tgt.
 
@@ -916,16 +888,15 @@ def arrow_canonical_key(f):
     source sequence s, the relabeled assignment under the target
     relabeling t is (t[f(s[0])], t[f(s[1])], ...), so zipping the target
     columns of f(s[0]), f(s[1]), ... yields those tuples for every t at
-    once, and one ``min`` over the zip replaces the loop over t.  The
-    relabelings come from the memo ``_relabelings``.  An empty source
-    has the empty tuple as its only relabeled assignment.
+    once, and one ``min`` over the zip replaces the loop over t.  An
+    empty source has the empty tuple as its only relabeled assignment.
     """
     X, Y = f.src, f.tgt
-    seqs = _relabelings(X)[0]
-    cols = _relabelings(Y)[1]
+    rows_x, seqs, _ = _canonical(X)
+    rows_y, _, cols = _canonical(Y)
     at = [cols[v] for v in f.assign]
     best = min(min(zip(*[at[o] for o in seq]), default=()) for seq in seqs)
-    return (X.n, _canonical(X)[0], Y.n, _canonical(Y)[0], best)
+    return (X.n, rows_x, Y.n, rows_y, best)
 
 
 def _one_point_extensions(P, posets_only):

@@ -54,9 +54,15 @@ def arrow_classes(max_size):
 
 
 def arrow_canonical_key_pairs(f):
-    """``order.arrow_canonical_key`` by one relabeled tuple per pair of relabelings."""
-    kx, perms_x = _canonical(f.src)
-    ky, perms_y = _canonical(f.tgt)
+    """``order.arrow_canonical_key`` by one relabeled tuple per pair of relabelings.
+
+    The relabelings are ``_canonical``'s sequences (new index -> old
+    element), each inverted here to old element -> new index; its
+    columns are not read.
+    """
+    kx, seqs_x, _ = _canonical(f.src)
+    ky, seqs_y, _ = _canonical(f.tgt)
+    perms_x, perms_y = [inverse(s) for s in seqs_x], [inverse(s) for s in seqs_y]
     best = None
     for px in perms_x:
         for py in perms_y:
@@ -67,6 +73,14 @@ def arrow_canonical_key_pairs(f):
             if best is None or t < best:
                 best = t
     return (f.src.n, kx, f.tgt.n, ky, best)
+
+
+def inverse(seq):
+    """The permutation ``seq`` inverted: out[seq[i]] = i."""
+    out = [0] * len(seq)
+    for i, x in enumerate(seq):
+        out[x] = i
+    return out
 
 
 def monotone_within_dfs(X, Y, allowed, full=False):

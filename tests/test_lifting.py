@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
+import json
+import os
+import tempfile
 
 import pytest
 
+from lofs import cli, formats
 from lofs.errors import ShapeMismatch
 from lofs.factorisation import algebra_structure, canonical_diag, coalgebra_structure
 from lofs.lifting import (
@@ -167,6 +173,46 @@ class TestKz:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "05d77817908f7d248cefdb977bbd29d91a8b08edca90b3c49cf8b046a80dc4aa"
         )
+
+
+class TestLinkedFamily:
+    def test_a_link_that_the_lexicographic_choice_breaks(self):
+        # j1 is the point into antichain(2) at 0, j2 the identity of the
+        # point, g is antichain(2) -> the point.  Alone, each square of j1
+        # has two incomparable fillers, so the choice is lexicographic;
+        # the link 0 -> 1 with u = [0] and v = [0, 0] then asks the filler
+        # of j1 on (h, k ∘ v) to be the filler of j2 on (h, k) after v,
+        # which the first choice on h = [1] is not.  Run through
+        # ``lofs --witness lift`` in process, without the link and with it;
+        # no fixture is taken, so tests/test_mutants.py can call it
+        point, a2 = chain(1), antichain(2)
+        members = [
+            formats.map_to_obj(MonotoneMap(point, a2, [0])),
+            formats.map_to_obj(identity(point)),
+        ]
+        link = {"from": 0, "to": 1, "u": {"x0": "x0"}, "v": {"x0": "x0", "x1": "x0"}}
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            g = os.path.join(tmp, "g.json")
+            with open(g, "w") as out:
+                out.write(formats.dumps(formats.map_to_obj(bang(a2))))
+            for links in ([], [link]):
+                family = os.path.join(tmp, "family.json")
+                with open(family, "w") as out:
+                    out.write(formats.dumps({"type": "family", "members": members, "links": links}))
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(["--witness", "lift", family, g])
+                runs.append((code, json.loads(stdout.getvalue())))
+        (free_code, free), linked = runs
+        assert free_code == 0 and (free["exists"], free["canonical"]) == (True, False)
+        assert [(d["member"], d["h"], d["k"], d["diagonal"]) for d in free["fillers"]] == [
+            (0, [0], [0, 0], [0, 0]),
+            (0, [1], [0, 0], [1, 0]),
+            (1, [0], [0], [0]),
+            (1, [1], [0], [1]),
+        ]
+        assert linked == (1, {"exists": False})
 
 
 class TestComposition:

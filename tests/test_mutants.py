@@ -19,8 +19,10 @@ from lofs import suite
 from lofs.adjunction import RaliWitness, find_left_adjoint, find_right_adjoint
 from lofs.downsets import _inclusion_covers
 from lofs.errors import InvariantViolation
-from lofs.order import _bits, _transpose
+from lofs.lifting import GeneratorFamily, LiftingStructure, _coherent
+from lofs.order import _bits, _canonical, _monotone_within, _square_pairs, _transpose
 import test_acceptance
+import test_kan
 import test_lifting
 
 
@@ -63,6 +65,32 @@ def nothing_strictly_between(rows, mask):
     return 0
 
 
+def square_pairs_without_the_last_of_each_group(j, g, bound):
+    """``_square_pairs`` dropping the last k of each k∘j group: the last square of each h."""
+    pairs = _square_pairs(j, g, bound)
+    return tuple(p for p, q in zip(pairs, pairs[1:]) if p[0] == q[0])
+
+
+def canonical_with_one_source_relabeling(X):
+    """``_canonical`` keeping only the first sequence, as the arrow key reads a source."""
+    rows, seqs, cols = _canonical(X)
+    return rows, seqs[:1], cols
+
+
+def coherent_without_links(structure, member_pairs):
+    """``_coherent`` on the structure with its family's links dropped."""
+    unlinked = GeneratorFamily(structure.family.members)
+    return _coherent(
+        LiftingStructure(structure.g, unlinked, structure.fillers, structure.canonical),
+        member_pairs,
+    )
+
+
+def monotone_within_ignoring_full(X, Y, allowed, full=False):
+    """``_monotone_within`` enumerating every monotone assignment, full or not."""
+    return _monotone_within(X, Y, allowed)
+
+
 def kz_pin():
     test_lifting.TestKz().test_the_answers_on_the_classes_of_size_2_are_unchanged()
 
@@ -71,6 +99,24 @@ def hasse_scan():
     import test_properties  # needs hypothesis, so imported only by this row
 
     test_properties.test_hasse_edges_match_between_scan()
+
+
+def squares_scan():
+    import test_properties  # needs hypothesis, so imported only by this row
+
+    test_properties.test_squares_match_full_scan()
+
+
+def arrow_classes_pin():
+    test_kan.TestAllEmbeddings().test_arrow_classes_keep_the_representatives_of_the_map_loop()
+
+
+def embeddings_pin():
+    test_kan.TestAllEmbeddings().test_the_family_of_size_4_is_unchanged()
+
+
+def linked_family():
+    test_lifting.TestLinkedFamily().test_a_link_that_the_lexicographic_choice_breaks()
 
 
 def criterion(number):
@@ -107,6 +153,28 @@ MUTANTS = [
     pytest.param(
         "formats._union", nothing_strictly_between, hasse_scan, AssertionError, None,
         id="hasse-keeps-every-strict-pair",
+    ),
+    pytest.param(
+        "order._square_pairs", square_pairs_without_the_last_of_each_group, squares_scan,
+        AssertionError, None,
+        id="square-pairs-without-the-last-of-each-group",
+    ),
+    # arrow_classes(2) then finds 32 classes against the oracle's 31, and
+    # arrow_classes(3) 816 against the pinned 661
+    pytest.param(
+        "order._canonical", canonical_with_one_source_relabeling, arrow_classes_pin,
+        AssertionError, None,
+        id="arrow-key-over-one-source-relabeling",
+    ),
+    pytest.param(
+        "lifting._coherent", coherent_without_links, linked_family, AssertionError, None,
+        id="coherent-without-links",
+    ),
+    # _arrow_classes reads the kernel from order; the oracle test imports its own name
+    pytest.param(
+        "order._monotone_within", monotone_within_ignoring_full, embeddings_pin,
+        AssertionError, None,
+        id="level-builder-ignoring-full",
     ),
     # criterion 5 still passes, but on 146 pairs instead of 11680
     pytest.param(

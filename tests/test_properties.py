@@ -5,8 +5,8 @@ replaced, kept here as oracles.  Inputs are random relation rows and
 assignment vectors, valid and invalid alike; for the constructors the
 accept/reject verdict, the exception class and the exact message must
 agree.  The bounded per-pass memos are compared with their uncached
-``__wrapped__`` computations, and their keys with the labels and size
-guards they must respect.
+``__wrapped__`` computations, and checked against the size guards they
+must respect and the labels of each caller, which no memo key holds.
 """
 
 import importlib
@@ -62,7 +62,7 @@ from lofs.order import (  # noqa: E402
     _monotone_within,
     _preimage_masks,
     _arrow_classes,
-    _squares,
+    _square_pairs,
     _union,
     _unreflected_pair,
     antichain,
@@ -558,6 +558,7 @@ def test_comma_and_inclusion_rows_match_pairwise(f):
 
 @PROPERTY
 @given(maps(), maps())
+@example(identity(chain(2)), identity(chain(2)))  # three squares, one per h
 def test_squares_match_full_scan(j, g):
     if j is None or g is None:
         return
@@ -773,6 +774,7 @@ def test_filter_and_open_actions_match_loops(f):
 
 @PROPERTY
 @given(preorders(max_n=4))
+@example(chain(3))
 def test_hasse_edges_match_between_scan(P):
     Q, _ = P.quotient()
     expected = [
@@ -829,11 +831,14 @@ def test_shared_hom_set_fillers_match_per_square_enumeration(j, g):
     """
     if j is None or g is None:
         return
-    assigns, sqs, c = _comparison(j, g)
-    assert assigns == monotone_assignments(j.tgt, g.src) and sqs == squares(j, g)
-    order = canonical_map(j, g).tgt
+    assigns, pairs, c = _comparison(j, g)
+    sqs = squares(j, g)
+    assert assigns == monotone_assignments(j.tgt, g.src)
+    assert pairs == tuple((s.h.assign, s.k.assign) for s in sqs)
+    classes = canonical_map(j, g).tgt.classes()
+    class_of = [next(m for m in classes if m >> i & 1) for i in range(len(sqs))]
     exact = _preimage_masks(c, [1 << i for i in range(len(sqs))])
-    up_to_equiv = _preimage_masks(c, [order.class_mask(i) for i in range(len(sqs))])
+    up_to_equiv = _preimage_masks(c, class_of)
     for i, sq in enumerate(sqs):
         assert [assigns[d] for d in _bits(exact[i])] == naive_square_fillers(sq, False)
         assert [assigns[d] for d in _bits(up_to_equiv[i])] == naive_square_fillers(sq, True)
@@ -869,7 +874,7 @@ def _limit_message(call):
 
 def _carrier_key(f, bound=DEFAULT_MAX_CARRIER):
     masks = under(bound, down_set_masks, f.src)
-    return (masks, f.tgt, f.tgt.labels, tuple(_upper_bound_table(f)), bound)
+    return (masks, f.tgt, tuple(_upper_bound_table(f)), bound)
 
 
 @PROPERTY
@@ -894,8 +899,8 @@ def test_squares_memo_matches_uncached(j, g):
     if j is None or g is None:
         return
     first, again = squares(j, g), squares(j, g)
-    labels = (j.src.labels, j.tgt.labels, g.src.labels, g.tgt.labels)
-    assert first == again == list(_squares.__wrapped__(j, g, labels, DEFAULT_MAX_CARRIER))
+    expected = _square_pairs.__wrapped__(j, g, DEFAULT_MAX_CARRIER)
+    assert first == again and [(s.h.assign, s.k.assign) for s in first] == list(expected)
     assert first is not again
 
 
@@ -928,10 +933,9 @@ def test_memos_still_raise_under_a_smaller_bound():
 
     j = g = identity(chain(2))
     assert len(squares(j, g)) == 3
-    labels = (None,) * 4
     for bound in (2, 3):
         assert _limit_message(lambda: under(bound, squares, j, g)) == _limit_message(
-            lambda: under(bound, _squares.__wrapped__, j, g, labels, bound)
+            lambda: under(bound, _square_pairs.__wrapped__, j, g, bound)
         )
 
     # the arrow-class memo keys the size bound as it keys the carrier bound
@@ -1002,7 +1006,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
         "kan._member", "order._arrow_classes", "order._enumeration",
-        "order._monotone_assignments", "order._relabelings", "order._squares",
+        "order._monotone_assignments", "order._square_pairs",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
