@@ -136,36 +136,38 @@ def factorise(f):
     A, B = f.src, f.tgt
     pre = tuple(_upper_bound_table(f))
     K, pairs, index, rho = _carrier(down_set_masks(A), B, pre, _bound.get())
-    lam = tuple(index[(d, v)] for d, v in zip(A.down, f.assign))
+    lam = tuple([index[d, v] for d, v in zip(A.down, f.assign)])
     return FactorisationData(
         f, K, MonotoneMap._checked(A, K, lam), MonotoneMap._checked(K, B, rho), pairs, index
     )
 
 
-def _k_at(source, target, h, k, points):
-    """The carrier map (φ, b) ↦ (down-closure of h[φ], k(b)) at ``points``.
+def _k_at(source, target, h, k, points, then):
+    """``then`` after the carrier map (φ, b) ↦ (down-closure of h[φ], k(b)), at ``points``.
 
-    ``points`` are elements of the source carrier; the result lists
-    their images in the target carrier, in the same order.  The map
-    lands in the target carrier whenever the square commutes up to
-    pointwise equivalence.  The down-closure of h[φ] is one union of the
-    rows down[h(x)] over the members x of φ.
+    ``points`` are elements of the source carrier; the result is the
+    tuple of ``then`` read at their images in the target carrier, in the
+    same order, so a caller that composes with a map reads it in the
+    same pass.  The map lands in the target carrier whenever the square
+    commutes up to pointwise equivalence.  The down-closure of h[φ] is
+    one union of the rows down[h(x)] over the members x of φ, with those
+    rows gathered once per call.
     """
     rows = h.tgt.down
     down = [rows[v] for v in h.assign]
-    out = []
+    index, ka = target._index, k.assign
     try:
-        for v in points:
-            m, b = source.pairs[v]
-            out.append(target._index[(_union(down, m), k.assign[b])])
+        return tuple(
+            [then[index[_union(down, m), ka[b]]] for m, b in map(source.pairs.__getitem__, points)]
+        )
     except KeyError:
         raise InvariantViolation("functor action leaves the carrier") from None
-    return out
 
 
 def _k_action(source, target, h, k):
     """The carrier map of :func:`_k_at`, at every point, validated."""
-    return MonotoneMap(source.K, target.K, _k_at(source, target, h, k, range(source.K.n)))
+    assign = _k_at(source, target, h, k, range(source.K.n), range(target.K.n))
+    return MonotoneMap(source.K, target.K, assign)
 
 
 def k_on_square(sq):
@@ -291,16 +293,16 @@ def canonical_diag(sq, s, p):
     are validated witnesses and the middle map K(h, k) is monotone by
     construction, so the composite is monotone.  The middle map is
     neither built nor evaluated on the whole source carrier: only the
-    |cod j| points where the section s lands are read, so K(h, k) is
-    evaluated there alone (``_k_at``).  For a commuting square, and a
-    ``Square`` is exact, K(h, k) lands in the carrier at every point, so
-    evaluating fewer points skips no error that could be raised.
+    |cod j| points where the section s lands are read, and ``_k_at``
+    evaluates K(h, k) there and reads the retraction p at each image in
+    one pass.  For a commuting square, and a ``Square`` is exact,
+    K(h, k) lands in the carrier at every point, so evaluating fewer
+    points skips no error that could be raised.
     """
     if s.fact.f != sq.j or p.fact.f != sq.g:
         raise ShapeMismatch("witnesses do not match the square")
-    retract = p.p.assign
-    middle = _k_at(s.fact, p.fact, sq.h, sq.k, s.s.assign)
-    return MonotoneMap._checked(s.s.src, p.p.tgt, tuple(retract[v] for v in middle))
+    assign = _k_at(s.fact, p.fact, sq.h, sq.k, s.s.assign, p.p.assign)
+    return MonotoneMap._checked(s.s.src, p.p.tgt, assign)
 
 
 def fibrant_replacement(A):

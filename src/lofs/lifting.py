@@ -19,10 +19,12 @@ from __future__ import annotations
 from .adjunction import find_rali
 from .errors import InvariantViolation, ShapeMismatch
 from .order import (
+    FinPreorder,
     MonotoneMap,
     Square,
     _bits,
     _bound,
+    _hom_rows,
     _least_vector,
     _pointwise_leq,
     _pointwise_preorder,
@@ -80,9 +82,6 @@ class LiftingStructure:
         self.fillers = fillers
         self.canonical = canonical
 
-    def filler(self, member_idx, h, k):
-        return self.fillers[(member_idx, h.assign, k.assign)]
-
 
 def _comparison(j, g):
     """(hom assignments, square pairs, c): the comparison map on assignment tuples.
@@ -95,11 +94,9 @@ def _comparison(j, g):
     """
     assigns = monotone_assignments(j.tgt, g.src)
     pairs = _square_pairs(j, g, _bound.get())
-    index = {p: i for i, p in enumerate(pairs)}
-    c = tuple(
-        index[(tuple(d[v] for v in j.assign), tuple(g.assign[v] for v in d))]
-        for d in assigns
-    )
+    index = dict(zip(pairs, range(len(pairs))))
+    ja, ga = j.assign, g.assign
+    c = tuple([index[tuple([d[v] for v in ja]), tuple([ga[v] for v in d])] for d in assigns])
     return assigns, pairs, c
 
 
@@ -114,14 +111,16 @@ def canonical_map(j, g):
 
     Its source is the hom preorder cod j -> dom g and its target the
     square preorder, elements in the order of ``_comparison``, whose map
-    c it is.
+    c it is.  The hom preorder's rows come from ``order._hom_rows``,
+    memoised by (cod j, dom g, the carrier bound) beside the hom set, so
+    each pair of objects is ordered once while it stays cached.
 
     All three are built trusted.  Both preorders are pointwise orders on
     validated coordinates (``_pointwise_preorder``), and the map is
     monotone: d <= d2 gives d ∘ j <= d2 ∘ j and g ∘ d <= g ∘ d2.
     """
     assigns, pairs, c = _comparison(j, g)
-    hom = _pointwise_preorder(assigns, (g.src,) * j.tgt.n)
+    hom = FinPreorder._checked(_hom_rows(j.tgt, g.src, _bound.get()))
     return MonotoneMap._checked(hom, _square_preorder(j, g, pairs), c)
 
 

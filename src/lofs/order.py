@@ -323,6 +323,10 @@ class MonotoneMap:
     src.up[i] & ~pre[assign[i]] for the first failing i.
     A value that is not an integer (a float, a string) is reported as
     such, naming its first index.
+
+    The hash is computed on first use, as ``hash((src, tgt, assign))``,
+    and kept: most maps are never hashed, so neither constructor pays for
+    it.  A race only writes the same value twice.
     """
 
     __slots__ = ("src", "tgt", "assign", "_hash")
@@ -353,7 +357,9 @@ class MonotoneMap:
                         f"assign[{i}]={v!r} is not an integer"
                     ) from None
             raise
-        self._set(src, tgt, assign)
+        self.src = src
+        self.tgt = tgt
+        self.assign = assign
 
     @classmethod
     def _checked(cls, src, tgt, assign):
@@ -365,14 +371,10 @@ class MonotoneMap:
         adjoint read off the pointwise-minimum formula).
         """
         self = object.__new__(cls)
-        self._set(src, tgt, assign)
-        return self
-
-    def _set(self, src, tgt, assign):
         self.src = src
         self.tgt = tgt
         self.assign = assign
-        self._hash = hash((src, tgt, assign))
+        return self
 
     def __call__(self, i):
         return self.assign[i]
@@ -386,7 +388,11 @@ class MonotoneMap:
         )
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.src, self.tgt, self.assign))
+            return h
 
     def __repr__(self):
         return f"MonotoneMap({list(self.assign)})"
@@ -427,32 +433,20 @@ class Square:
         # the sides line up, and composites of monotone maps are monotone
         if tuple(g.assign[v] for v in h.assign) != tuple(k.assign[v] for v in j.assign):
             raise InvariantViolation("square does not commute")
-        self._set(j, g, h, k)
-
-    @classmethod
-    def _checked(cls, j, g, h, k):
-        """The square (h, k) : j -> g, unchecked: for sides known to commute."""
-        self = object.__new__(cls)
-        self._set(j, g, h, k)
-        return self
-
-    def _set(self, j, g, h, k):
         self.j = j
         self.g = g
         self.h = h
         self.k = k
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Square)
-            and self.j == other.j
-            and self.g == other.g
-            and self.h == other.h
-            and self.k == other.k
-        )
-
-    def __hash__(self):
-        return hash((self.j, self.g, self.h, self.k))
+    @classmethod
+    def _checked(cls, j, g, h, k):
+        """The square (h, k) : j -> g, unchecked: for sides known to commute."""
+        self = object.__new__(cls)
+        self.j = j
+        self.g = g
+        self.h = h
+        self.k = k
+        return self
 
     def __repr__(self):
         return f"Square(h={list(self.h.assign)}, k={list(self.k.assign)})"
@@ -647,6 +641,21 @@ def _monotone_assignments(X, Y, bound):
     return tuple(_monotone_within(X, Y, ((1 << Y.n) - 1,) * X.n))
 
 
+@lru_cache(maxsize=256)
+def _hom_rows(X, Y, bound):
+    """The up rows of the hom preorder X -> Y, under the carrier bound ``bound``.
+
+    The elements are the assignments of ``_monotone_assignments`` under
+    the same key, in its order, ordered pointwise by
+    ``_pointwise_preorder``.  Memoised beside them, at most 256 hom
+    preorders, so a sweep that meets one (X, Y) many times builds its
+    order once: the rows are a tuple of masks, which no label changes,
+    and a caller builds its preorder on them trusted.  A smaller bound is
+    a different key, so the hom set's guard still raises.
+    """
+    return _pointwise_preorder(_monotone_assignments(X, Y, bound), (Y,) * X.n).up
+
+
 def _monotone_within(X, Y, allowed, full=False):
     """The monotone assignments a with a[i] in ``allowed[i]`` for each i.
 
@@ -798,12 +807,11 @@ def _square_pairs(j, g, bound):
     hs = monotone_assignments(j.src, g.src)
     ks = monotone_assignments(j.tgt, g.tgt)
     _guard("square search space", len(hs) * len(ks), 64 * bound)
+    ja, ga = j.assign, g.assign
     by_kj = {}
     for k in ks:
-        by_kj.setdefault(tuple(k[v] for v in j.assign), []).append(k)
-    out = tuple(
-        (h, k) for h in hs for k in by_kj.get(tuple(g.assign[v] for v in h), ())
-    )
+        by_kj.setdefault(tuple([k[v] for v in ja]), []).append(k)
+    out = tuple([(h, k) for h in hs for k in by_kj.get(tuple([ga[v] for v in h]), ())])
     _guard("commuting squares", len(out), bound)
     return out
 

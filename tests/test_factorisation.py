@@ -1,6 +1,8 @@
 import pytest
 
+from lofs import factorisation
 from lofs.downsets import unit
+from lofs.errors import ShapeMismatch
 from lofs.factorisation import (
     algebra_structure,
     canonical_diag,
@@ -274,6 +276,22 @@ class TestCanonicalDiag:
                     d = canonical_diag(sq, s, p)
                     assert d == expected
                     assert d.src is expected.src and d.tgt is expected.tgt
+
+    # the two witness tests read canonical_diag through its module, where
+    # tests/test_mutants.py patches it; each wrong witness alone is refused
+    def test_a_coalgebra_witness_of_another_map_is_refused(self):
+        j, other = MonotoneMap(ONE, chain(2), [0]), MonotoneMap(ONE, chain(2), [1])
+        g = bang(chain(2))
+        sq = squares(j, g)[0]
+        with pytest.raises(ShapeMismatch, match="witnesses do not match the square"):
+            factorisation.canonical_diag(sq, coalgebra_structure(other), algebra_structure(g))
+
+    def test_an_algebra_witness_of_another_map_is_refused(self):
+        j = MonotoneMap(ONE, chain(2), [0])
+        g, other = bang(chain(2)), identity(chain(2))
+        sq = squares(j, g)[0]
+        with pytest.raises(ShapeMismatch, match="witnesses do not match the square"):
+            factorisation.canonical_diag(sq, coalgebra_structure(j), algebra_structure(other))
 
     def test_extension_along_identity_target(self):
         f = MonotoneMap(chain(2), chain(3), [0, 2])

@@ -83,7 +83,7 @@ class TestLiftingStructures:
         assert st is not None and st.canonical
         h = MonotoneMap(antichain(2), DIA, [1, 2])
         k = MonotoneMap(DIA, ONE, [0] * 4)
-        assert st.filler(0, h, k).assign == (0, 1, 2, 3)
+        assert st.fillers[(0, h.assign, k.assign)].assign == (0, 1, 2, 3)
 
     def test_monotone_in_the_square(self):
         g = bang(DIA)
@@ -92,7 +92,10 @@ class TestLiftingStructures:
         for a in sqs:
             for b in sqs:
                 if two_cell(a.h, b.h) and two_cell(a.k, b.k):
-                    assert two_cell(st.filler(0, a.h, a.k), st.filler(0, b.h, b.k))
+                    assert two_cell(
+                        st.fillers[(0, a.h.assign, a.k.assign)],
+                        st.fillers[(0, b.h.assign, b.k.assign)],
+                    )
 
     def test_no_square_means_an_empty_hom_set(self):
         # with no square, dom g is empty and cod j is not, so the hom set

@@ -18,10 +18,19 @@ import lofs
 from lofs import suite
 from lofs.adjunction import RaliWitness, find_left_adjoint, find_right_adjoint
 from lofs.downsets import _inclusion_covers
-from lofs.errors import InvariantViolation
+from lofs.errors import InvariantViolation, ShapeMismatch
+from lofs.factorisation import _k_at
 from lofs.lifting import GeneratorFamily, LiftingStructure, _coherent
-from lofs.order import _bits, _canonical, _monotone_within, _square_pairs, _transpose
+from lofs.order import (
+    MonotoneMap,
+    _bits,
+    _canonical,
+    _monotone_within,
+    _square_pairs,
+    _transpose,
+)
 import test_acceptance
+import test_factorisation
 import test_kan
 import test_lifting
 
@@ -86,6 +95,14 @@ def coherent_without_links(structure, member_pairs):
     )
 
 
+def diag_refusing_only_two_wrong_witnesses(sq, s, p):
+    """``canonical_diag`` with its guard's ``or`` turned into ``and``."""
+    if s.fact.f != sq.j and p.fact.f != sq.g:
+        raise ShapeMismatch("witnesses do not match the square")
+    assign = _k_at(s.fact, p.fact, sq.h, sq.k, s.s.assign, p.p.assign)
+    return MonotoneMap._checked(s.s.src, p.p.tgt, assign)
+
+
 def monotone_within_ignoring_full(X, Y, allowed, full=False):
     """``_monotone_within`` enumerating every monotone assignment, full or not."""
     return _monotone_within(X, Y, allowed)
@@ -117,6 +134,10 @@ def embeddings_pin():
 
 def linked_family():
     test_lifting.TestLinkedFamily().test_a_link_that_the_lexicographic_choice_breaks()
+
+
+def foreign_coalgebra():
+    test_factorisation.TestCanonicalDiag().test_a_coalgebra_witness_of_another_map_is_refused()
 
 
 def criterion(number):
@@ -175,6 +196,13 @@ MUTANTS = [
         "order._monotone_within", monotone_within_ignoring_full, embeddings_pin,
         AssertionError, None,
         id="level-builder-ignoring-full",
+    ),
+    # the guard lets a coalgebra witness of another map through when the
+    # algebra witness is right: canonical_diag returns a map, not an error
+    pytest.param(
+        "factorisation.canonical_diag", diag_refusing_only_two_wrong_witnesses,
+        foreign_coalgebra, pytest.fail.Exception, "DID NOT RAISE",
+        id="diag-guard-with-and",
     ),
     # criterion 5 still passes, but on 146 pairs instead of 11680
     pytest.param(

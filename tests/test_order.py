@@ -27,9 +27,11 @@ from lofs.factorisation import (
 )
 from lofs.lifting import GeneratorFamily, canonical_map, kz_orthogonal, lifting_structure
 from lofs.order import (
+    DEFAULT_MAX_CARRIER,
     FinPreorder,
     MonotoneMap,
     Square,
+    _hom_rows,
     _transpose,
     antichain,
     canonical_form,
@@ -181,6 +183,16 @@ class TestMaps:
             with pytest.raises(InvariantViolation, match=rf"assign\[{index}\]=.* is not an integer"):
                 MonotoneMap(chain(2), chain(2), assign)
 
+    def test_the_hash_is_the_hash_of_the_fields(self):
+        # computed on first use, for a validated and a trusted map alike
+        for X in reps(2):
+            for Y in reps(2):
+                for a in monotone_assignments(X, Y):
+                    valid, trusted = MonotoneMap(X, Y, a), MonotoneMap._checked(X, Y, a)
+                    for m in (valid, trusted):
+                        assert hash(m) == hash((m.src, m.tgt, m.assign))
+                    assert valid == trusted and hash(valid) == hash(trusted)
+
     def test_two_cell(self):
         one = chain(1)
         c0 = MonotoneMap(one, chain(2), [0])
@@ -263,6 +275,8 @@ class TestPointwiseRows:
             for Y in reps(3):
                 assigns = monotone_assignments(X, Y)
                 order = hom_preorder(X, Y)
+                # the rows come from the hom-rows memo, built once per key
+                assert order.up is _hom_rows(X, Y, DEFAULT_MAX_CARRIER)
                 assert list(order.up) == pairwise_rows(assigns, [Y.leq] * X.n)
                 assert list(order.down) == pairwise_rows(assigns, [reversed_leq(Y)] * X.n)
 
@@ -781,7 +795,8 @@ class TestCheckedRows:
                     for side in (sq.h, sq.k):
                         if id(side) not in sides:
                             sides[id(side)] = assert_map_rebuilds(side)
-                    assert sq == Square(j, g, sides[id(sq.h)], sides[id(sq.k)])
+                    rebuilt = Square(j, g, sides[id(sq.h)], sides[id(sq.k)])
+                    assert (sq.j, sq.g, sq.h, sq.k) == (rebuilt.j, rebuilt.g, rebuilt.h, rebuilt.k)
                 p = algebras[g]
                 if s is not None and p is not None:
                     for sq in sqs:

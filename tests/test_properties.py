@@ -57,6 +57,7 @@ from lofs.order import (  # noqa: E402
     Square,
     _bits,
     _down_set_masks,
+    _hom_rows,
     _least_member,
     _monotone_assignments,
     _monotone_within,
@@ -900,7 +901,8 @@ def test_squares_memo_matches_uncached(j, g):
         return
     first, again = squares(j, g), squares(j, g)
     expected = _square_pairs.__wrapped__(j, g, DEFAULT_MAX_CARRIER)
-    assert first == again and [(s.h.assign, s.k.assign) for s in first] == list(expected)
+    sides = [[(s.j, s.g, s.h, s.k) for s in sqs] for sqs in (first, again)]
+    assert sides[0] == sides[1] and [(s.h.assign, s.k.assign) for s in first] == list(expected)
     assert first is not again
 
 
@@ -930,6 +932,14 @@ def test_memos_still_raise_under_a_smaller_bound():
     assert _limit_message(lambda: under(4096, monotone_assignments, X, Y)) == _limit_message(
         lambda: under(4096, _monotone_assignments.__wrapped__, X, Y, 4096)
     ) == "6^5 candidate maps: 7776 exceeds the bound 4096"
+
+    # a hom preorder cached under the default bound, then the hom-rows memo
+    # under a smaller one: 3^2 candidate maps, 6 of them monotone
+    X, Y = chain(2), chain(3)
+    assert canonical_map(identity(X), identity(Y)).src.n == 6
+    assert _limit_message(lambda: under(8, _hom_rows, X, Y, 8)) == _limit_message(
+        lambda: under(8, _hom_rows.__wrapped__, X, Y, 8)
+    ) == "3^2 candidate maps: 9 exceeds the bound 8"
 
     j = g = identity(chain(2))
     assert len(squares(j, g)) == 3
@@ -1006,7 +1016,7 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
         "kan._member", "order._arrow_classes", "order._enumeration",
-        "order._monotone_assignments", "order._square_pairs",
+        "order._hom_rows", "order._monotone_assignments", "order._square_pairs",
     }
     assert bounded <= set(found)
     assert {name for name, size in found.items() if size is None} == UNBOUNDED
