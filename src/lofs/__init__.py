@@ -37,19 +37,15 @@ from .factorisation import (
     k_on_square,
 )
 from .kan import (
-    ExtensionWitness,
     all_embeddings,
     classify_injectives,
     kan_injective,
-    lan_extension,
 )
 from .lifting import (
     GeneratorFamily,
     LiftingStructure,
     canonical_map,
-    compose_structures,
     coproduct_family_check,
-    has_lifting,
     kz_orthogonal,
     lifting_structure,
 )

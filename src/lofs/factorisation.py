@@ -69,10 +69,6 @@ class CoalgebraWitness:
         self.fact = fact
         self.s = s
 
-    @property
-    def f(self):
-        return self.fact.f
-
 
 class AlgebraWitness:
     """A retraction p of the left part with g ∘ p equal to the right part.
@@ -91,10 +87,6 @@ class AlgebraWitness:
             raise InvariantViolation("g ∘ p differs from the right part")
         self.fact = fact
         self.p = p
-
-    @property
-    def g(self):
-        return self.fact.f
 
 
 def _upper_bound_table(f):

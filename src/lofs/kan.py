@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ShapeMismatch
 from .order import (
-    MonotoneMap,
     _bits,
     _hom_guard,
     _least_member,
@@ -26,39 +24,6 @@ from .order import (
     monotone_assignments,
     representatives,
 )
-
-
-class ExtensionWitness:
-    """The least monotone extension of f along j."""
-
-    __slots__ = ("j", "f", "ext")
-
-    def __init__(self, j, f, ext):
-        self.j = j
-        self.f = f
-        self.ext = ext
-
-    def __repr__(self):
-        return f"ExtensionWitness(ext={list(self.ext.assign)})"
-
-
-def lan_extension(j, f):
-    """The least g with f <= g ∘ j, if it restricts back to f; else None.
-
-    One search for every codomain, ``_least_extension``: the pointwise
-    sups g(y) = sup f[{x : j(x) <= y}] where every bound set has a least
-    member, which over a complete lattice is always, and the scan of the
-    monotone maps where some has none.  Its guard rule is the one
-    ``kan_injective`` follows: the hom-set guard on |A|^|cod j| is
-    called on the sup path too, so a bound that stops the scan also
-    stops the sups.
-    """
-    if j.src != f.src:
-        raise ShapeMismatch("extension needs dom j = dom f")
-    best = _least_extension(j, f.assign, f.tgt)
-    if best is None:
-        return None
-    return _restricting(j, f, best)
 
 
 def _least_extension(j, assign, A):
@@ -102,14 +67,6 @@ def _least_extension(j, assign, A):
 def _restricts(j, assign, ext, A):
     """Whether the extension ``ext`` restricts along j to ``assign``, up to ≡."""
     return all(A.equiv(ext[v], fx) for v, fx in zip(j.assign, assign))
-
-
-def _restricting(j, f, assign):
-    """The extension with ``assign`` as a witness, if it restricts back to f."""
-    ext = MonotoneMap(j.tgt, f.tgt, assign)
-    if not _restricts(j, f.assign, ext.assign, f.tgt):
-        return None
-    return ExtensionWitness(j, f, ext)
 
 
 def _least_within(Y, A, bounds):
@@ -173,11 +130,10 @@ def kan_injective(A, generators):
     conjunction over members, and skipped members would repeat a check
     that passed.
 
-    Over any other A every f takes ``_least_extension``, the one search
-    that ``lan_extension`` also makes: the pointwise sups where every
-    bound set has a least member, else the scan.  Its restriction is
-    tested on the least tuple.  Either way the carrier bound limits
-    every hom set into A, on the sup path as on the scan.
+    Over any other A every f takes ``_least_extension``: the pointwise
+    sups where every bound set has a least member, else the scan.  Its
+    restriction is tested on the least tuple.  Either way the carrier
+    bound limits every hom set into A, on the sup path as on the scan.
     """
     members = getattr(generators, "members", generators)
     complete = is_complete_lattice(A)

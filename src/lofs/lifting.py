@@ -9,15 +9,14 @@ data: links are plain squares between members.
 Fillers are the fibres of the comparison c : hom(cod j, dom g) -> Sq(j, g),
 d ↦ (d ∘ j, g ∘ d): exactly over a square, up to pointwise equivalence
 over its class.  A KZ-lifting operation is a RALI section of c.
-``canonical_map``, ``has_lifting`` and ``lifting_structure`` read c from
-``_comparison``, the one place that enumerates the hom set and the
-squares of a pair.
+``canonical_map`` and ``lifting_structure`` read c from ``_comparison``,
+the one place that enumerates the hom set and the squares of a pair.
 """
 
 from __future__ import annotations
 
 from .adjunction import find_rali
-from .errors import InvariantViolation, ShapeMismatch
+from .errors import ShapeMismatch
 from .order import (
     FinPreorder,
     MonotoneMap,
@@ -30,7 +29,6 @@ from .order import (
     _pointwise_preorder,
     _preimage_masks,
     _square_pairs,
-    compose,
     monotone_assignments,
 )
 
@@ -60,9 +58,6 @@ class GeneratorFamily:
             (src + shift, tgt + shift, u, v) for src, tgt, u, v in other.links
         )
         return GeneratorFamily(self.members + other.members, self.links + shifted)
-
-    def __len__(self):
-        return len(self.members)
 
 
 class LiftingStructure:
@@ -122,17 +117,6 @@ def canonical_map(j, g):
     assigns, pairs, c = _comparison(j, g)
     hom = FinPreorder._checked(_hom_rows(j.tgt, g.src, _bound.get()))
     return MonotoneMap._checked(hom, _square_preorder(j, g, pairs), c)
-
-
-def has_lifting(j, g):
-    """Every commuting square from j to g admits at least one filler.
-
-    Fillers are taken up to pointwise equivalence so that KZ-orthogonality
-    always implies this predicate; over posets that is the strict notion.
-    So the comparison map must hit every class of squares.
-    """
-    _, pairs, c = _comparison(j, g)
-    return all(_preimage_masks(c, _square_preorder(j, g, pairs).classes()))
 
 
 def lifting_structure(family, g):
@@ -208,30 +192,6 @@ def kz_orthogonal(j, g):
     on-the-nose whenever that preorder is a poset.
     """
     return find_rali(canonical_map(j, g))
-
-
-def compose_structures(sf, sg):
-    """Compose lifting structures along composable underlying maps.
-
-    The composite filler for (h, k) against g ∘ f fills g on
-    (f ∘ h, k) first and then fills f on (h, that filler).
-    """
-    if sf.family is not sg.family and sf.family.members != sg.family.members:
-        raise ShapeMismatch("structures are over different families")
-    f, g = sf.g, sg.g
-    if f.tgt != g.src:
-        raise ShapeMismatch("underlying maps do not compose")
-    gf = compose(f, g)
-    fillers = {}
-    member_pairs = [_square_pairs(j, gf, _bound.get()) for j in sf.family.members]
-    for idx, pairs in enumerate(member_pairs):
-        for h, k in pairs:
-            dg = sg.fillers[(idx, tuple(f.assign[x] for x in h), k)]
-            fillers[(idx, h, k)] = sf.fillers[(idx, h, dg.assign)]
-    out = LiftingStructure(gf, sf.family, fillers, sf.canonical and sg.canonical)
-    if not _coherent(out, member_pairs):
-        raise InvariantViolation("composite lifting structure is incoherent")
-    return out
 
 
 def coproduct_family_check(fam1, fam2, g):

@@ -48,12 +48,6 @@ class FiniteSpace:
     def __init__(self, points):
         self.points = points
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteSpace) and self.points == other.points
-
-    def __hash__(self):
-        return hash(("space", self.points))
-
     def __repr__(self):
         return f"FiniteSpace({self.points!r})"
 

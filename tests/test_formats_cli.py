@@ -75,7 +75,7 @@ class TestFormats:
     def test_family_from_array(self):
         f_obj = formats.map_to_obj(identity(chain(2)))
         fam = formats.family_from_obj([f_obj, f_obj])
-        assert isinstance(fam, GeneratorFamily) and len(fam) == 2
+        assert isinstance(fam, GeneratorFamily) and len(fam.members) == 2
 
     def test_map_source_by_path(self, tmp_path):
         src = write(tmp_path, "src.json", formats.preorder_to_obj(chain(2)))

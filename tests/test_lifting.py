@@ -5,17 +5,12 @@ import json
 import os
 import tempfile
 
-import pytest
-
 from lofs import cli, formats
-from lofs.errors import ShapeMismatch
 from lofs.factorisation import algebra_structure, canonical_diag, coalgebra_structure
 from lofs.lifting import (
     GeneratorFamily,
     canonical_map,
-    compose_structures,
     coproduct_family_check,
-    has_lifting,
     kz_orthogonal,
     lifting_structure,
 )
@@ -74,7 +69,6 @@ class TestLiftingStructures:
 
     def test_vee_has_no_filler(self):
         g = bang(vee())
-        assert not has_lifting(J_EMB, g)
         assert lifting_structure(GeneratorFamily([J_EMB]), g) is None
 
     def test_diamond_has_structure(self):
@@ -109,7 +103,6 @@ class TestLiftingStructures:
             assert g.src.n == 0 < j.tgt.n
             with carrier_bound(0):
                 assert monotone_assignments(j.tgt, g.src) == []
-            assert has_lifting(j, g)
             assert lifting_structure(GeneratorFamily([j]), g).fillers == {}
 
 
@@ -138,13 +131,25 @@ class TestKz:
         assert kz_orthogonal(J_EMB, bang(vee())) is None
 
     def test_kz_implies_lifting(self):
+        # a KZ-lifting operation gives every square a filler, up to
+        # pointwise equivalence: found by testing every map cod j -> dom g
         pool = [p for n in range(3) for p in enumerate_preorders(n)]
+        checked = 0
         for X in pool:
             for Y in pool:
                 for j in hom_maps(X, Y):
                     for g in hom_maps(Y, ONE):
-                        if kz_orthogonal(j, g) is not None:
-                            assert has_lifting(j, g)
+                        if kz_orthogonal(j, g) is None:
+                            continue
+                        homs = hom_maps(j.tgt, g.src)
+                        for sq in squares(j, g):
+                            assert any(
+                                maps_equivalent(compose(j, d), sq.h)
+                                and maps_equivalent(compose(d, g), sq.k)
+                                for d in homs
+                            )
+                            checked += 1
+        assert checked
 
     def test_witness_unique_up_to_equivalence(self):
         g = bang(chain(2))
@@ -216,43 +221,6 @@ class TestLinkedFamily:
             (1, [1], [0], [1]),
         ]
         assert linked == (1, {"exists": False})
-
-
-class TestComposition:
-    def test_identity_laws(self):
-        fam = GeneratorFamily([J_EMB])
-        sf = lifting_structure(fam, bang(DIA))
-        sid = lifting_structure(fam, identity(ONE))
-        comp = compose_structures(sf, sid)
-        assert {k: v.assign for k, v in comp.fillers.items()} == {
-            k: v.assign for k, v in sf.fillers.items()
-        }
-        sid_dia = lifting_structure(fam, identity(DIA))
-        comp = compose_structures(sid_dia, sf)
-        assert {k: v.assign for k, v in comp.fillers.items()} == {
-            k: v.assign for k, v in sf.fillers.items()
-        }
-
-    def test_matches_direct_search(self):
-        # fill a sup-preserving surjection, then the terminal map, and
-        # compare against the structure found directly on the composite
-        fam = GeneratorFamily([J_EMB])
-        f = MonotoneMap(DIA, chain(2), [0, 0, 1, 1])
-        g = bang(chain(2))
-        sf = lifting_structure(fam, f)
-        sg = lifting_structure(fam, g)
-        assert sf is not None and sg is not None
-        composite = compose_structures(sf, sg)
-        direct = lifting_structure(fam, compose(f, g))
-        assert direct is not None
-        for key, d in composite.fillers.items():
-            assert d.assign == direct.fillers[key].assign
-
-    def test_shape_mismatch(self):
-        fam = GeneratorFamily([J_EMB])
-        sf = lifting_structure(fam, bang(DIA))
-        with pytest.raises(ShapeMismatch):
-            compose_structures(sf, sf)
 
 
 class TestCoproducts:
