@@ -838,7 +838,7 @@ def _refinement(X):
 _PERM_LIMIT = 40320  # 8!
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _canonical(X):
     """Minimal relabeling of X compatible with the refinement classes.
 
@@ -848,7 +848,9 @@ def _canonical(X):
     under each relabeling.  ``arrow_canonical_key`` reads X as a source
     through the first and as a target through the second.  Any
     isomorphism preserves refinement colors, so the minimum over
-    color-respecting permutations is a true canonical form.
+    color-respecting permutations is a true canonical form.  Memoised,
+    at most 1,024 preorders: the enumeration of size 6 canonicalises
+    2,260, the battery and the benchmark's sweeps 430 each.
     """
     n = X.n
     inv = _refinement(X)

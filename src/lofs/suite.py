@@ -1,6 +1,10 @@
 """The acceptance battery: eleven exhaustive property checks.
 
-Each criterion returns (passed, detail); the runner prints one line per
+Each criterion returns (passed, detail) and reads no clock.  The runner,
+``run_suite``, is the one place that knows how a criterion runs: it
+refuses unknown criterion numbers before any criterion runs, times each
+criterion once, appends the time to the detail lines of the criteria in
+``TIMED`` and fails one that misses its gate there, prints one line per
 criterion and stops at the first failure, quoting the smallest witness
 found.  Checks that state a brute-force oracle recompute the expected
 value from first principles (naive loops over elements and subsets)
@@ -14,7 +18,7 @@ import time
 
 from .adjunction import find_left_adjoint
 from .downsets import check_lax_idempotent_P
-from .errors import InvariantViolation, SizeLimitExceeded
+from .errors import InvariantViolation, LofsError, SizeLimitExceeded
 from .factorisation import (
     algebra_structure,
     canonical_diag,
@@ -85,7 +89,6 @@ def criterion_factorisation_soundness():
     pair i = (m, b) by definition: the AND of the column of pairs whose
     down-set contains m and the column of pairs whose bound lies above b.
     """
-    start = time.time()
     count = 0
     codomains = [(Y, _order_tables(Y)[0]) for Y in representatives(4)]
     for X in representatives(4):
@@ -121,10 +124,7 @@ def criterion_factorisation_soundness():
                     if superset_col[m] & above_col[b] != fact.K.up[i]:
                         return False, f"order oracle mismatch for {f!r}"
                 count += 1
-    elapsed = time.time() - start
-    if elapsed >= 60:
-        return False, f"runtime target missed: {elapsed:.1f}s >= 60s"
-    return True, f"{count} maps factored and replayed in {elapsed:.1f}s"
+    return True, f"{count} maps factored and replayed"
 
 
 def _random_preorder(rnd, max_size):
@@ -185,7 +185,6 @@ def criterion_coalgebra_iff_full():
 
 def criterion_fibrant_iff_complete():
     """Algebras over the point are exactly the complete lattices, size <= 5."""
-    start = time.time()
     point = chain(1)
     rows = 0
     for A in representatives(5):
@@ -194,10 +193,7 @@ def criterion_fibrant_iff_complete():
         if has_algebra != is_complete_lattice(A):
             return False, f"mismatch at {A!r}"
         rows += 1
-    elapsed = time.time() - start
-    if elapsed >= 120:
-        return False, f"runtime target missed: {elapsed:.1f}s >= 120s"
-    return True, f"{rows} isomorphism classes agree in {elapsed:.1f}s"
+    return True, f"{rows} isomorphism classes agree"
 
 
 def criterion_fibrant_replacement():
@@ -326,7 +322,6 @@ def _unit_square(f, fact):
 
 def criterion_kan_classification():
     """Kan injectives for embeddings of size <= 4 = complete lattices, size <= 5."""
-    start = time.time()
     rows = classify_injectives(5, generator_size=4)
     for A, injective, complete in rows:
         if injective != complete:
@@ -336,10 +331,9 @@ def criterion_kan_classification():
         if injective != injective2:
             return False, f"poset-only generators change the row of {A!r}"
     n_emb = len(all_embeddings(4))
-    elapsed = time.time() - start
     return True, (
         f"{len(rows)} objects against {n_emb} embedding classes agree, "
-        f"poset-only rerun identical, in {elapsed:.1f}s"
+        "poset-only rerun identical,"
     )
 
 
@@ -466,7 +460,6 @@ def criterion_chain_stages():
 
 
 def criterion_enumeration_counts():
-    start = time.time()
     preorder_counts = [1, 1, 3, 9, 33]
     poset_counts = [1, 1, 2, 5, 16]
     for n, expect in enumerate(preorder_counts):
@@ -477,13 +470,7 @@ def criterion_enumeration_counts():
         got = len(enumerate_preorders(n, posets_only=True))
         if got != expect:
             return False, f"posets({n}) = {got}, published {expect}"
-    elapsed = time.time() - start
-    if elapsed >= 30:
-        return False, f"runtime target missed: {elapsed:.1f}s >= 30s"
-    return True, (
-        f"unlabeled counts {preorder_counts} and {poset_counts} reproduced "
-        f"in {elapsed:.1f}s"
-    )
+    return True, f"unlabeled counts {preorder_counts} and {poset_counts} reproduced"
 
 
 CRITERIA = [
@@ -501,19 +488,39 @@ CRITERIA = [
 ]
 
 
+# criterion number -> its wall-clock gate in seconds, or None for no gate:
+# the PASS lines of these criteria end with the criterion's time
+TIMED = {"1": 60, "3": 120, "7": None, "11": 30}
+
+
 def run_suite(names=None, emit=print, fail_fast=True):
     """Run the battery, printing one PASS/FAIL line per criterion; whether all passed.
 
-    The run stops at the first FAIL line unless ``fail_fast`` is false,
-    which the benchmark's battery report sets to time every criterion.
+    ``names`` holds criterion numbers as strings; a number the battery
+    does not have raises ``LofsError`` before any criterion runs.  The
+    runner times each criterion once.  A criterion in ``TIMED`` that
+    passes gets " in X.Xs" on its detail line, and one that took its
+    gate or longer fails with "runtime target missed".  The run stops at
+    the first FAIL line unless ``fail_fast`` is false, which the
+    benchmark's battery report sets to time every criterion.
     """
+    numbers = {name.split()[0] for name, _ in CRITERIA}
+    unknown = [] if names is None else sorted(set(names) - numbers)
+    if unknown:
+        raise LofsError(f"unknown criteria: {', '.join(map(repr, unknown))}")
     all_ok = True
     for name, fn in CRITERIA:
-        if names and name.split()[0] not in names:
+        number = name.split()[0]
+        if names and number not in names:
             continue
-        start = time.time()
+        start = time.perf_counter()
         passed, detail = fn()
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
+        gate = TIMED.get(number)
+        if passed and gate is not None and elapsed >= gate:
+            passed, detail = False, f"runtime target missed: {elapsed:.1f}s >= {gate}s"
+        elif passed and number in TIMED:
+            detail += f" in {elapsed:.1f}s"
         status = "PASS" if passed else "FAIL"
         emit(f"{status}  {name}  ({elapsed:.1f}s)  {detail}")
         if not passed:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -129,6 +131,24 @@ class TestCli:
         assert cli.main(["--witness", "check", "complete-lattice", v]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness"] == {"subset-without-sup": []}
+
+    def test_poset_witness_names_the_equivalent_pair_lowest_first(self, tmp_path):
+        # bot <= p and p ~ q: the first class with two members is {p, q}.
+        # stdout is captured here, not by a fixture, so the mutant table
+        # can run this test as one of its checks
+        path = write(
+            tmp_path,
+            "pq.json",
+            {"type": "preorder", "elements": ["bot", "p", "q"],
+             "le": [["bot", "p"], ["p", "q"], ["q", "p"]]},
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--witness", "check", "poset", path]) == 1
+        assert out.getvalue() == (
+            '{\n  "predicate": "poset",\n  "result": false,\n  "witness": {\n'
+            '    "equivalent-pair": [\n      "p",\n      "q"\n    ]\n  }\n}\n'
+        )
 
     def test_top_coalgebra_witness_builds_the_direct_image_once(
         self, tmp_path, capsys, monkeypatch

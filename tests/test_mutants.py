@@ -10,27 +10,32 @@ when its check fails, which shows that the check can fail.
 """
 
 import importlib
+import pathlib
 import pkgutil
+import tempfile
 
 import pytest
 
 import lofs
-from lofs import suite
+from lofs import cli, suite
 from lofs.adjunction import RaliWitness, find_left_adjoint, find_right_adjoint
-from lofs.downsets import _inclusion_covers
+from lofs.downsets import _carrier, _inclusion_covers
 from lofs.errors import InvariantViolation, ShapeMismatch
-from lofs.factorisation import _k_at
+from lofs.factorisation import _k_at, canonical_diag
 from lofs.lifting import GeneratorFamily, LiftingStructure, _coherent
 from lofs.order import (
+    FinPreorder,
     MonotoneMap,
     _bits,
     _canonical,
     _monotone_within,
     _square_pairs,
     _transpose,
+    monotone_assignments,
 )
 import test_acceptance
 import test_factorisation
+import test_formats_cli
 import test_kan
 import test_lifting
 
@@ -103,6 +108,48 @@ def diag_refusing_only_two_wrong_witnesses(sq, s, p):
     return MonotoneMap._checked(s.s.src, p.p.tgt, assign)
 
 
+def carrier_dropping_one_relation(masks, B, pre, bound):
+    """``_carrier`` whose K loses one strict relation.
+
+    The first element with a strict upper bound is no longer below the
+    highest of them.
+    """
+    K, pairs, index, rho = _carrier(masks, B, pre, bound)
+    up = list(K.up)
+    for i, row in enumerate(up):
+        strict = row & ~(1 << i)
+        if strict:
+            up[i] = row & ~(1 << (strict.bit_length() - 1))
+            break
+    return FinPreorder._checked(tuple(up)), pairs, index, rho
+
+
+def diag_above_the_least(sq, s, p):
+    """``canonical_diag`` returning an exact filler not below the least one, where there is one."""
+    least = canonical_diag(sq, s, p).assign
+    C = sq.g.src
+    for w in monotone_assignments(sq.j.tgt, C):
+        if (
+            tuple(w[x] for x in sq.j.assign) == sq.h.assign
+            and tuple(sq.g.assign[y] for y in w) == sq.k.assign
+            and not all(C.leq(a, b) for a, b in zip(w, least))
+        ):
+            return MonotoneMap._checked(sq.j.tgt, C, tuple(w))
+    return MonotoneMap._checked(sq.j.tgt, C, least)
+
+
+def equivalent_pair_swapped(P):
+    """``_equivalent_pair`` naming the two members of the pair in the other order."""
+    return {"equivalent-pair": cli._equivalent_pair(P)["equivalent-pair"][::-1]}
+
+
+# ``_cmd_check`` reads the witness function from its table, so the row
+# patches the table with the swapped witness in the poset row
+CHECKS_WITH_THE_PAIR_SWAPPED = dict(
+    cli._CHECKS, poset=cli._CHECKS["poset"][:2] + (equivalent_pair_swapped,)
+)
+
+
 def monotone_within_ignoring_full(X, Y, allowed, full=False):
     """``_monotone_within`` enumerating every monotone assignment, full or not."""
     return _monotone_within(X, Y, allowed)
@@ -145,10 +192,17 @@ def foreign_coalgebra():
     test_factorisation.TestCanonicalDiag().test_a_coalgebra_witness_of_another_map_is_refused()
 
 
+def poset_witness_pin():
+    with tempfile.TemporaryDirectory() as tmp:
+        test_formats_cli.TestCli().test_poset_witness_names_the_equivalent_pair_lowest_first(
+            pathlib.Path(tmp)
+        )
+
+
 def criterion(number):
     """The acceptance test of one criterion: it passes, with its pinned line."""
-    name, run = suite.CRITERIA[number - 1]
-    return lambda: test_acceptance.test_criterion(name, run)
+    name, _ = suite.CRITERIA[number - 1]
+    return lambda: test_acceptance.test_criterion(name)
 
 
 MUTANTS = [
@@ -214,6 +268,22 @@ MUTANTS = [
         "factorisation.canonical_diag", diag_refusing_only_two_wrong_witnesses,
         foreign_coalgebra, pytest.fail.Exception, "DID NOT RAISE",
         id="diag-guard-with-and",
+    ),
+    # the first map into chain(2) has a carrier of two elements, one below
+    # the other, and the mutant drops that relation
+    pytest.param(
+        "factorisation._carrier", carrier_dropping_one_relation, criterion(1),
+        AssertionError, "order oracle mismatch",
+        id="carrier-dropping-one-relation",
+    ),
+    pytest.param(
+        "suite.canonical_diag", diag_above_the_least, criterion(5),
+        AssertionError, "diagonal not least",
+        id="diag-above-the-least",
+    ),
+    pytest.param(
+        "cli._CHECKS", CHECKS_WITH_THE_PAIR_SWAPPED, poset_witness_pin, AssertionError, None,
+        id="equivalent-pair-swapped",
     ),
     # criterion 5 still passes, but on 146 pairs instead of 11680
     pytest.param(

@@ -997,10 +997,7 @@ def test_memos_never_hand_out_another_callers_labels():
     assert all(sq.j is named and sq.g is g for sq in squares(named, g))
 
 
-UNBOUNDED = {"order._canonical"}
-
-
-def test_only_the_canonical_forms_are_memoised_without_a_bound():
+def test_every_memo_has_a_bound():
     found = {}
     for info in pkgutil.iter_modules(lofs.__path__):
         if info.name == "__main__":  # importing it runs the CLI
@@ -1012,9 +1009,9 @@ def test_only_the_canonical_forms_are_memoised_without_a_bound():
                 found[f"{info.name}.{attr}"] = obj.cache_info().maxsize
     bounded = {
         "cli.build_parser", "downsets._carrier", "downsets._inclusion_covers",
-        "kan._member", "order._arrow_classes", "order._enumeration",
+        "kan._member", "order._arrow_classes", "order._canonical", "order._enumeration",
         "order._hom_rows", "order._monotone_assignments", "order._square_pairs",
     }
     assert bounded <= set(found)
-    assert {name for name, size in found.items() if size is None} == UNBOUNDED
+    assert {name for name, size in found.items() if size is None} == set()
     assert found["cli.build_parser"] == 1
